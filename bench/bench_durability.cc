@@ -4,7 +4,7 @@
 // tools/check_bench_json.py in ci.sh):
 //
 //   commit   — N client threads hammer score updates through a durable
-//              engine, once per SyncMode. Both modes run the identical
+//              single-shard engine, once per SyncMode. Both modes run the identical
 //              workload on a WAL whose fsync is padded to a disk-like
 //              latency (LatencyWalFile — tmpfs fsync is near-free and
 //              would flatter the per-statement baseline). Group commit
@@ -27,7 +27,7 @@
 
 #include "bench/bench_common.h"
 #include "common/random.h"
-#include "core/svr_engine.h"
+#include "core/sharded_engine.h"
 #include "durability/wal_file.h"
 #include "workload/crash_driver.h"
 
@@ -63,7 +63,8 @@ struct CorpusShape {
 /// docs{id,text} + scores{id,val} + the S1 index — the same minimal
 /// scored corpus the crash driver uses. Setup statements are part of the
 /// WAL too; the recovery series counts them in recovered_seq.
-Status SetupCorpus(core::SvrEngine* engine, const CorpusShape& shape) {
+Status SetupCorpus(core::ShardedSvrEngine* engine,
+                   const CorpusShape& shape) {
   SVR_RETURN_NOT_OK(engine->CreateTable(
       "docs",
       Schema({{"id", ValueType::kInt64}, {"text", ValueType::kString}},
@@ -91,11 +92,12 @@ Status SetupCorpus(core::SvrEngine* engine, const CorpusShape& shape) {
       AggFunction::WeightedSum({1.0}));
 }
 
-core::SvrEngineOptions DurableOptions(const std::string& dir,
-                                      durability::SyncMode mode,
-                                      durability::WalFileFactory factory) {
-  core::SvrEngineOptions options;
-  options.method = index::Method::kChunk;
+/// One shard: the single-node durable engine (docs/durability.md).
+core::ShardedSvrEngineOptions DurableOptions(
+    const std::string& dir, durability::SyncMode mode,
+    durability::WalFileFactory factory) {
+  core::ShardedSvrEngineOptions options;
+  options.shard.method = index::Method::kChunk;
   options.durability.enabled = true;
   options.durability.dir = dir;
   options.durability.sync_mode = mode;
@@ -122,7 +124,7 @@ CommitResult RunCommit(const std::string& dir, durability::SyncMode mode,
                        uint32_t ops_per_thread, uint64_t sync_delay_us) {
   Check(workload::WipeDirectory(dir), "wipe");
   auto engine = CheckResult(
-      core::SvrEngine::Open(
+      core::ShardedSvrEngine::Open(
           DurableOptions(dir, mode, LatencyFactory(sync_delay_us))),
       "open");
   Check(SetupCorpus(engine.get(), shape), "setup");
@@ -173,9 +175,8 @@ std::vector<std::string> QuerySet(const CorpusShape& shape, uint32_t n) {
   return out;
 }
 
-std::vector<std::pair<int64_t, double>> TopDocs(core::SvrEngine* engine,
-                                                const std::string& q,
-                                                size_t k) {
+std::vector<std::pair<int64_t, double>> TopDocs(
+    core::ShardedSvrEngine* engine, const std::string& q, size_t k) {
   auto r = CheckResult(engine->Search(q, k), "search");
   std::vector<std::pair<int64_t, double>> out;
   out.reserve(r.size());
@@ -193,8 +194,8 @@ RecoveryResult RunRecovery(const std::string& dir, uint32_t wal_ops,
   };
   std::vector<std::vector<std::pair<int64_t, double>>> before;
   {
-    auto engine = CheckResult(core::SvrEngine::Open(make_options()),
-                              "open for load");
+    auto engine = CheckResult(
+        core::ShardedSvrEngine::Open(make_options()), "open for load");
     Check(SetupCorpus(engine.get(), shape), "setup");
     Random rng(shape.seed + 1);
     for (uint32_t i = 0; i < wal_ops; ++i) {
@@ -218,8 +219,8 @@ RecoveryResult RunRecovery(const std::string& dir, uint32_t wal_ops,
 
   RecoveryResult r;
   const double t0 = NowMs();
-  auto engine =
-      CheckResult(core::SvrEngine::Open(make_options()), "recovery open");
+  auto engine = CheckResult(core::ShardedSvrEngine::Open(make_options()),
+                            "recovery open");
   r.recovery_ms = NowMs() - t0;
   r.stats = engine->recovery_stats();
   const auto qs = QuerySet(shape, queries);

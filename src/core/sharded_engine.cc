@@ -44,6 +44,26 @@ relational::Value DefaultValueFor(relational::ValueType type) {
   }
 }
 
+/// Text whose tokenization reproduces `doc` exactly: each term repeated
+/// `freq` times, whitespace-joined (Document::FromTokens is multiset
+/// order-insensitive). Checkpoints use it to resurrect the rows of
+/// deleted document slots, whose final content still decides the corpus
+/// document frequencies.
+std::string ReconstructDocText(const text::Document& doc,
+                               const text::Vocabulary& vocab) {
+  std::string out;
+  const std::vector<TermId>& terms = doc.terms();
+  const std::vector<uint32_t>& freqs = doc.freqs();
+  for (size_t i = 0; i < terms.size(); ++i) {
+    const std::string term = vocab.term(terms[i]);
+    for (uint32_t f = 0; f < freqs[i]; ++f) {
+      if (!out.empty()) out.push_back(' ');
+      out.append(term);
+    }
+  }
+  return out;
+}
+
 /// Counters sum field-wise through the declaration macro; the non-macro
 /// fields keep their own aggregation (watermark max, flag or, time sum).
 void AddEngineStats(EngineStats* into, const EngineStats& s) {
@@ -100,9 +120,6 @@ Result<std::unique_ptr<ShardedSvrEngine>> ShardedSvrEngine::Open(
                    ? per_shard.commit_clock
                    : std::make_shared<concurrency::CommitClock>();
   per_shard.commit_clock = clock;
-  // Shards never run their own WAL — the sharded engine logs global-key
-  // statements itself, one segment per shard (docs/durability.md).
-  per_shard.durability = durability::DurabilityOptions{};
   // One registry for every shard: instruments resolve to the same named
   // objects, so per-shard counters/histograms aggregate and additive
   // gauges sum across shards. Periodic dumps are driven by this layer
@@ -151,6 +168,8 @@ void ShardedSvrEngine::InitTelemetry(const TelemetryOptions& topt) {
   tel_.query_total_us = metrics_->GetHistogram("sharded.query_total_us");
   tel_.wal_fsync_us = metrics_->GetHistogram("wal.fsync_us");
   tel_.wal_batch_statements = metrics_->GetHistogram("wal.batch_statements");
+  tel_.dml_wait_durable_us = metrics_->GetHistogram("dml.wait_durable_us");
+  tel_.checkpoint_us = metrics_->GetHistogram("checkpoint.duration_us");
   tel_.slow_queries = metrics_->GetCounter("sharded.query.slow");
   if (topt.dump_interval_ms > 0 && topt.dump_sink) {
     metrics_->StartPeriodicDump(topt.dump_interval_ms, topt.dump_format,
@@ -391,7 +410,7 @@ Status ShardedSvrEngine::Insert(const std::string& table,
     }
   }
   if (insert_lock.owns_lock()) insert_lock.unlock();
-  if (logged) SVR_RETURN_NOT_OK(log_writers_[loc.shard]->WaitDurable(ticket));
+  if (logged) SVR_RETURN_NOT_OK(WaitDurable(loc.shard, ticket));
   return st;
 }
 
@@ -445,7 +464,7 @@ Status ShardedSvrEngine::InsertJoinRouted(const std::string& table,
     WriterMutexLock lock(map_mu_);
     join_routed_rows_[table].erase(pk);
   }
-  if (logged) SVR_RETURN_NOT_OK(log_writers_[loc.first]->WaitDurable(ticket));
+  if (logged) SVR_RETURN_NOT_OK(WaitDurable(loc.first, ticket));
   return st;
 }
 
@@ -499,7 +518,7 @@ Status ShardedSvrEngine::Update(const std::string& table,
       logged = true;
     }
   }
-  if (logged) SVR_RETURN_NOT_OK(log_writers_[loc.first]->WaitDurable(ticket));
+  if (logged) SVR_RETURN_NOT_OK(WaitDurable(loc.first, ticket));
   return st;
 }
 
@@ -542,7 +561,7 @@ Status ShardedSvrEngine::Delete(const std::string& table, int64_t pk) {
       auto table_it = join_routed_rows_.find(table);
       if (table_it != join_routed_rows_.end()) table_it->second.erase(pk);
     }
-    if (logged) SVR_RETURN_NOT_OK(log_writers_[shard]->WaitDurable(ticket));
+    if (logged) SVR_RETURN_NOT_OK(WaitDurable(shard, ticket));
     return Status::OK();
   }
   SVR_ASSIGN_OR_RETURN(auto loc, Route(pk));
@@ -563,7 +582,7 @@ Status ShardedSvrEngine::Delete(const std::string& table, int64_t pk) {
       logged = true;
     }
   }
-  if (logged) SVR_RETURN_NOT_OK(log_writers_[loc.first]->WaitDurable(ticket));
+  if (logged) SVR_RETURN_NOT_OK(WaitDurable(loc.first, ticket));
   return st;
 }
 
@@ -835,7 +854,14 @@ Status ShardedSvrEngine::LogDdl(durability::WalStatement stmt) {
     // and the (ts, seq) replay order puts it after all of them.
     ticket = LogStatementLocked(0, &stmt, clock_->Now());
   }
-  return log_writers_[0]->WaitDurable(ticket);
+  return WaitDurable(0, ticket);
+}
+
+Status ShardedSvrEngine::WaitDurable(uint32_t s, uint64_t ticket) {
+  telemetry::StageTimer timer(telemetry_enabled_);
+  const Status st = log_writers_[s]->WaitDurable(ticket);
+  timer.Lap(tel_.dml_wait_durable_us);
+  return st;
 }
 
 Status ShardedSvrEngine::ApplyStatement(
@@ -1073,6 +1099,13 @@ Status ShardedSvrEngine::BuildCheckpointStatementsLocked(
 }
 
 Status ShardedSvrEngine::CheckpointNow() {
+  telemetry::StageTimer timer(telemetry_enabled_);
+  const Status st = CheckpointNowImpl();
+  timer.Lap(tel_.checkpoint_us);
+  return st;
+}
+
+Status ShardedSvrEngine::CheckpointNowImpl() {
   MutexLock run(ckpt_run_mu_);
   durability::CheckpointData data;
   std::vector<std::string> covered;

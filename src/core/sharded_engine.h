@@ -49,12 +49,12 @@ struct ShardedSvrEngineOptions {
   /// lanes). 1 (the default) keeps the scatter sequential — single-core
   /// benches are unchanged.
   uint32_t num_query_threads = 1;
-  /// Engine-level durability (docs/durability.md): one WAL segment per
-  /// shard in one shared directory, statements logged with their
-  /// *global* keys so recovery replays through the sharded DML path
-  /// (rebuilding all routing state — and tolerating a different
-  /// num_shards than the log was written under). The per-shard option
-  /// `shard.durability` is ignored — shards never run their own WAL.
+  /// Durability (docs/durability.md) — the engine's one durability
+  /// option; shards never log. One WAL segment per shard in one shared
+  /// directory, statements logged with their *global* keys so recovery
+  /// replays through the sharded DML path (rebuilding all routing state
+  /// — and tolerating a different num_shards than the log was written
+  /// under). A durable single-node engine is `num_shards = 1`.
   durability::DurabilityOptions durability;
   /// Telemetry rides in `shard.telemetry` (docs/observability.md): Open
   /// installs ONE shared registry into every shard, so per-shard
@@ -226,7 +226,8 @@ class ShardedSvrEngine {
   /// Writes a checkpoint now: captures all shards under every insert and
   /// log mutex, rotates every shard's WAL segment, persists one
   /// checkpoint file and deletes the covered segments. See
-  /// docs/durability.md for why the capture is a consistent cut.
+  /// docs/durability.md for why the capture is a consistent cut. Timed
+  /// into `checkpoint.duration_us` when telemetry is on.
   Status CheckpointNow() EXCLUDES(ckpt_run_mu_, map_mu_);
 
   /// What recovery did during Open (all-zero when durability is off or
@@ -325,10 +326,16 @@ class ShardedSvrEngine {
   /// DDL runs quiescent (no concurrent DML — the engines' standing
   /// contract), so Now() orders it after everything already logged.
   Status LogDdl(durability::WalStatement stmt);
+  /// Group-commit ack of shard `s`'s `ticket`, timed into
+  /// `dml.wait_durable_us`. Callers hold no engine lock, so concurrent
+  /// statements batch onto the same fsync meanwhile.
+  Status WaitDurable(uint32_t s, uint64_t ticket);
   /// Serializes all shards into `data` with global keys. Caller holds
   /// every shard_insert_mu_ and every shard_log_mu_.
   Status BuildCheckpointStatementsLocked(durability::CheckpointData* data)
       EXCLUDES(map_mu_);
+  /// CheckpointNow's body; the public entry point times it.
+  Status CheckpointNowImpl() EXCLUDES(ckpt_run_mu_, map_mu_);
   void CheckpointLoop() EXCLUDES(ckpt_mu_);
 
   std::vector<std::unique_ptr<SvrEngine>> shards_;
@@ -346,6 +353,8 @@ class ShardedSvrEngine {
     telemetry::ShardedHistogram* query_total_us = nullptr;
     telemetry::ShardedHistogram* wal_fsync_us = nullptr;
     telemetry::ShardedHistogram* wal_batch_statements = nullptr;
+    telemetry::ShardedHistogram* dml_wait_durable_us = nullptr;
+    telemetry::ShardedHistogram* checkpoint_us = nullptr;
     telemetry::Counter* slow_queries = nullptr;
   };
   bool telemetry_enabled_ = false;

@@ -1,7 +1,6 @@
 #include "core/svr_engine.h"
 
 #include <algorithm>
-#include <chrono>
 #include <utility>
 
 #include "common/stopwatch.h"
@@ -56,11 +55,7 @@ Result<std::unique_ptr<SvrEngine>> SvrEngine::Open(
     MutexLock lock(engine->writer_mu_);
     engine->PublishCommit();
   }
-  // Before InitDurability: the WAL writer is instrumented at creation.
   engine->InitTelemetry();
-  if (options.durability.enabled) {
-    SVR_RETURN_NOT_OK(engine->InitDurability());
-  }
   return engine;
 }
 
@@ -77,7 +72,6 @@ void SvrEngine::InitTelemetry() {
   // registry mutex (docs/observability.md lists the metric names).
   tel_.dml_apply_us = metrics_->GetHistogram("dml.apply_us");
   tel_.dml_publish_us = metrics_->GetHistogram("dml.publish_us");
-  tel_.dml_wait_durable_us = metrics_->GetHistogram("dml.wait_durable_us");
   tel_.query_total_us = metrics_->GetHistogram("query.total_us");
   tel_.query_term_resolve_us =
       metrics_->GetHistogram("query.term_resolve_us");
@@ -85,9 +79,6 @@ void SvrEngine::InitTelemetry() {
   tel_.query_join_us = metrics_->GetHistogram("query.join_us");
   tel_.merge_prepare_us = metrics_->GetHistogram("merge.prepare_us");
   tel_.merge_install_us = metrics_->GetHistogram("merge.install_us");
-  tel_.checkpoint_us = metrics_->GetHistogram("checkpoint.duration_us");
-  tel_.wal_fsync_us = metrics_->GetHistogram("wal.fsync_us");
-  tel_.wal_batch_statements = metrics_->GetHistogram("wal.batch_statements");
   tel_.slow_queries = metrics_->GetCounter("query.slow");
   // Gauges read internally synchronized sources at dump time (no
   // registry lock held). Registration is additive: shards sharing one
@@ -98,10 +89,6 @@ void SvrEngine::InitTelemetry() {
   metrics_->RegisterGauge("epoch.objects_reclaimed", [this] {
     return static_cast<double>(epochs_->objects_reclaimed());
   });
-  metrics_->RegisterGauge("wal.queue_depth", [this] {
-    durability::LogWriter* w = wal_.get();
-    return w != nullptr ? static_cast<double>(w->QueueDepth()) : 0.0;
-  });
   if (topt.dump_interval_ms > 0 && topt.dump_sink) {
     metrics_->StartPeriodicDump(topt.dump_interval_ms, topt.dump_format,
                                 topt.dump_sink);
@@ -111,13 +98,6 @@ void SvrEngine::InitTelemetry() {
 
 std::string SvrEngine::DumpMetrics(telemetry::DumpFormat format) const {
   return metrics_ != nullptr ? metrics_->Dump(format) : std::string();
-}
-
-std::unique_lock<std::shared_mutex> SvrEngine::LockLegacyExclusive() {
-  if (options_.read_locking == ReadLocking::kSharedLock) {
-    return std::unique_lock<std::shared_mutex>(legacy_mu_);
-  }
-  return std::unique_lock<std::shared_mutex>();
 }
 
 uint64_t SvrEngine::PublishCommit() {
@@ -166,9 +146,6 @@ uint64_t SvrEngine::PublishCommit() {
 
 SvrEngine::ReadView SvrEngine::PinReadView() const {
   ReadView v;
-  if (options_.read_locking == ReadLocking::kSharedLock) {
-    v.legacy_lock = std::shared_lock<std::shared_mutex>(legacy_mu_);
-  }
   // Order matters: enter the epoch *before* loading the snapshot, so
   // anything retired after the load carries an epoch stamp >= ours and
   // cannot be reclaimed under us.
@@ -180,29 +157,9 @@ SvrEngine::ReadView SvrEngine::PinReadView() const {
 
 Status SvrEngine::CreateTable(const std::string& name,
                               relational::Schema schema) {
-  auto legacy = LockLegacyExclusive();
-  uint64_t ticket = 0;
-  bool logged = false;
-  Status st;
-  {
-    MutexLock lock(writer_mu_);
-    durability::WalStatement stmt;
-    if (options_.durability.enabled) {
-      stmt.kind = durability::StatementKind::kCreateTable;
-      stmt.table = name;
-      stmt.schema = schema;  // copy before the move below
-    }
-    st = db_->CreateTable(name, std::move(schema)).status();
-    const uint64_t ts = PublishCommit();
-    if (st.ok() && options_.durability.enabled) {
-      ddl_history_.push_back(stmt);
-      if (logging_armed_) {
-        ticket = LogStatementLocked(&stmt, ts);
-        logged = true;
-      }
-    }
-  }
-  if (logged) SVR_RETURN_NOT_OK(wal_->WaitDurable(ticket));
+  MutexLock lock(writer_mu_);
+  const Status st = db_->CreateTable(name, std::move(schema)).status();
+  PublishCommit();
   return st;
 }
 
@@ -218,23 +175,7 @@ Status SvrEngine::CreateTextIndex(
     const std::string& table, const std::string& text_column,
     std::vector<relational::ScoreComponentSpec> specs,
     relational::AggFunction agg) {
-  durability::WalStatement ddl;
-  if (options_.durability.enabled) {
-    if (agg.is_custom()) {
-      // An opaque std::function cannot be re-executed from a log record.
-      return Status::NotSupported(
-          "durability requires a serializable Agg (WeightedSum)");
-    }
-    ddl.kind = durability::StatementKind::kCreateTextIndex;
-    ddl.table = table;
-    ddl.text_column = text_column;
-    ddl.specs = specs;  // copy before the move below
-    ddl.agg_weights = agg.weights();
-  }
-  uint64_t ticket = 0;
-  bool logged = false;
   {
-    auto legacy = LockLegacyExclusive();
     MutexLock lock(writer_mu_);
     Status st = [&]() -> Status {
       if (index_ != nullptr) {
@@ -307,17 +248,9 @@ Status SvrEngine::CreateTextIndex(
     }();
     // Publish regardless: partial table/view state mutated above must
     // reach the next version exactly as the in-place model exposed it.
-    const uint64_t ts = PublishCommit();
-    if (st.ok() && options_.durability.enabled) {
-      ddl_history_.push_back(ddl);
-      if (logging_armed_) {
-        ticket = LogStatementLocked(&ddl, ts);
-        logged = true;
-      }
-    }
+    PublishCommit();
     if (!st.ok()) return st;
   }
-  if (logged) SVR_RETURN_NOT_OK(wal_->WaitDurable(ticket));
   return Start();
 }
 
@@ -343,7 +276,6 @@ concurrency::MergeHostHooks SvrEngine::MakeMergeHooks() {
     telemetry::StageTimer sw(telemetry_enabled_);
     Status st;
     {
-      auto legacy = LockLegacyExclusive();
       MutexLock lock(writer_mu_);
       st = index_->InstallMergeTerm(plan, blob_retirer_);
       PublishCommit();
@@ -352,7 +284,6 @@ concurrency::MergeHostHooks SvrEngine::MakeMergeHooks() {
     return st;
   };
   hooks.sync_merge = [this](TermId term) -> Status {
-    auto legacy = LockLegacyExclusive();
     MutexLock lock(writer_mu_);
     Status st = index_->MergeTerm(term);
     PublishCommit();
@@ -391,29 +322,12 @@ void SvrEngine::Stop() {
     metrics_->StopPeriodicDump();
     owns_periodic_dump_ = false;
   }
-  // Checkpoint thread next: it takes the writer mutex, which the
-  // shutdown steps below want quiet.
-  {
-    MutexLock lk(ckpt_mu_);
-    ckpt_stop_ = true;
-  }
-  ckpt_cv_.NotifyAll();
-  if (ckpt_thread_.joinable()) ckpt_thread_.join();
   concurrency::MergeScheduler* scheduler =
       scheduler_ptr_.load(std::memory_order_acquire);
   if (scheduler != nullptr) {
     // Must not hold the writer mutex here: the worker needs it to finish
     // its in-flight job before joining.
     scheduler->Stop();
-  }
-  // Disarm logging, then flush and close the WAL. DML issued after
-  // Stop() still executes but is no longer made durable.
-  {
-    MutexLock lock(writer_mu_);
-    logging_armed_ = false;
-  }
-  if (wal_ != nullptr) {
-    (void)wal_->Stop();
   }
   // No readers remain once the scheduler is down and callers have
   // stopped querying (the Stop contract), so everything retired is
@@ -509,102 +423,38 @@ Status SvrEngine::ApplyDeleteLocked(const std::string& table, int64_t pk) {
   return MaybeRunMergePolicy();
 }
 
+Status SvrEngine::FinishStatementLocked(const Status& st,
+                                        telemetry::StageTimer* timer,
+                                        uint64_t* commit_ts) {
+  timer->Lap(tel_.dml_apply_us);
+  const uint64_t ts = PublishCommit();
+  timer->Lap(tel_.dml_publish_us);
+  if (commit_ts != nullptr) *commit_ts = ts;
+  return st;
+}
+
 Status SvrEngine::Insert(const std::string& table,
                          const relational::Row& row, uint64_t* commit_ts) {
-  auto legacy = LockLegacyExclusive();
-  uint64_t ticket = 0;
-  bool logged = false;
-  Status st;
-  {
-    MutexLock lock(writer_mu_);
-    telemetry::StageTimer tsw(telemetry_enabled_);
-    st = ApplyInsertLocked(table, row);
-    tsw.Lap(tel_.dml_apply_us);
-    const uint64_t ts = PublishCommit();
-    tsw.Lap(tel_.dml_publish_us);
-    if (commit_ts != nullptr) *commit_ts = ts;
-    if (st.ok() && logging_armed_) {
-      durability::WalStatement stmt;
-      stmt.kind = durability::StatementKind::kInsert;
-      stmt.table = table;
-      stmt.row = row;
-      ticket = LogStatementLocked(&stmt, ts);
-      logged = true;
-    }
-  }
-  // Group-commit ack outside the writer mutex: other statements batch
-  // onto the same fsync while this one waits.
-  if (logged) {
-    telemetry::StageTimer wsw(telemetry_enabled_);
-    const Status dst = wal_->WaitDurable(ticket);
-    wsw.Lap(tel_.dml_wait_durable_us);
-    SVR_RETURN_NOT_OK(dst);
-  }
-  return st;
+  MutexLock lock(writer_mu_);
+  telemetry::StageTimer timer(telemetry_enabled_);
+  return FinishStatementLocked(ApplyInsertLocked(table, row), &timer,
+                               commit_ts);
 }
 
 Status SvrEngine::Update(const std::string& table,
                          const relational::Row& row, uint64_t* commit_ts) {
-  auto legacy = LockLegacyExclusive();
-  uint64_t ticket = 0;
-  bool logged = false;
-  Status st;
-  {
-    MutexLock lock(writer_mu_);
-    telemetry::StageTimer tsw(telemetry_enabled_);
-    st = ApplyUpdateLocked(table, row);
-    tsw.Lap(tel_.dml_apply_us);
-    const uint64_t ts = PublishCommit();
-    tsw.Lap(tel_.dml_publish_us);
-    if (commit_ts != nullptr) *commit_ts = ts;
-    if (st.ok() && logging_armed_) {
-      durability::WalStatement stmt;
-      stmt.kind = durability::StatementKind::kUpdate;
-      stmt.table = table;
-      stmt.row = row;
-      ticket = LogStatementLocked(&stmt, ts);
-      logged = true;
-    }
-  }
-  if (logged) {
-    telemetry::StageTimer wsw(telemetry_enabled_);
-    const Status dst = wal_->WaitDurable(ticket);
-    wsw.Lap(tel_.dml_wait_durable_us);
-    SVR_RETURN_NOT_OK(dst);
-  }
-  return st;
+  MutexLock lock(writer_mu_);
+  telemetry::StageTimer timer(telemetry_enabled_);
+  return FinishStatementLocked(ApplyUpdateLocked(table, row), &timer,
+                               commit_ts);
 }
 
 Status SvrEngine::Delete(const std::string& table, int64_t pk,
                          uint64_t* commit_ts) {
-  auto legacy = LockLegacyExclusive();
-  uint64_t ticket = 0;
-  bool logged = false;
-  Status st;
-  {
-    MutexLock lock(writer_mu_);
-    telemetry::StageTimer tsw(telemetry_enabled_);
-    st = ApplyDeleteLocked(table, pk);
-    tsw.Lap(tel_.dml_apply_us);
-    const uint64_t ts = PublishCommit();
-    tsw.Lap(tel_.dml_publish_us);
-    if (commit_ts != nullptr) *commit_ts = ts;
-    if (st.ok() && logging_armed_) {
-      durability::WalStatement stmt;
-      stmt.kind = durability::StatementKind::kDelete;
-      stmt.table = table;
-      stmt.pk = pk;
-      ticket = LogStatementLocked(&stmt, ts);
-      logged = true;
-    }
-  }
-  if (logged) {
-    telemetry::StageTimer wsw(telemetry_enabled_);
-    const Status dst = wal_->WaitDurable(ticket);
-    wsw.Lap(tel_.dml_wait_durable_us);
-    SVR_RETURN_NOT_OK(dst);
-  }
-  return st;
+  MutexLock lock(writer_mu_);
+  telemetry::StageTimer timer(telemetry_enabled_);
+  return FinishStatementLocked(ApplyDeleteLocked(table, pk), &timer,
+                               commit_ts);
 }
 
 Result<std::vector<ScoredRow>> SvrEngine::Search(
@@ -730,318 +580,6 @@ EngineStats SvrEngine::GetStats() const {
   s.objects_reclaimed = epochs_->objects_reclaimed();
   s.write_merge_ms = write_merge_ms_.load(std::memory_order_relaxed);
   return s;
-}
-
-// --- durability (docs/durability.md) ----------------------------------
-
-namespace {
-
-/// Placeholder values for the non-pk, non-text columns of a
-/// reconstructed dead-slot row. The row only exists to keep doc ids
-/// dense during checkpoint replay and is deleted again before the
-/// checkpoint stream ends, so these values are never observable.
-relational::Value DefaultValueFor(relational::ValueType type) {
-  switch (type) {
-    case relational::ValueType::kInt64:
-      return relational::Value::Int(0);
-    case relational::ValueType::kDouble:
-      return relational::Value::Double(0.0);
-    case relational::ValueType::kString:
-      return relational::Value::String("");
-    default:
-      return relational::Value::Null();
-  }
-}
-
-}  // namespace
-
-std::string ReconstructDocText(const text::Document& doc,
-                               const text::Vocabulary& vocab) {
-  // Token multiset -> whitespace-joined text. Re-tokenizing yields the
-  // same multiset, hence the identical Document (FromTokens is
-  // order-insensitive) and identical corpus doc-frequency effects.
-  std::string out;
-  const std::vector<TermId>& terms = doc.terms();
-  const std::vector<uint32_t>& freqs = doc.freqs();
-  for (size_t i = 0; i < terms.size(); ++i) {
-    const std::string term = vocab.term(terms[i]);
-    for (uint32_t f = 0; f < freqs[i]; ++f) {
-      if (!out.empty()) out.push_back(' ');
-      out.append(term);
-    }
-  }
-  return out;
-}
-
-uint64_t SvrEngine::LogStatementLocked(durability::WalStatement* stmt,
-                                       uint64_t ts) {
-  stmt->commit_ts = ts;
-  stmt->seq = ++last_seq_;
-  std::string payload;
-  durability::EncodeStatement(*stmt, &payload);
-  std::string frame;
-  durability::AppendFrame(&frame, Slice(payload));
-  stmts_since_ckpt_.fetch_add(1, std::memory_order_relaxed);
-  return wal_->Append(Slice(frame));
-}
-
-Status SvrEngine::ApplyStatement(const durability::WalStatement& stmt) {
-  switch (stmt.kind) {
-    case durability::StatementKind::kCreateTable:
-      return CreateTable(stmt.table, stmt.schema);
-    case durability::StatementKind::kCreateTextIndex:
-      return CreateTextIndex(
-          stmt.table, stmt.text_column, stmt.specs,
-          relational::AggFunction::WeightedSum(stmt.agg_weights));
-    case durability::StatementKind::kInsert:
-      return Insert(stmt.table, stmt.row);
-    case durability::StatementKind::kUpdate:
-      return Update(stmt.table, stmt.row);
-    case durability::StatementKind::kDelete:
-      return Delete(stmt.table, stmt.pk);
-    case durability::StatementKind::kCheckpointHeader:
-    case durability::StatementKind::kCheckpointFooter:
-      return Status::OK();
-  }
-  return Status::Corruption("unknown statement kind");
-}
-
-Status SvrEngine::InitDurability() {
-  dur_ = options_.durability;
-  if (!dur_.file_factory) {
-    dur_.file_factory = durability::OpenPosixWalFile;
-  }
-  SVR_RETURN_NOT_OK(durability::EnsureDirectory(dur_.dir));
-
-  recovery_stats_ = durability::RecoveryStats{};
-  recovery_stats_.ran = true;
-
-  // Phase 1: the latest complete checkpoint, applied through the same
-  // statement loop WAL replay uses.
-  durability::LoadedCheckpoint ckpt;
-  SVR_RETURN_NOT_OK(durability::LoadLatestCheckpoint(dur_.dir, &ckpt));
-  uint64_t min_seq = 0;
-  if (ckpt.found) {
-    recovery_stats_.used_checkpoint = true;
-    recovery_stats_.checkpoint_seq = ckpt.last_seq;
-    min_seq = ckpt.last_seq;
-    for (const durability::WalStatement& stmt : ckpt.statements) {
-      if (!ApplyStatement(stmt).ok()) ++recovery_stats_.replay_errors;
-    }
-  }
-
-  // Phase 2: the WAL suffix, truncating torn tails, in (ts, seq) order.
-  durability::DurabilityDirListing listing;
-  SVR_RETURN_NOT_OK(durability::ListDurabilityDir(dur_.dir, &listing));
-  durability::WalRecovery rec;
-  SVR_RETURN_NOT_OK(
-      durability::RecoverWalRecords(listing.segments, min_seq, &rec));
-  for (const durability::WalStatement& stmt : rec.records) {
-    if (!ApplyStatement(stmt).ok()) ++recovery_stats_.replay_errors;
-  }
-  recovery_stats_.wal_records_replayed = rec.records.size();
-  recovery_stats_.torn_tail_bytes = rec.torn_tail_bytes;
-  recovery_stats_.segments_read = rec.segments_read;
-  const uint64_t max_seq =
-      std::max(rec.max_seen_seq, ckpt.found ? ckpt.last_seq : 0);
-  const uint64_t max_ts =
-      std::max(rec.max_seen_ts, ckpt.found ? ckpt.last_ts : 0);
-  recovery_stats_.recovered_seq = max_seq;
-  // Post-recovery commits must stamp past every timestamp already on
-  // disk, or the next recovery's cross-segment sort would interleave
-  // new records into the old history.
-  clock_->AdvanceTo(max_ts);
-
-  // Phase 3: arm. Fresh segment above every existing ordinal; existing
-  // segments stay live until a checkpoint covers them.
-  MutexLock lock(writer_mu_);
-  last_seq_ = max_seq;
-  segment_ordinal_ = 1;
-  for (const durability::SegmentInfo& seg : listing.segments) {
-    segment_ordinal_ = std::max(segment_ordinal_, seg.ordinal + 1);
-    live_segments_.push_back(seg.path);
-  }
-  if (!listing.checkpoints.empty()) {
-    next_ckpt_ordinal_ = listing.checkpoints.back().ordinal + 1;
-  }
-  const std::string path =
-      durability::WalSegmentPath(dur_.dir, 0, segment_ordinal_);
-  std::unique_ptr<durability::WalFile> file;
-  SVR_RETURN_NOT_OK(dur_.file_factory(path, &file));
-  wal_ = std::make_unique<durability::LogWriter>(std::move(file),
-                                                 dur_.sync_mode);
-  wal_->SetInstruments(tel_.wal_fsync_us, tel_.wal_batch_statements);
-  live_segments_.push_back(path);
-  logging_armed_ = true;
-  if (dur_.checkpoint_interval_statements > 0) {
-    ckpt_thread_ = std::thread([this] { CheckpointLoop(); });
-  }
-  return Status::OK();
-}
-
-Status SvrEngine::BuildCheckpointStatementsLocked(
-    durability::CheckpointData* data) {
-  auto add = [&](const durability::WalStatement& stmt) {
-    std::string payload;
-    durability::EncodeStatement(stmt, &payload);
-    data->statement_payloads.push_back(std::move(payload));
-  };
-  // 1. Tables, in creation order.
-  for (const durability::WalStatement& ddl : ddl_history_) {
-    if (ddl.kind == durability::StatementKind::kCreateTable) add(ddl);
-  }
-  // 2. Scored-table slots, dense and in doc-id order: alive rows as
-  // they stand, dead slots reconstructed from the corpus (their final
-  // content decides the corpus doc frequencies, and CreateTextIndex's
-  // rebuild scan requires pk density).
-  std::vector<int64_t> dead;
-  const bool indexed = index_ != nullptr;
-  if (indexed) {
-    relational::Table* t = db_->GetTable(scored_table_);
-    if (t == nullptr) {
-      return Status::Internal("scored table vanished: " + scored_table_);
-    }
-    const relational::Schema& schema = t->schema();
-    const size_t n = corpus_.num_docs();
-    for (size_t id = 0; id < n; ++id) {
-      durability::WalStatement stmt;
-      stmt.kind = durability::StatementKind::kInsert;
-      stmt.table = scored_table_;
-      const int64_t pk = static_cast<int64_t>(id);
-      if (!t->Get(pk, &stmt.row).ok()) {
-        dead.push_back(pk);
-        stmt.row.clear();
-        stmt.row.reserve(schema.num_columns());
-        for (size_t c = 0; c < schema.num_columns(); ++c) {
-          stmt.row.push_back(DefaultValueFor(schema.column(c).type));
-        }
-        stmt.row[pk_column_] = relational::Value::Int(pk);
-        stmt.row[text_column_] = relational::Value::String(
-            ReconstructDocText(corpus_.doc(static_cast<DocId>(id)),
-                               vocab_));
-      }
-      add(stmt);
-    }
-  }
-  // 3. Every other table's rows (order within a table is the tree scan's
-  // pk order; irrelevant pre-index).
-  for (const durability::WalStatement& ddl : ddl_history_) {
-    if (ddl.kind != durability::StatementKind::kCreateTable) continue;
-    if (indexed && ddl.table == scored_table_) continue;
-    relational::Table* t = db_->GetTable(ddl.table);
-    if (t == nullptr) continue;
-    durability::WalStatement stmt;
-    stmt.kind = durability::StatementKind::kInsert;
-    stmt.table = ddl.table;
-    SVR_RETURN_NOT_OK(t->Scan([&](const relational::Row& row) {
-      stmt.row = row;
-      add(stmt);
-      return true;
-    }));
-  }
-  // 4. The index, built over the dense slot set.
-  for (const durability::WalStatement& ddl : ddl_history_) {
-    if (ddl.kind == durability::StatementKind::kCreateTextIndex) add(ddl);
-  }
-  // 5. Kill the dead slots again (after the index exists, so the engine
-  // records the deletions in the index too).
-  for (const int64_t pk : dead) {
-    durability::WalStatement stmt;
-    stmt.kind = durability::StatementKind::kDelete;
-    stmt.table = scored_table_;
-    stmt.pk = pk;
-    add(stmt);
-  }
-  return Status::OK();
-}
-
-Status SvrEngine::CheckpointNow() {
-  telemetry::StageTimer sw(telemetry_enabled_);
-  const Status st = CheckpointNowImpl();
-  sw.Lap(tel_.checkpoint_us);
-  return st;
-}
-
-Status SvrEngine::CheckpointNowImpl() {
-  MutexLock run(ckpt_run_mu_);
-  durability::CheckpointData data;
-  std::vector<std::string> covered;
-  uint64_t ordinal = 0;
-  {
-    auto legacy = LockLegacyExclusive();
-    MutexLock lock(writer_mu_);
-    if (!logging_armed_) {
-      return Status::InvalidArgument("durability is not armed");
-    }
-    SVR_RETURN_NOT_OK(BuildCheckpointStatementsLocked(&data));
-    data.last_seq = last_seq_;
-    data.last_ts = clock_->Now();
-    // Rotate so the checkpoint covers a closed set of segments; records
-    // logged from here on land in the new segment with seq > last_seq.
-    ++segment_ordinal_;
-    const std::string next_path =
-        durability::WalSegmentPath(dur_.dir, 0, segment_ordinal_);
-    std::unique_ptr<durability::WalFile> next;
-    SVR_RETURN_NOT_OK(dur_.file_factory(next_path, &next));
-    SVR_RETURN_NOT_OK(wal_->Rotate(std::move(next)));
-    covered = std::move(live_segments_);
-    live_segments_.clear();
-    live_segments_.push_back(next_path);
-    ordinal = next_ckpt_ordinal_++;
-    stmts_since_ckpt_.store(0, std::memory_order_relaxed);
-  }
-  // The slow write happens outside the writer mutex — DML keeps
-  // committing into the new segment meanwhile.
-  const Status st =
-      durability::WriteCheckpoint(dur_.dir, ordinal, data,
-                                  dur_.file_factory);
-  if (!st.ok()) {
-    // The covered segments are still the only durable copy — put them
-    // back so a later checkpoint (or recovery) still sees them.
-    MutexLock lock(writer_mu_);
-    live_segments_.insert(live_segments_.begin(), covered.begin(),
-                          covered.end());
-    return st;
-  }
-  // The checkpoint supersedes the covered prefix and older checkpoints.
-  for (const std::string& path : covered) {
-    SVR_RETURN_NOT_OK(durability::RemoveFile(path));
-  }
-  durability::DurabilityDirListing listing;
-  SVR_RETURN_NOT_OK(durability::ListDurabilityDir(dur_.dir, &listing));
-  for (const durability::CheckpointInfo& c : listing.checkpoints) {
-    if (c.ordinal < ordinal) {
-      SVR_RETURN_NOT_OK(durability::RemoveFile(c.path));
-    }
-  }
-  return Status::OK();
-}
-
-void SvrEngine::CheckpointLoop() {
-  for (;;) {
-    {
-      MutexLock lk(ckpt_mu_);
-      if (ckpt_stop_) return;
-      ckpt_cv_.WaitFor(ckpt_mu_,
-                       std::chrono::milliseconds(dur_.checkpoint_poll_ms));
-      if (ckpt_stop_) return;
-    }
-    if (stmts_since_ckpt_.load(std::memory_order_relaxed) <
-        dur_.checkpoint_interval_statements) {
-      continue;
-    }
-    // ckpt_mu_ is released across the checkpoint itself — CheckpointNow
-    // takes ckpt_run_mu_ and the writer mutex, and Stop() must be able
-    // to set ckpt_stop_ meanwhile.
-    const Status st = CheckpointNow();
-    MutexLock lk(ckpt_mu_);
-    if (!st.ok() && ckpt_error_.ok()) ckpt_error_ = st;
-  }
-}
-
-Status SvrEngine::last_checkpoint_error() const {
-  MutexLock lk(ckpt_mu_);
-  return ckpt_error_;
 }
 
 }  // namespace svr::core

@@ -4,10 +4,7 @@
 #include <atomic>
 #include <functional>
 #include <memory>
-#include <mutex>
-#include <shared_mutex>
 #include <string>
-#include <thread>
 #include <utility>
 #include <vector>
 
@@ -17,9 +14,6 @@
 #include "concurrency/commit_clock.h"
 #include "concurrency/epoch.h"
 #include "concurrency/merge_scheduler.h"
-#include "durability/checkpoint.h"
-#include "durability/log_writer.h"
-#include "durability/options.h"
 #include "index/index_factory.h"
 #include "index/merge_policy.h"
 #include "relational/database.h"
@@ -32,19 +26,11 @@
 #include "text/corpus.h"
 #include "text/vocabulary.h"
 
-namespace svr::core {
+namespace svr::telemetry {
+class StageTimer;
+}  // namespace svr::telemetry
 
-/// How readers serialize against the writer (docs/concurrency.md).
-enum class ReadLocking {
-  /// MVCC: readers pin the latest published snapshot (epoch guard + one
-  /// atomic shared_ptr load) and never block on or behind writers.
-  kMvcc,
-  /// The pre-MVCC model: readers take an engine-wide shared_mutex that
-  /// DML holds exclusively. Kept as the measured baseline of
-  /// bench_mvcc_churn; the snapshot machinery still runs underneath, so
-  /// results are identical — only the contention differs.
-  kSharedLock,
-};
+namespace svr::core {
 
 /// Engine observability (docs/observability.md). Off by default: every
 /// instrumented site costs one predictable branch and nothing else, and
@@ -94,19 +80,11 @@ struct SvrEngineOptions {
   /// CreateTextIndex (or Start()), stopped by Stop()/destruction.
   bool background_merge = false;
   concurrency::MergeSchedulerOptions scheduler;
-  /// Reader serialization model; kMvcc is the default and the point of
-  /// the versioned read path.
-  ReadLocking read_locking = ReadLocking::kMvcc;
   /// Commit-timestamp source. Shared across engines (the sharded layer
   /// hands every shard one clock, making commit timestamps globally
   /// ordered — the cross-shard read timestamp). Null = the engine
   /// creates a private clock.
   std::shared_ptr<concurrency::CommitClock> commit_clock;
-  /// Durability (docs/durability.md): when enabled, Open recovers from
-  /// `durability.dir` (latest checkpoint + WAL suffix) and every
-  /// statement thereafter is logged and group-committed before its DML
-  /// call returns.
-  durability::DurabilityOptions durability;
   /// Observability (docs/observability.md): registry-backed histograms
   /// on every hot subsystem, per-query stage traces, and the slow-query
   /// log. Disabled by default.
@@ -220,6 +198,10 @@ static_assert(sizeof(EngineStats) ==
 /// reclaimed through the epoch manager once the last reader that could
 /// see them exits. The raw component accessors at the bottom bypass the
 /// versioning: quiescent use only.
+///
+/// Durability is not the engine's concern: ShardedSvrEngine owns the WAL,
+/// checkpoints and recovery (docs/durability.md), and one shard is the
+/// single-node setup.
 class SvrEngine {
  public:
   /// A pinned, immutable view of the engine at one commit timestamp.
@@ -234,8 +216,6 @@ class SvrEngine {
 
     std::shared_ptr<const EngineSnapshot> state;
     concurrency::EpochManager::Guard guard;
-    /// Held only in ReadLocking::kSharedLock mode (the baseline model).
-    std::shared_lock<std::shared_mutex> legacy_lock;
   };
 
   static Result<std::unique_ptr<SvrEngine>> Open(
@@ -263,10 +243,9 @@ class SvrEngine {
 
   /// DML. Writes to the scored table also maintain the corpus and the
   /// text index (insert / delete / content update, Appendix A). Each
-  /// statement publishes a new snapshot on return; with durability on,
-  /// a successful statement is WAL-logged and group-committed before
-  /// returning. `commit_ts` (optional) receives the published snapshot's
-  /// timestamp — the sharded layer stamps its own WAL records with it.
+  /// statement publishes a new snapshot on return. `commit_ts`
+  /// (optional) receives the published snapshot's timestamp — the
+  /// sharded layer stamps its WAL records with it.
   Status Insert(const std::string& table, const relational::Row& row,
                 uint64_t* commit_ts = nullptr);
   Status Update(const std::string& table, const relational::Row& row,
@@ -309,27 +288,12 @@ class SvrEngine {
   /// Starts background maintenance (no-op unless options enable it and
   /// a text index exists). CreateTextIndex calls this automatically.
   Status Start() EXCLUDES(writer_mu_);
-  /// Stops the checkpoint and scheduler threads, flushes + closes the
-  /// WAL, and reclaims every retired version. Callers must have stopped
-  /// issuing queries. Idempotent, and safe to call before Start() or on
-  /// an engine that never enabled any background machinery. DML after
-  /// Stop() still works but is no longer logged.
-  void Stop() EXCLUDES(writer_mu_, ckpt_mu_);
-
-  /// Writes a checkpoint now: synthesizes the minimal statement stream
-  /// rebuilding the current state, rotates the WAL, persists the
-  /// checkpoint file, then deletes the covered WAL prefix and older
-  /// checkpoints. The background checkpoint thread calls this on its
-  /// interval; tests call it directly.
-  Status CheckpointNow() EXCLUDES(ckpt_run_mu_, writer_mu_);
-
-  /// What recovery did during Open (all-zero when durability is off or
-  /// the directory was empty).
-  const durability::RecoveryStats& recovery_stats() const {
-    return recovery_stats_;
-  }
-  /// Sticky first error of the background checkpoint thread.
-  Status last_checkpoint_error() const EXCLUDES(ckpt_mu_);
+  /// Stops the periodic dump and the scheduler thread, and reclaims
+  /// every retired version. Callers must have stopped issuing queries.
+  /// Idempotent, and safe to call before Start() or on an engine that
+  /// never enabled any background machinery. DML after Stop() still
+  /// works.
+  void Stop() EXCLUDES(writer_mu_);
 
   /// Index + concurrency counters; lock-free.
   EngineStats GetStats() const;
@@ -369,26 +333,19 @@ class SvrEngine {
   struct EngineInstruments {
     telemetry::ShardedHistogram* dml_apply_us = nullptr;
     telemetry::ShardedHistogram* dml_publish_us = nullptr;
-    telemetry::ShardedHistogram* dml_wait_durable_us = nullptr;
     telemetry::ShardedHistogram* query_total_us = nullptr;
     telemetry::ShardedHistogram* query_term_resolve_us = nullptr;
     telemetry::ShardedHistogram* query_index_us = nullptr;
     telemetry::ShardedHistogram* query_join_us = nullptr;
     telemetry::ShardedHistogram* merge_prepare_us = nullptr;
     telemetry::ShardedHistogram* merge_install_us = nullptr;
-    telemetry::ShardedHistogram* checkpoint_us = nullptr;
-    /// Handed to the LogWriter at construction (group-commit batch
-    /// size and write+fsync latency, docs/durability.md).
-    telemetry::ShardedHistogram* wal_fsync_us = nullptr;
-    telemetry::ShardedHistogram* wal_batch_statements = nullptr;
     telemetry::Counter* slow_queries = nullptr;
   };
 
   /// Wires the registry (creating a private one unless the options hand
-  /// a shared one in), resolves instruments, registers the epoch/WAL
-  /// gauges, creates the slow-query log, and starts the periodic dump
-  /// when asked. Called by Open before InitDurability (the WAL writer's
-  /// instrumentation is wired at LogWriter construction).
+  /// a shared one in), resolves instruments, registers the epoch gauges,
+  /// creates the slow-query log, and starts the periodic dump when
+  /// asked. Called by Open.
   void InitTelemetry();
 
   text::Document TokenizeToDocument(const std::string& text);
@@ -407,54 +364,30 @@ class SvrEngine {
       REQUIRES(writer_mu_);
   Status ApplyDeleteLocked(const std::string& table, int64_t pk)
       REQUIRES(writer_mu_);
+  /// The shared tail of Insert/Update/Delete: laps the apply stage,
+  /// publishes the statement's snapshot, laps the publish stage, and
+  /// reports the commit timestamp. Returns `st` (the apply status) —
+  /// the snapshot publishes either way, exactly as the in-place model
+  /// exposed partial writes.
+  Status FinishStatementLocked(const Status& st,
+                               telemetry::StageTimer* timer,
+                               uint64_t* commit_ts) REQUIRES(writer_mu_);
   /// Runs the auto-merge policy once every `merge_policy.check_interval`
   /// DML writes while a text index exists (any write may drive score
   /// updates through the view; an off-cycle evaluation over the dirty
   /// term map is cheap). Synchronous mode merges in place; background
   /// mode enqueues the triggered terms. No-op when the policy is
-  /// disabled.
-  Status MaybeRunMergePolicy() REQUIRES(writer_mu_);
+  /// disabled. The REQUIRES is the negative-test site of
+  /// tools/run_static_analysis.sh: compiling with -DSVR_TSA_NEGATIVE_TEST
+  /// drops it, and the clang -Wthread-safety build must then fail on the
+  /// unguarded reads of scheduler_ (GUARDED_BY writer_mu_).
+  Status MaybeRunMergePolicy() REQUIRES_FOR_NEGATIVE_TEST(writer_mu_);
 
   /// Seals every copy-on-write structure, stamps a commit timestamp,
   /// publishes the new EngineSnapshot, and hands the statement's dead
   /// pages/blobs to the epoch manager (the unpublish-then-retire
   /// discipline). Returns the published commit timestamp.
   uint64_t PublishCommit() REQUIRES(writer_mu_);
-
-  // --- durability (docs/durability.md) --------------------------------
-
-  /// Recovery + arming, run by Open when durability is enabled: load the
-  /// latest checkpoint, replay the WAL suffix in (commit_ts, seq) order
-  /// through the public DML surface, truncate torn tails, advance the
-  /// clock past every replayed timestamp, then open a fresh segment and
-  /// start logging (and the checkpoint thread).
-  Status InitDurability() EXCLUDES(writer_mu_);
-  /// Re-executes one logical statement (the shared apply loop of
-  /// checkpoint load and WAL replay). Checkpoint header/footer records
-  /// are no-ops.
-  Status ApplyStatement(const durability::WalStatement& stmt);
-  /// Assigns the next statement seq, frames and appends `stmt` to the
-  /// WAL. Returns the durability ticket to await after the writer mutex
-  /// is released ("ack after lock release", docs/durability.md). The
-  /// REQUIRES is the negative-test site of tools/run_static_analysis.sh:
-  /// compiling with -DSVR_TSA_NEGATIVE_TEST drops it, and the clang
-  /// -Wthread-safety build must then fail.
-  uint64_t LogStatementLocked(durability::WalStatement* stmt, uint64_t ts)
-      REQUIRES_FOR_NEGATIVE_TEST(writer_mu_);
-  /// Synthesizes the checkpoint statement stream for the current state:
-  /// CREATE TABLEs, every scored-table slot (dead ones reconstructed
-  /// from the corpus so doc ids stay dense), other tables' rows, the
-  /// CREATE TEXT INDEX, then DELETEs for the dead slots.
-  Status BuildCheckpointStatementsLocked(durability::CheckpointData* data)
-      REQUIRES(writer_mu_);
-  /// CheckpointNow's body; the public entry point wraps it in the
-  /// checkpoint-duration histogram.
-  Status CheckpointNowImpl() EXCLUDES(ckpt_run_mu_, writer_mu_);
-  void CheckpointLoop() EXCLUDES(ckpt_mu_);
-
-  /// Exclusive side of the legacy lock (kSharedLock mode only; an empty
-  /// lock otherwise). Acquired *before* writer_mu_ everywhere.
-  std::unique_lock<std::shared_mutex> LockLegacyExclusive();
 
   concurrency::MergeHostHooks MakeMergeHooks();
 
@@ -471,15 +404,9 @@ class SvrEngine {
   text::Corpus corpus_;
 
   /// Writer serialization: DML, merge installs, lifecycle. Readers never
-  /// touch it. Ordered after ckpt_run_mu_ (CheckpointNow) and after the
-  /// sharded layer's per-shard insert mutexes; the WAL writer's internal
-  /// mutex nests inside it (docs/static_analysis.md).
+  /// touch it. Ordered after the sharded layer's per-shard insert and
+  /// log mutexes (docs/static_analysis.md).
   Mutex writer_mu_;
-  /// The baseline reader/writer lock, used only in kSharedLock mode and
-  /// acquired *before* writer_mu_ everywhere. Deliberately a plain
-  /// std::shared_mutex: ReadView hands a std::shared_lock of it to
-  /// callers, a transfer the static analysis cannot model.
-  mutable std::shared_mutex legacy_mu_;
   /// The published version, swapped atomically at each commit.
   std::shared_ptr<const EngineSnapshot> published_;
   std::shared_ptr<concurrency::CommitClock> clock_;
@@ -520,44 +447,7 @@ class SvrEngine {
   /// True when *this* engine started the registry's periodic dump (and
   /// must stop it in Stop(), before the gauges it registered die).
   bool owns_periodic_dump_ = false;
-
-  // --- durability state -----------------------------------------------
-  /// Resolved copy of options_.durability (factory defaulted).
-  durability::DurabilityOptions dur_;
-  /// True once InitDurability armed logging. Cleared by Stop().
-  bool logging_armed_ GUARDED_BY(writer_mu_) = false;
-  /// Group-commit writer over the current segment. Created by
-  /// InitDurability, flushed and closed by Stop().
-  std::unique_ptr<durability::LogWriter> wal_;
-  /// Last statement seq assigned (dense, 1-based).
-  uint64_t last_seq_ GUARDED_BY(writer_mu_) = 0;
-  uint64_t segment_ordinal_ GUARDED_BY(writer_mu_) = 0;
-  uint64_t next_ckpt_ordinal_ GUARDED_BY(writer_mu_) = 1;
-  /// On-disk segments not yet covered by a checkpoint (current one
-  /// last).
-  std::vector<std::string> live_segments_ GUARDED_BY(writer_mu_);
-  /// DDL statements in execution order, replayed into every checkpoint's
-  /// prologue (kCreateTable) / epilogue (kCreateTextIndex).
-  std::vector<durability::WalStatement> ddl_history_ GUARDED_BY(writer_mu_);
-  std::atomic<uint64_t> stmts_since_ckpt_{0};
-  durability::RecoveryStats recovery_stats_;
-  /// Serializes CheckpointNow callers (thread + tests); acquired before
-  /// writer_mu_.
-  Mutex ckpt_run_mu_ ACQUIRED_BEFORE(writer_mu_);
-  std::thread ckpt_thread_;
-  mutable Mutex ckpt_mu_;  // guards ckpt_stop_/ckpt_error_ + the loop's cv
-  CondVar ckpt_cv_;
-  bool ckpt_stop_ GUARDED_BY(ckpt_mu_) = false;
-  Status ckpt_error_ GUARDED_BY(ckpt_mu_);
 };
-
-/// Text whose tokenization reproduces `doc` exactly (each term repeated
-/// `freq` times, whitespace-joined — Document::FromTokens is multiset
-/// order-insensitive). Checkpoint builders use it to resurrect the rows
-/// of deleted document slots, whose final content still decides the
-/// corpus document frequencies.
-std::string ReconstructDocText(const text::Document& doc,
-                               const text::Vocabulary& vocab);
 
 }  // namespace svr::core
 

@@ -9,9 +9,10 @@
 
 namespace svr::durability {
 
-/// Engine-level durability configuration, embedded in SvrEngineOptions /
-/// ShardedSvrEngineOptions. Disabled by default: the reproduction's
-/// benches run in-memory unless a run opts into persistence.
+/// Engine-level durability configuration, embedded in
+/// ShardedSvrEngineOptions (the one durability owner; one shard is the
+/// single-node setup). Disabled by default: the reproduction's benches
+/// run in-memory unless a run opts into persistence.
 struct DurabilityOptions {
   bool enabled = false;
   /// Directory holding WAL segments and checkpoints. Created on Open if

@@ -339,13 +339,6 @@ Result<std::unique_ptr<core::ShardedSvrEngine>> SetupShardedChurnEngine(
   return engine;
 }
 
-namespace {
-
-/// One cross-shard oracle validation at one pinned ShardedReadView (the
-/// cross-shard read timestamp): every shard's index top-k at its pinned
-/// version must equal its brute-force oracle at the same version, and
-/// the GatherTopK merge of the two sides must agree. Returns OK with
-/// *mismatch set on divergence.
 Status ValidateShardedQuery(core::ShardedSvrEngine* engine,
                             const core::ShardedReadView& view,
                             const std::vector<std::string>& tokens,
@@ -410,8 +403,6 @@ Status ValidateShardedQuery(core::ShardedSvrEngine* engine,
   }
   return Status::OK();
 }
-
-}  // namespace
 
 Result<ShardedChurnResult> RunShardedChurn(
     core::ShardedSvrEngine* engine, const ConcurrentChurnConfig& config_in,

@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "common/result.h"
@@ -38,12 +39,9 @@ struct ConcurrentChurnConfig {
   uint32_t query_terms = 2;
   uint32_t top_k = 20;
   /// Think time between queries per thread, in microseconds. 0 =
-  /// closed-loop saturation (the default; every pre-MVCC bench ran so).
-  /// The MVCC A/B bench sets it > 0: a saturating reader pool on a
-  /// reader-preferring shared_mutex starves lock-mode writers to a
-  /// handful of ops, which would compare reader latencies over wildly
-  /// different write rates. With think time both modes face the same
-  /// query arrival process and writers genuinely contend.
+  /// closed-loop saturation (the default). The MVCC bench's paced regime
+  /// sets it > 0, so readers arrive as an open process and the reader
+  /// latency reflects contention rather than a saturated core.
   uint32_t query_think_us = 0;
   /// Every Nth query per thread additionally runs under ReadSnapshot
   /// and is checked against the brute-force oracle at that snapshot.
@@ -137,6 +135,17 @@ Result<std::unique_ptr<core::ShardedSvrEngine>> SetupShardedChurnEngine(
 Result<ShardedChurnResult> RunShardedChurn(
     core::ShardedSvrEngine* engine, const ConcurrentChurnConfig& config,
     uint32_t writer_threads, uint32_t run_ms);
+
+/// One cross-shard oracle validation at one pinned ShardedReadView (the
+/// cross-shard read timestamp): every shard's index top-k of the
+/// conjunctive query `tokens` at its pinned version must equal its
+/// brute-force oracle at the same version, and the GatherTopK merge of
+/// the two sides must agree. Returns OK with *mismatch set on
+/// divergence. `with_ts` selects the oracle's term-score model.
+Status ValidateShardedQuery(core::ShardedSvrEngine* engine,
+                            const core::ShardedReadView& view,
+                            const std::vector<std::string>& tokens,
+                            uint32_t top_k, bool with_ts, bool* mismatch);
 
 }  // namespace svr::workload
 

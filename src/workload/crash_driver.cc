@@ -12,8 +12,9 @@
 
 #include "common/random.h"
 #include "common/zipf.h"
-#include "core/oracle.h"
+#include "core/sharded_engine.h"
 #include "durability/checkpoint.h"
+#include "workload/concurrent_driver.h"
 #include "workload/score_generator.h"
 
 namespace svr::workload {
@@ -128,7 +129,7 @@ Script GenerateScript(const CrashRecoveryConfig& config, bool with_ts) {
   return script;
 }
 
-Status ApplyOp(core::SvrEngine* engine, const CrashOp& op) {
+Status ApplyOp(core::ShardedSvrEngine* engine, const CrashOp& op) {
   switch (op.kind) {
     case CrashOp::Kind::kInsert:
       return engine->Insert(op.table, op.row);
@@ -143,8 +144,8 @@ Status ApplyOp(core::SvrEngine* engine, const CrashOp& op) {
 /// Creates the churn schema, loads the setup rows and builds the index.
 /// Exactly 3 + 2 * initial_docs statements — the count the driver uses
 /// to convert recovered_seq into a churn-script position.
-Status SetupEngine(core::SvrEngine* engine, const CrashRecoveryConfig& config,
-                   const Script& script) {
+Status SetupEngine(core::ShardedSvrEngine* engine,
+                   const CrashRecoveryConfig& config, const Script& script) {
   using relational::Schema;
   using relational::Value;
   using relational::ValueType;
@@ -164,40 +165,6 @@ Status SetupEngine(core::SvrEngine* engine, const CrashRecoveryConfig& config,
       "docs", "text",
       {{"S1", "scores", "id", "val", relational::AggregateKind::kValue}},
       relational::AggFunction::WeightedSum({1.0}));
-}
-
-/// Index TopKAt vs brute-force oracle at one pinned recovered snapshot.
-Status ValidateAgainstOracle(core::SvrEngine* engine,
-                             const std::vector<std::string>& tokens,
-                             uint32_t top_k, bool with_ts, bool* mismatch) {
-  *mismatch = false;
-  return engine->ReadSnapshot([&](const core::SvrEngine::ReadView& view)
-                                  -> Status {
-    if (!view.indexed()) return Status::OK();
-    index::Query q;
-    q.conjunctive = true;
-    for (const std::string& tok : tokens) {
-      const TermId t = engine->vocabulary()->Lookup(tok);
-      if (t == text::Vocabulary::kUnknownTerm) return Status::OK();
-      if (std::find(q.terms.begin(), q.terms.end(), t) == q.terms.end()) {
-        q.terms.push_back(t);
-      }
-    }
-    if (q.terms.empty()) return Status::OK();
-    const index::IndexSnapshot& snap = view.state->index;
-    std::vector<index::SearchResult> got, want;
-    SVR_RETURN_NOT_OK(engine->text_index()->TopKAt(snap, q, top_k, &got));
-    SVR_RETURN_NOT_OK(core::BruteForceOracle::TopKAt(
-        snap.corpus,
-        relational::ScoreTable::View(engine->score_table(), snap.score), q,
-        top_k, with_ts, &want));
-    bool equal = got.size() == want.size();
-    for (size_t i = 0; equal && i < got.size(); ++i) {
-      equal = got[i].doc == want[i].doc;
-    }
-    if (!equal) *mismatch = true;
-    return Status::OK();
-  });
 }
 
 }  // namespace
@@ -229,8 +196,9 @@ Result<CrashRecoveryResult> RunKillRecover(
   SVR_RETURN_NOT_OK(WipeDirectory(config.dir));
   auto injector = std::make_shared<durability::FaultInjector>();
 
-  core::SvrEngineOptions options;
-  options.method = config.method;
+  // One shard: the single-node durable engine (docs/durability.md).
+  core::ShardedSvrEngineOptions options;
+  options.shard.method = config.method;
   options.durability.enabled = true;
   options.durability.dir = config.dir;
   options.durability.checkpoint_interval_statements =
@@ -240,7 +208,7 @@ Result<CrashRecoveryResult> RunKillRecover(
 
   // --- phase 1: load, arm, churn until the machine dies ---------------
   {
-    SVR_ASSIGN_OR_RETURN(auto engine, core::SvrEngine::Open(options));
+    SVR_ASSIGN_OR_RETURN(auto engine, core::ShardedSvrEngine::Open(options));
     SVR_RETURN_NOT_OK(SetupEngine(engine.get(), config, script));
     injector->FailAfter(config.crash_op, config.crash_after_ops,
                         config.short_write);
@@ -263,7 +231,8 @@ Result<CrashRecoveryResult> RunKillRecover(
 
   // --- phase 2: heal the device, recover --------------------------------
   injector->Reset();
-  SVR_ASSIGN_OR_RETURN(auto recovered, core::SvrEngine::Open(options));
+  SVR_ASSIGN_OR_RETURN(auto recovered,
+                       core::ShardedSvrEngine::Open(options));
   out.recovery = recovered->recovery_stats();
   if (out.recovery.recovered_seq < setup_stmts + out.acked_ops) {
     return Status::DataLoss(
@@ -277,10 +246,10 @@ Result<CrashRecoveryResult> RunKillRecover(
   }
 
   // --- phase 3: shadow replay + oracle validation ----------------------
-  core::SvrEngineOptions shadow_options;
-  shadow_options.method = config.method;
+  core::ShardedSvrEngineOptions shadow_options;
+  shadow_options.shard.method = config.method;
   SVR_ASSIGN_OR_RETURN(auto shadow,
-                       core::SvrEngine::Open(shadow_options));
+                       core::ShardedSvrEngine::Open(shadow_options));
   SVR_RETURN_NOT_OK(SetupEngine(shadow.get(), config, script));
   for (uint64_t i = 0; i < out.recovered_ops; ++i) {
     SVR_RETURN_NOT_OK(ApplyOp(shadow.get(), script.churn[i]));
@@ -307,11 +276,14 @@ Result<CrashRecoveryResult> RunKillRecover(
     ++out.oracle_checks;
     if (!equal) ++out.mismatches;
 
-    // Recovered index vs brute-force oracle at the recovered snapshot.
+    // Recovered index vs brute-force oracle at one pinned recovered
+    // snapshot (per shard, then through the gather).
     bool mismatch = false;
-    SVR_RETURN_NOT_OK(ValidateAgainstOracle(recovered.get(), tokens,
-                                            config.top_k, with_ts,
-                                            &mismatch));
+    SVR_RETURN_NOT_OK(recovered->ReadSnapshotAll(
+        [&](const core::ShardedReadView& view) {
+          return ValidateShardedQuery(recovered.get(), view, tokens,
+                                      config.top_k, with_ts, &mismatch);
+        }));
     ++out.oracle_checks;
     if (mismatch) ++out.mismatches;
   }

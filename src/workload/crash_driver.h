@@ -7,8 +7,8 @@
 
 #include "common/result.h"
 #include "common/status.h"
-#include "core/svr_engine.h"
 #include "durability/fault_injection.h"
+#include "durability/options.h"
 #include "index/index_factory.h"
 #include "relational/value.h"
 
@@ -27,10 +27,10 @@ struct CrashOp {
 };
 
 /// One kill-and-recover run (docs/durability.md, "Fault matrix"):
-/// load a corpus, arm a fault injector, churn until the simulated
-/// machine death, recover from the on-disk bytes alone, and validate
-/// the recovered state against a shadow replay and the brute-force
-/// oracle.
+/// load a corpus into a durable single-shard ShardedSvrEngine, arm a
+/// fault injector, churn until the simulated machine death, recover from
+/// the on-disk bytes alone, and validate the recovered state against a
+/// shadow replay and the brute-force oracle.
 struct CrashRecoveryConfig {
   /// Durability directory. The driver WIPES it before the run.
   std::string dir;

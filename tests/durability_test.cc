@@ -362,13 +362,38 @@ TEST(PageStoreSyncTest, FilePageStoreSyncSucceeds) {
   EXPECT_TRUE(store->Sync().ok());
 }
 
+/// Durable engines in this file are ShardedSvrEngines: the sharded layer
+/// is the one durability owner, and one shard is the single-node setup.
+core::ShardedSvrEngineOptions ShardedDurableOptions(const std::string& dir,
+                                                    uint32_t shards) {
+  core::ShardedSvrEngineOptions options;
+  options.num_shards = shards;
+  options.durability.enabled = true;
+  options.durability.dir = dir;
+  return options;
+}
+
 TEST(EngineLifecycleTest, StopIsIdempotentAndSafeBeforeStart) {
-  core::SvrEngineOptions options;
-  auto r = core::SvrEngine::Open(options);
-  ASSERT_TRUE(r.ok());
+  {
+    auto r = core::SvrEngine::Open(core::SvrEngineOptions());
+    ASSERT_TRUE(r.ok());
+    auto engine = std::move(r).value();
+    engine->Stop();  // never started — must be a no-op, not a crash
+    engine->Stop();  // and idempotent
+    ASSERT_TRUE(engine
+                    ->CreateTable("t", Schema({{"id", ValueType::kInt64}}, 0))
+                    .ok());
+    ASSERT_TRUE(engine->Insert("t", {Value::Int(1)}).ok());
+    engine->Stop();
+  }
+  // The durable engine: Stop flushes and closes the WAL; DML after it
+  // still executes but is no longer logged.
+  auto r = core::ShardedSvrEngine::Open(
+      ShardedDurableOptions(TestDir("stop_twice"), 1));
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
   auto engine = std::move(r).value();
-  engine->Stop();  // never started — must be a no-op, not a crash
-  engine->Stop();  // and idempotent
+  engine->Stop();
+  engine->Stop();
   ASSERT_TRUE(engine
                   ->CreateTable("t", Schema({{"id", ValueType::kInt64}}, 0))
                   .ok());
@@ -377,12 +402,9 @@ TEST(EngineLifecycleTest, StopIsIdempotentAndSafeBeforeStart) {
 }
 
 TEST(EngineLifecycleTest, DurabilityRejectsCustomAggFunctions) {
-  const std::string dir = TestDir("custom_agg");
-  core::SvrEngineOptions options;
-  options.durability.enabled = true;
-  options.durability.dir = dir;
-  auto r = core::SvrEngine::Open(options);
-  ASSERT_TRUE(r.ok());
+  auto r = core::ShardedSvrEngine::Open(
+      ShardedDurableOptions(TestDir("custom_agg"), 1));
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
   auto engine = std::move(r).value();
   ASSERT_TRUE(engine
                   ->CreateTable("docs", Schema({{"id", ValueType::kInt64},
@@ -447,15 +469,6 @@ TEST(RecoveryTest, BackgroundCheckpointThreadCoversTheLog) {
 }
 
 // --- sharded persist -> recover ----------------------------------------
-
-core::ShardedSvrEngineOptions ShardedDurableOptions(const std::string& dir,
-                                                    uint32_t shards) {
-  core::ShardedSvrEngineOptions options;
-  options.num_shards = shards;
-  options.durability.enabled = true;
-  options.durability.dir = dir;
-  return options;
-}
 
 Status LoadShardedFixture(core::ShardedSvrEngine* engine, int docs) {
   SVR_RETURN_NOT_OK(engine->CreateTable(
@@ -641,14 +654,12 @@ TEST(KillRecoverSweepTest, AllMethodsAllFaultClasses) {
 // the checkpointer runs against live DML, so the TSan/ASan legs cover
 // the access pattern the const_cast hid.
 TEST(EngineLifecycleTest, CheckpointErrorReadableWhileCheckpointing) {
-  const std::string dir = TestDir("ckpt_error_probe");
-  core::SvrEngineOptions options;
-  options.durability.enabled = true;
-  options.durability.dir = dir;
+  core::ShardedSvrEngineOptions options =
+      ShardedDurableOptions(TestDir("ckpt_error_probe"), 1);
   options.durability.checkpoint_interval_statements = 25;
   options.durability.checkpoint_poll_ms = 1;
-  auto r = core::SvrEngine::Open(options);
-  ASSERT_TRUE(r.ok());
+  auto r = core::ShardedSvrEngine::Open(options);
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
   auto engine = std::move(r).value();
   ASSERT_TRUE(engine
                   ->CreateTable("t", Schema({{"id", ValueType::kInt64}}, 0))

@@ -7,9 +7,10 @@
 //    additive gauge registration.
 //  - Engine plumbing: a traced Search returns result-for-result what an
 //    untraced one does, slow queries land in the ring with a complete
-//    stage trace, DumpMetrics round-trips both formats, and the sharded
-//    engine's trace carries one span per shard. (A TSan target in
-//    ci.sh.)
+//    stage trace, DumpMetrics round-trips both formats, the sharded
+//    engine's trace carries one span per shard, and a durable sharded
+//    engine records its WAL-wait and checkpoint histograms. (A TSan
+//    target in ci.sh.)
 
 #include <gtest/gtest.h>
 
@@ -27,6 +28,7 @@
 #include "telemetry/query_trace.h"
 #include "telemetry/slow_query_log.h"
 #include "workload/concurrent_driver.h"
+#include "workload/crash_driver.h"
 
 namespace svr {
 namespace {
@@ -378,6 +380,34 @@ TEST(ShardedTelemetryTest, TraceCarriesOneSpanPerShard) {
   EXPECT_NE(json.find("\"query.total_us\""), std::string::npos)
       << "per-shard instruments share the registry";
   engine->Stop();
+}
+
+// The WAL histograms live at the durability owner: a durable 1-shard
+// engine records the group-commit wait of every logged statement and
+// the duration of every checkpoint.
+TEST(ShardedTelemetryTest, DurableEngineRecordsWalWaitAndCheckpoint) {
+  const std::string dir = "telemetry_test_durable";
+  ASSERT_TRUE(workload::WipeDirectory(dir).ok());
+  core::ShardedSvrEngineOptions opt;
+  opt.shard.telemetry.enabled = true;
+  opt.durability.enabled = true;
+  opt.durability.dir = dir;
+  auto engine_r = workload::SetupShardedChurnEngine(opt, SmallConfig());
+  ASSERT_TRUE(engine_r.ok()) << engine_r.status().ToString();
+  auto engine = std::move(engine_r).value();
+  ASSERT_TRUE(engine
+                  ->Update("scores", {relational::Value::Int(0),
+                                      relational::Value::Double(42.0)})
+                  .ok());
+  ASSERT_TRUE(engine->CheckpointNow().ok());
+
+  telemetry::MetricsRegistry* registry = engine->metrics_registry();
+  ASSERT_NE(registry, nullptr);
+  for (const char* name : {"dml.wait_durable_us", "checkpoint.duration_us"}) {
+    EXPECT_GT(registry->GetHistogram(name)->Snapshot().count, 0u) << name;
+  }
+  engine->Stop();
+  EXPECT_TRUE(workload::WipeDirectory(dir).ok());
 }
 
 TEST(ShardedTelemetryTest, StatsTotalsSumEveryField) {

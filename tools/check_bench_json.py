@@ -70,7 +70,6 @@ def check_sharded_churn(d):
 
 def check_mvcc_churn(d):
     assert d["series"], "empty mvcc bench"
-    by_key = {}
     for s in d["series"]:
         assert s["mismatches"] == 0, \
             "oracle mismatch at shards=%d %s %s" % (
@@ -78,37 +77,17 @@ def check_mvcc_churn(d):
         assert s["validated"] > 0, \
             "no validated queries at shards=%d %s %s" % (
                 s["shards"], s["pacing"], s["mode"])
-        by_key[(s["shards"], s["pacing"], s["mode"])] = s
-    shard_counts = sorted({s["shards"] for s in d["series"]})
-    # Claim 1 (saturated regime): the lock baseline's writers starve
-    # behind a saturating reader pool; the MVCC writers never wait for
-    # readers to drain, so their throughput must beat the baseline by a
-    # wide factor at every shard count. (Measured: >1000x on one core.)
-    sat = []
-    for n in shard_counts:
-        lock = by_key.get((n, "saturated", "lock"))
-        mvcc = by_key.get((n, "saturated", "mvcc"))
-        assert lock and mvcc, "missing saturated pair at shards=%d" % n
-        assert mvcc["writer_ops_per_sec"] >= 5 * lock["writer_ops_per_sec"], \
-            "saturated mvcc writer %.0f ops/s not well above lock " \
-            "baseline %.0f at shards=%d" % (mvcc["writer_ops_per_sec"],
-                                            lock["writer_ops_per_sec"], n)
-        sat.append("%dsh %.0f vs %.0f ops/s" % (
-            n, mvcc["writer_ops_per_sec"], lock["writer_ops_per_sec"]))
-    # Claim 2 (paced regime, like-for-like write rates): dropping the
-    # reader lock must not cost reader latency. Gated at the base shard
-    # count — beyond it, N writer threads on few cores make p95 pure
-    # scheduler noise (reported, not gated; same policy as the sharding
-    # bench's >4-shard curve).
-    base = shard_counts[0]
-    lock = by_key.get((base, "paced", "lock"))
-    mvcc = by_key.get((base, "paced", "mvcc"))
-    assert lock and mvcc, "missing paced pair at shards=%d" % base
-    assert mvcc["qry_p95_ms"] <= lock["qry_p95_ms"], \
-        "paced mvcc reader p95 %.3f ms above lock baseline %.3f ms at " \
-        "shards=%d" % (mvcc["qry_p95_ms"], lock["qry_p95_ms"], base)
-    return "saturated writers %s; paced p95 %.3f vs %.3f ms at %dsh" % (
-        "; ".join(sat), mvcc["qry_p95_ms"], lock["qry_p95_ms"], base)
+    mvcc = [s for s in d["series"] if s["mode"] == "mvcc"]
+    pacings = {s["pacing"] for s in mvcc}
+    assert pacings == {"saturated", "paced"}, \
+        "expected saturated and paced mvcc rows, got %s" % sorted(pacings)
+    # Rows of the retired lock-based read baseline survive in the
+    # committed artifact as history (docs/concurrency.md); they are
+    # checked for correctness above but no longer compared against.
+    history = len(d["series"]) - len(mvcc)
+    return "%d mvcc rows over shards %s; %d frozen lock rows" % (
+        len(mvcc), "/".join(str(n) for n in
+                            sorted({s["shards"] for s in mvcc})), history)
 
 
 def check_durability(d):
@@ -247,14 +226,11 @@ def _self_test_fixtures():
     ]}
     mvcc_ok = {"series": [
         {"shards": 1, "pacing": "saturated", "mode": "lock",
-         "mismatches": 0, "validated": 5, "writer_ops_per_sec": 100.0,
-         "qry_p95_ms": 1.0},
+         "mismatches": 0, "validated": 5, "writer_ops_per_sec": 4.0,
+         "qry_p95_ms": 0.2},
         {"shards": 1, "pacing": "saturated", "mode": "mvcc",
          "mismatches": 0, "validated": 5, "writer_ops_per_sec": 900.0,
          "qry_p95_ms": 1.0},
-        {"shards": 1, "pacing": "paced", "mode": "lock",
-         "mismatches": 0, "validated": 5, "writer_ops_per_sec": 50.0,
-         "qry_p95_ms": 2.0},
         {"shards": 1, "pacing": "paced", "mode": "mvcc",
          "mismatches": 0, "validated": 5, "writer_ops_per_sec": 50.0,
          "qry_p95_ms": 1.5},
@@ -303,7 +279,7 @@ def _self_test_fixtures():
     shard_bad = json.loads(json.dumps(shard_ok))
     shard_bad["series"][2]["writer_ops_per_sec"] = 1.0  # regressed curve
     mvcc_bad = json.loads(json.dumps(mvcc_ok))
-    mvcc_bad["series"][1]["writer_ops_per_sec"] = 120.0  # < 5x lock
+    mvcc_bad["series"][2]["mismatches"] = 1  # oracle divergence
     dur_bad = json.loads(json.dumps(dur_ok))
     dur_bad["series"][0]["ops_per_sec"] = 150.0  # group < 3x sync_each
     telemetry_bad = json.loads(json.dumps(telemetry_ok))

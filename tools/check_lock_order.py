@@ -36,25 +36,20 @@ import tempfile
 # means "a may be held while acquiring b".  Cross-file nestings are not
 # lexically visible to the extractor, so they are declared here.
 DECLARED_EDGES = [
-    # Sharded write path: per-shard insert mutex, then the target
-    # engine's writer mutex, then the WAL writer's internal mutex.
+    # Sharded write path: per-shard insert and log mutexes, then the
+    # target engine's writer mutex.
     ("sharded_engine:shard_insert_mu_", "svr_engine:writer_mu_"),
-    ("svr_engine:writer_mu_", "log_writer:mu_"),
-    # The per-shard log mutex serialises WAL appends; the writer's
-    # internal mutex nests inside it on the sharded path too.
+    ("sharded_engine:shard_log_mu_", "svr_engine:writer_mu_"),
+    # The per-shard log mutex serialises WAL appends; the WAL writer's
+    # internal mutex nests inside it.
     ("sharded_engine:shard_insert_mu_", "sharded_engine:shard_log_mu_"),
     ("sharded_engine:shard_log_mu_", "log_writer:mu_"),
     # The id-map reader/writer lock nests inside the per-shard mutexes.
     ("sharded_engine:shard_insert_mu_", "sharded_engine:map_mu_"),
     ("sharded_engine:shard_log_mu_", "sharded_engine:map_mu_"),
     # Checkpoints exclude writers while holding the checkpoint run lock.
-    ("svr_engine:ckpt_run_mu_", "svr_engine:writer_mu_"),
     ("sharded_engine:ckpt_run_mu_", "sharded_engine:shard_insert_mu_"),
     ("sharded_engine:ckpt_run_mu_", "sharded_engine:shard_log_mu_"),
-    # Legacy shared-lock reads pin the table while queries run; the
-    # engine never takes writer_mu_ inside a read view, only the
-    # reverse ordering is legal.
-    ("svr_engine:legacy_mu_", "svr_engine:writer_mu_"),
     # Merge scheduler: lifecycle (start/stop) before its queue mutex.
     ("merge_scheduler:lifecycle_mu_", "merge_scheduler:mu_"),
 ]

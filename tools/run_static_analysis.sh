@@ -5,7 +5,7 @@
 #      annotations in src/common/thread_annotations.h turn the lock
 #      contracts of docs/concurrency.md and docs/durability.md into
 #      compile errors.
-#      1b. Negative test: rebuild the engine's WAL-append path with its
+#      1b. Negative test: rebuild the engine's merge-policy tick with its
 #      REQUIRES(writer_mu_) compiled out (-DSVR_TSA_NEGATIVE_TEST) and
 #      assert the build FAILS — proof the analysis is actually armed,
 #      not silently off.
@@ -74,11 +74,12 @@ if [ -n "$CLANGXX" ]; then
   fi
 
   # --- 1b. negative test ------------------------------------------------
-  # Compile the engine TU with the REQUIRES on the WAL-append path
-  # removed; the call sites still hold writer_mu_, but LogStatementLocked
-  # now *acquires nothing and requires nothing*, so its unguarded reads
-  # of last_seq_ (GUARDED_BY writer_mu_) must trip the analysis.
-  note "negative test: dropping REQUIRES on SvrEngine::LogStatementLocked"
+  # Compile the engine TU with the REQUIRES on the merge-policy tick
+  # removed; the call sites still hold writer_mu_, but
+  # MaybeRunMergePolicy now *acquires nothing and requires nothing*, so
+  # its unguarded reads of scheduler_ (GUARDED_BY writer_mu_) must trip
+  # the analysis.
+  note "negative test: dropping REQUIRES on SvrEngine::MaybeRunMergePolicy"
   if "$CLANGXX" -std=c++17 -fsyntax-only -Wthread-safety \
     -Werror=thread-safety-analysis -Werror=thread-safety-precise \
     -DSVR_TSA_NEGATIVE_TEST -Isrc -I. src/core/svr_engine.cc \
