@@ -5,11 +5,18 @@
 #include <cstdlib>
 #include <map>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "index/index_factory.h"
 #include "workload/experiment.h"
 #include "workload/params.h"
+
+// The CMake build type, stamped into the artifacts' context block (the
+// root CMakeLists defines it for every bench target).
+#ifndef SVR_BUILD_TYPE
+#define SVR_BUILD_TYPE "unknown"
+#endif
 
 namespace svr::bench {
 
@@ -113,6 +120,26 @@ inline index::IndexOptions DefaultIndexOptions(const Flags& flags) {
   o.term_scores.term_weight = flags.GetDouble("term_weight", 1000.0);
   o.chunk.term_scores = o.term_scores;
   return o;
+}
+
+/// `method=` flag values: id, idts, chunk (the default), cts, st.
+inline index::Method ParseMethod(const std::string& name) {
+  if (name == "id") return index::Method::kId;
+  if (name == "idts") return index::Method::kIdTermScore;
+  if (name == "st") return index::Method::kScoreThreshold;
+  if (name == "cts") return index::Method::kChunkTermScore;
+  return index::Method::kChunk;
+}
+
+/// Writes the artifact's `"context"` member — the hardware and build a
+/// number was measured on — as one line inside an open JSON object,
+/// followed by a comma.
+inline void WriteContextJson(std::FILE* json) {
+  std::fprintf(json,
+               "  \"context\": {\"hardware_concurrency\": %u, "
+               "\"build_type\": \"%s\", \"compiler\": \"%s\"},\n",
+               std::thread::hardware_concurrency(), SVR_BUILD_TYPE,
+               __VERSION__);
 }
 
 /// Splits a comma-separated flag value ("off,sync,background"); empty

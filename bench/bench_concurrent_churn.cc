@@ -3,17 +3,19 @@
 // merge
 //
 //   off        — never merged (short lists grow for the whole run),
-//   sync       — policy merges inline on the write path, inside the
-//                writer's exclusive critical section: queries queue
-//                behind every sweep (the p99 spike this PR removes),
+//   sync       — policy merges inline on the write path, under the
+//                writer mutex: the statement that trips the policy, and
+//                every statement queued behind it, waits out the whole
+//                sweep (queries read pinned snapshots and never wait),
 //   background — policy hits become scheduler jobs; merge work runs as
 //                a reader off the write path and installs with an
 //                atomic per-term swap (write-path merge time ~0).
 //
-// Every mode drives the same workload through the public SvrEngine DML
-// and Search APIs from multiple threads; a fraction of queries is
-// validated against the brute-force oracle under ReadSnapshot, so the
-// run also proves snapshot consistency under concurrency. Emits
+// Every mode drives the same workload — one writer thread racing the
+// query threads on a 1-shard ShardedSvrEngine, the single-node setup —
+// through the public DML and Search APIs; a fraction of queries is
+// validated against the brute-force oracle under ReadSnapshotAll, so
+// the run also proves snapshot consistency under concurrency. Emits
 // BENCH_concurrency.json.
 
 #include <cstdio>
@@ -25,18 +27,6 @@
 
 using namespace svr;
 using namespace svr::bench;
-
-namespace {
-
-index::Method ParseMethod(const std::string& name) {
-  if (name == "id") return index::Method::kId;
-  if (name == "idts") return index::Method::kIdTermScore;
-  if (name == "st") return index::Method::kScoreThreshold;
-  if (name == "cts") return index::Method::kChunkTermScore;
-  return index::Method::kChunk;
-}
-
-}  // namespace
 
 int main(int argc, char** argv) {
   Flags flags(argc, argv);
@@ -58,22 +48,23 @@ int main(int argc, char** argv) {
       static_cast<uint32_t>(flags.GetInt("validate_every", 8));
   cfg.seed = static_cast<uint64_t>(flags.GetInt("seed", 2005));
 
-  core::SvrEngineOptions base;
-  base.method = ParseMethod(flags.GetString("method", "chunk"));
-  base.table_pool_pages =
+  core::ShardedSvrEngineOptions base;  // one shard
+  core::SvrEngineOptions& shard = base.shard;
+  shard.method = ParseMethod(flags.GetString("method", "chunk"));
+  shard.table_pool_pages =
       static_cast<uint64_t>(flags.GetInt("table_pages", 1 << 15));
-  base.list_pool_pages =
+  shard.list_pool_pages =
       static_cast<uint64_t>(flags.GetInt("list_pages", 1 << 15));
-  base.merge_policy.short_ratio = flags.GetDouble("merge_ratio", 0.2);
-  base.merge_policy.min_short_postings =
+  shard.merge_policy.short_ratio = flags.GetDouble("merge_ratio", 0.2);
+  shard.merge_policy.min_short_postings =
       static_cast<uint32_t>(flags.GetInt("merge_min", 32));
-  base.merge_policy.short_bytes_budget =
+  shard.merge_policy.short_bytes_budget =
       static_cast<uint64_t>(flags.GetInt("merge_budget_kb", 1024)) * 1024;
-  base.merge_policy.check_interval =
+  shard.merge_policy.check_interval =
       static_cast<uint32_t>(flags.GetInt("merge_interval", 200));
-  base.scheduler.queue_capacity =
+  shard.scheduler.queue_capacity =
       static_cast<size_t>(flags.GetInt("merge_queue", 1024));
-  base.scheduler.workers =
+  shard.scheduler.workers =
       static_cast<size_t>(flags.GetInt("merge_workers", 1));
 
   const std::string out_path =
@@ -91,8 +82,9 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "FATAL cannot open %s\n", out_path.c_str());
     return 1;
   }
+  std::fprintf(json, "{\n  \"bench\": \"concurrent_churn\",\n");
+  WriteContextJson(json);
   std::fprintf(json,
-               "{\n  \"bench\": \"concurrent_churn\",\n"
                "  \"docs\": %u,\n  \"writer_ops\": %u,\n"
                "  \"query_threads\": %u,\n  \"validate_every\": %u,\n"
                "  \"series\": [",
@@ -104,27 +96,31 @@ int main(int argc, char** argv) {
                       "reclaimed", "validated"});
   bool first_series = true;
   for (const std::string& mode : modes) {
-    core::SvrEngineOptions options = base;
-    options.merge_policy.enabled = (mode != "off");
-    options.background_merge = (mode == "background");
+    core::ShardedSvrEngineOptions options = base;
+    options.shard.merge_policy.enabled = (mode != "off");
+    options.shard.background_merge = (mode == "background");
 
-    auto engine = CheckResult(workload::SetupChurnEngine(options, cfg),
-                              "setup");
+    auto engine = CheckResult(
+        workload::SetupShardedChurnEngine(options, cfg), "setup");
     auto result = CheckResult(
-        workload::RunConcurrentChurn(engine.get(), cfg), "churn run");
-    if (engine->merge_scheduler() != nullptr) {
+        workload::RunShardedChurn(engine.get(), cfg, /*writer_threads=*/1,
+                                  /*run_ms=*/0),
+        "churn run");
+    if (concurrency::MergeScheduler* sched =
+            engine->shard(0)->merge_scheduler()) {
       // Quiesce so the final counters include queued jobs and the
       // reclaim pass that follows them.
-      engine->merge_scheduler()->WaitIdle();
+      sched->WaitIdle();
       result.stats = engine->GetStats();
     }
+    const core::EngineStats& stats = result.stats.total;
 
     table.Row({flags.GetString("method", "chunk"), mode,
                Ms(result.query.p50_ms), Ms(result.query.p99_ms),
                Ms(result.write.p50_ms), Ms(result.write.p99_ms),
-               Ms(result.stats.write_merge_ms),
-               std::to_string(result.stats.index.term_merges),
-               std::to_string(result.stats.objects_reclaimed),
+               Ms(stats.write_merge_ms),
+               std::to_string(stats.index.term_merges),
+               std::to_string(stats.objects_reclaimed),
                std::to_string(result.validated_queries)});
 
     std::fprintf(
@@ -148,13 +144,13 @@ int main(int argc, char** argv) {
         result.query.p99_ms, result.query.max_ms,
         static_cast<unsigned long long>(result.write.count),
         result.write.p50_ms, result.write.p99_ms, result.write.max_ms,
-        result.stats.write_merge_ms,
-        static_cast<unsigned long long>(result.stats.index.term_merges),
-        static_cast<unsigned long long>(result.stats.merge_jobs_completed),
-        static_cast<unsigned long long>(result.stats.merge_jobs_aborted),
-        static_cast<unsigned long long>(result.stats.merge_sync_fallbacks),
-        static_cast<unsigned long long>(result.stats.objects_reclaimed),
-        static_cast<unsigned long long>(result.stats.reclaim_pending),
+        stats.write_merge_ms,
+        static_cast<unsigned long long>(stats.index.term_merges),
+        static_cast<unsigned long long>(stats.merge_jobs_completed),
+        static_cast<unsigned long long>(stats.merge_jobs_aborted),
+        static_cast<unsigned long long>(stats.merge_sync_fallbacks),
+        static_cast<unsigned long long>(stats.objects_reclaimed),
+        static_cast<unsigned long long>(stats.reclaim_pending),
         static_cast<unsigned long long>(result.validated_queries),
         static_cast<unsigned long long>(result.mismatches),
         result.wall_ms);
@@ -166,7 +162,7 @@ int main(int argc, char** argv) {
                 static_cast<unsigned long long>(result.query.count),
                 static_cast<unsigned long long>(result.validated_queries),
                 static_cast<unsigned long long>(result.mismatches),
-                result.stats.write_merge_ms);
+                stats.write_merge_ms);
   }
   std::fprintf(json, "\n  ]\n}\n");
   std::fclose(json);

@@ -29,14 +29,6 @@ using namespace svr::bench;
 
 namespace {
 
-index::Method ParseMethod(const std::string& name) {
-  if (name == "id") return index::Method::kId;
-  if (name == "idts") return index::Method::kIdTermScore;
-  if (name == "st") return index::Method::kScoreThreshold;
-  if (name == "cts") return index::Method::kChunkTermScore;
-  return index::Method::kChunk;
-}
-
 struct RoundRow {
   uint32_t round;
   double upd_ms;

@@ -2,13 +2,13 @@
 // engine is hash-partitioned across 1/2/4/8 shards, with writer threads
 // scaled to match the shard count.
 //
-// With one shard every DML op serializes behind the engine-wide
-// exclusive lock — and, worse, behind every in-flight query's reader
-// lock, so writer throughput is capped no matter how many writer
-// threads exist. With N shards a query only ever holds one shard's
-// reader lock at a time and writers to the other shards proceed, so
-// aggregate writer throughput climbs with the shard count even before
-// extra cores enter the picture.
+// Readers never block writers (they pin MVCC snapshots), so what caps
+// writer throughput is the per-shard writer mutex: with one shard every
+// DML op serializes on it, no matter how many writer threads exist.
+// N shards split that mutex — and the buffer pools, merge scheduler and
+// commit publication behind it — so N writer threads make progress on
+// N shards at once and aggregate writer throughput climbs with the
+// shard count.
 //
 // Writers run for a fixed wall budget (`run_ms`) per configuration and
 // the reported metric is completed DML ops per second across all writer
@@ -28,18 +28,6 @@
 
 using namespace svr;
 using namespace svr::bench;
-
-namespace {
-
-index::Method ParseMethod(const std::string& name) {
-  if (name == "id") return index::Method::kId;
-  if (name == "idts") return index::Method::kIdTermScore;
-  if (name == "st") return index::Method::kScoreThreshold;
-  if (name == "cts") return index::Method::kChunkTermScore;
-  return index::Method::kChunk;
-}
-
-}  // namespace
 
 int main(int argc, char** argv) {
   Flags flags(argc, argv);

@@ -1,9 +1,10 @@
 // Telemetry overhead benchmark (docs/observability.md): the MVCC churn
-// workload (one writer thread racing query threads through the engine's
-// public DML/Search paths), run alternately with telemetry disabled and
-// fully enabled — registry histograms on every query and DML op, the
-// slow-query log threshold armed, and the periodic background dump
-// running — to price the record path.
+// workload (one writer thread racing query threads through the public
+// DML/Search paths of a 1-shard ShardedSvrEngine, the single-node
+// setup), run alternately with telemetry disabled and fully enabled —
+// registry histograms on every query and DML op, the slow-query log
+// threshold armed, and the periodic background dump running — to price
+// the record path.
 //
 // The record path is a handful of relaxed atomic fetch_adds per
 // operation plus two steady_clock reads per stage, so the gate is
@@ -11,8 +12,10 @@
 // telemetry off (BENCH_telemetry.json, checked by
 // tools/check_bench_json.py). Reps alternate off/on so thermal or
 // frequency drift hits both modes equally, and best-of-N discards
-// scheduler noise. Every rep oracle-validates a slice of its queries;
-// mismatches must be 0 — telemetry must never alter results.
+// scheduler noise; the summary also reports each mode's min/median/max
+// wall time, so the rep-to-rep spread the gate has to resolve is on
+// record. Every rep oracle-validates a slice of its queries; mismatches
+// must be 0 — telemetry must never alter results.
 
 #include <algorithm>
 #include <atomic>
@@ -37,6 +40,25 @@ struct RepOutcome {
   uint64_t validated = 0;
   uint64_t mismatches = 0;
 };
+
+struct WallSpread {
+  double min = 0.0;
+  double median = 0.0;
+  double max = 0.0;
+};
+
+WallSpread SpreadOf(const std::vector<RepOutcome>& reps) {
+  std::vector<double> walls;
+  for (const RepOutcome& o : reps) walls.push_back(o.wall_ms);
+  std::sort(walls.begin(), walls.end());
+  const size_t n = walls.size();
+  WallSpread w;
+  w.min = walls.front();
+  w.max = walls.back();
+  w.median = n % 2 == 1 ? walls[n / 2]
+                        : (walls[n / 2 - 1] + walls[n / 2]) / 2.0;
+  return w;
+}
 
 }  // namespace
 
@@ -67,8 +89,9 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "FATAL cannot open %s\n", out_path.c_str());
     return 1;
   }
+  std::fprintf(json, "{\n  \"bench\": \"telemetry\",\n");
+  WriteContextJson(json);
   std::fprintf(json,
-               "{\n  \"bench\": \"telemetry\",\n"
                "  \"docs\": %u,\n  \"writer_ops\": %u,\n"
                "  \"query_threads\": %u,\n  \"reps\": %d,\n"
                "  \"series\": [",
@@ -83,22 +106,25 @@ int main(int argc, char** argv) {
   for (int rep = 0; rep < reps; ++rep) {
     // Off first, on second, every rep: interleaving cancels drift.
     for (const bool telemetry_on : {false, true}) {
-      core::SvrEngineOptions options;
-      options.telemetry.enabled = telemetry_on;
+      core::ShardedSvrEngineOptions options;  // one shard
+      core::TelemetryOptions& telemetry = options.shard.telemetry;
+      telemetry.enabled = telemetry_on;
       if (telemetry_on) {
         // Everything armed: slow-query comparisons on the query path
         // (the default threshold keeps captures rare, which is the
         // production posture) and the background dump thread racing the
         // workload through the registry.
-        options.telemetry.dump_interval_ms = 250;
-        options.telemetry.dump_sink = [&periodic_dumps](const std::string&) {
+        telemetry.dump_interval_ms = 250;
+        telemetry.dump_sink = [&periodic_dumps](const std::string&) {
           periodic_dumps.fetch_add(1);
         };
       }
-      auto engine =
-          CheckResult(workload::SetupChurnEngine(options, cfg), "setup");
+      auto engine = CheckResult(
+          workload::SetupShardedChurnEngine(options, cfg), "setup");
       auto result = CheckResult(
-          workload::RunConcurrentChurn(engine.get(), cfg), "churn run");
+          workload::RunShardedChurn(engine.get(), cfg,
+                                    /*writer_threads=*/1, /*run_ms=*/0),
+          "churn run");
       if (telemetry_on) {
         // The export surface must round-trip both formats mid-flight.
         const std::string j =
@@ -142,28 +168,28 @@ int main(int argc, char** argv) {
     }
   }
 
-  const auto best_wall = [](const std::vector<RepOutcome>& v) {
-    double best = v.front().wall_ms;
-    for (const RepOutcome& o : v) best = std::min(best, o.wall_ms);
-    return best;
-  };
-  const double off_best = best_wall(off_reps);
-  const double on_best = best_wall(on_reps);
-  const double ratio = on_best / off_best;
+  const WallSpread off = SpreadOf(off_reps);
+  const WallSpread on = SpreadOf(on_reps);
+  const double ratio = on.min / off.min;
 
   std::fprintf(json,
-               "\n  ],\n  \"summary\": {\"off_best_wall_ms\": %.3f, "
-               "\"on_best_wall_ms\": %.3f,\n"
-               "    \"overhead_ratio\": %.4f, \"periodic_dumps\": %llu, "
-               "\"dump_ok\": %s}\n}\n",
-               off_best, on_best, ratio,
-               static_cast<unsigned long long>(periodic_dumps.load()),
-               dump_ok ? "true" : "false");
+               "\n  ],\n  \"summary\": {\"overhead_ratio\": %.4f, "
+               "\"periodic_dumps\": %llu, \"dump_ok\": %s,\n"
+               "    \"off\": {\"min_wall_ms\": %.3f, \"median_wall_ms\": %.3f, "
+               "\"max_wall_ms\": %.3f},\n"
+               "    \"on\": {\"min_wall_ms\": %.3f, \"median_wall_ms\": %.3f, "
+               "\"max_wall_ms\": %.3f}}\n}\n",
+               ratio, static_cast<unsigned long long>(periodic_dumps.load()),
+               dump_ok ? "true" : "false", off.min, off.median, off.max,
+               on.min, on.median, on.max);
   std::fclose(json);
 
   std::printf("\n# best wall: off %.1f ms, on %.1f ms -> overhead ratio "
               "%.4f (gate: <= 1.05)\n",
-              off_best, on_best, ratio);
+              off.min, on.min, ratio);
+  std::printf("# wall spread (min/median/max ms): off %.1f/%.1f/%.1f, "
+              "on %.1f/%.1f/%.1f\n",
+              off.min, off.median, off.max, on.min, on.median, on.max);
   std::printf("# periodic dumps delivered: %llu, export round-trip %s\n",
               static_cast<unsigned long long>(periodic_dumps.load()),
               dump_ok ? "ok" : "FAILED");

@@ -3,8 +3,11 @@
 #
 #   tier-1   — configure, build with -Wall -Wextra, ctest -L tier1, and
 #              validated smoke runs of the codec / merge-policy /
-#              concurrent-churn / sharded-churn benchmarks (JSON checked
-#              by tools/check_bench_json.py).
+#              concurrent-churn / sharded-churn / durability / telemetry /
+#              server benchmarks. Smoke outputs land in
+#              $BUILD_DIR/bench_smoke/ — the committed BENCH_*.json are
+#              full-size runs and are never overwritten — and
+#              tools/check_bench_json.py checks both sets.
 #   sanitize — ThreadSanitizer over the `concurrency`-labelled suites
 #              and an ASan+UBSan build of the FULL ctest suite.
 #   static   — tools/run_static_analysis.sh: clang -Wthread-safety
@@ -36,6 +39,8 @@ if [ "$SANITIZERS_ONLY" != "1" ]; then
   cmake -B "$BUILD_DIR" -S .
   cmake --build "$BUILD_DIR" -j
   (cd "$BUILD_DIR" && ctest -L tier1 --output-on-failure -j)
+  SMOKE="$BUILD_DIR/bench_smoke"
+  mkdir -p "$SMOKE"
 
   # Codec smoke run: quick pass so regressions in the hot decode loops
   # surface in CI output (full numbers live in BENCH_codec.json).
@@ -49,39 +54,28 @@ if [ "$SANITIZERS_ONLY" != "1" ]; then
   "$BUILD_DIR/bench_merge_policy" docs=3000 terms=40 vocab=2000 \
     rounds=2 round_updates=500 round_inserts=100 queries=5 \
     merge_min=8 merge_ratio=0.1 merge_budget_kb=64 merge_interval=128 \
-    validate=1 out=BENCH_merge.json
+    validate=1 out="$SMOKE/BENCH_merge.json"
 
   # Concurrency smoke run: query threads racing the background merger
   # under churn in all three modes, oracle-validated.
   "$BUILD_DIR/bench_concurrent_churn" docs=2000 vocab=1500 terms=20 \
     writer_ops=4000 query_threads=2 validate_every=8 \
     merge_min=16 merge_ratio=0.15 merge_interval=150 \
-    out=BENCH_concurrency.json
+    out="$SMOKE/BENCH_concurrency.json"
 
   # Sharding smoke run: writer threads scaled with the shard count under
   # scatter-gather query load; every validated query is checked per
   # shard against the brute-force oracle at a cross-shard snapshot. The
   # JSON check asserts writer throughput is monotone non-decreasing from
   # 1 to 4 shards (docs/sharding.md).
-  # (3 query threads over a corpus this size keep reader pressure the
-  # writer bottleneck at low shard counts, so the curve is monotone by a
-  # wide margin even on a single core; the committed BENCH_sharding.json
-  # is a larger run of the same shape.)
+  # (Readers never block writers under MVCC; with one shard every writer
+  # thread serializes on that shard's writer mutex, and N shards split
+  # it, so the curve climbs with the shard count; the committed
+  # BENCH_sharding.json is a larger run of the same shape.)
   "$BUILD_DIR/bench_sharded_churn" docs=2500 vocab=2000 terms=25 \
     run_ms=3000 shards=1,2,4 query_threads=3 validate_every=32 \
     merge_min=16 merge_ratio=0.15 merge_interval=150 \
-    out=BENCH_sharding.json
-
-  # MVCC smoke run (docs/concurrency.md): the versioned read path at 1
-  # and 4 shards in both reader regimes (saturated, paced),
-  # oracle-validated at pinned cross-shard read timestamps. The JSON
-  # check asserts 0 mismatches and validated queries on every row; the
-  # retired lock-based baseline survives only as frozen history rows in
-  # the committed BENCH_mvcc.json.
-  "$BUILD_DIR/bench_mvcc_churn" docs=2000 vocab=1500 terms=20 \
-    run_ms=2500 shards=1,4 query_threads=3 validate_every=32 \
-    merge_min=16 merge_ratio=0.15 merge_interval=150 \
-    out=BENCH_mvcc.json
+    out="$SMOKE/BENCH_sharding.json"
 
   # Durability smoke run (docs/durability.md): group commit vs
   # fsync-per-statement on a latency-padded WAL, plus timed recovery
@@ -89,7 +83,7 @@ if [ "$SANITIZERS_ONLY" != "1" ]; then
   # commit >= 3x sync-each throughput, checkpoints shorten replay, and
   # the recovered engine answers the pre-restart query set identically.
   "$BUILD_DIR/bench_durability" docs=200 threads=8 ops=100 \
-    wal_ops=800,2000 queries=15 out=BENCH_durability.json
+    wal_ops=800,2000 queries=15 out="$SMOKE/BENCH_durability.json"
 
   # Telemetry smoke run (docs/observability.md): the MVCC churn workload
   # with telemetry off vs fully on (registry histograms, slow-query
@@ -98,7 +92,7 @@ if [ "$SANITIZERS_ONLY" != "1" ]; then
   # and a successful DumpMetrics round-trip in both formats mid-flight.
   "$BUILD_DIR/bench_telemetry" docs=2000 vocab=1500 terms=20 \
     writer_ops=6000 query_threads=2 validate_every=32 reps=3 \
-    out=BENCH_telemetry.json
+    out="$SMOKE/BENCH_telemetry.json"
 
   # Serving smoke run (docs/serving.md): a real server over real
   # sockets. Closed-loop DML across 1 vs 8 connections on a
@@ -110,21 +104,21 @@ if [ "$SANITIZERS_ONLY" != "1" ]; then
   # admitted p99 stays within 5x the ceiling).
   "$BUILD_DIR/bench_server_loadgen" docs=1200 vocab=800 write_ops=150 \
     search_requests=1200 probe_ops=250 clients=2,8 \
-    dir=bench_server_dir out=BENCH_server.json
+    dir=bench_server_dir out="$SMOKE/BENCH_server.json"
 
+  # The committed artifacts (BENCH_mvcc.json is frozen history: its
+  # bench is retired) and this run's smoke outputs pass the same gates.
+  COMMITTED="BENCH_merge.json BENCH_concurrency.json BENCH_sharding.json
+    BENCH_mvcc.json BENCH_durability.json BENCH_telemetry.json
+    BENCH_server.json"
   if command -v python3 > /dev/null; then
     python3 tools/check_bench_json.py --self-test
-    python3 tools/check_bench_json.py BENCH_merge.json \
-      BENCH_concurrency.json BENCH_sharding.json BENCH_mvcc.json \
-      BENCH_durability.json BENCH_telemetry.json BENCH_server.json
+    # shellcheck disable=SC2086
+    python3 tools/check_bench_json.py $COMMITTED "$SMOKE"/BENCH_*.json
   else
-    grep -q '"bench": "merge_policy"' BENCH_merge.json
-    grep -q '"bench": "concurrent_churn"' BENCH_concurrency.json
-    grep -q '"bench": "sharded_churn"' BENCH_sharding.json
-    grep -q '"bench": "mvcc_churn"' BENCH_mvcc.json
-    grep -q '"bench": "durability"' BENCH_durability.json
-    grep -q '"bench": "telemetry"' BENCH_telemetry.json
-    grep -q '"bench": "server"' BENCH_server.json
+    for f in $COMMITTED "$SMOKE"/BENCH_*.json; do
+      grep -q '"bench": ' "$f"
+    done
     echo "bench JSONs present (python3 unavailable, shallow check)"
   fi
 

@@ -122,8 +122,8 @@ Result<std::unique_ptr<ShardedSvrEngine>> ShardedSvrEngine::Open(
   per_shard.commit_clock = clock;
   // One registry for every shard: instruments resolve to the same named
   // objects, so per-shard counters/histograms aggregate and additive
-  // gauges sum across shards. Periodic dumps are driven by this layer
-  // only — a per-shard interval would emit N copies.
+  // gauges sum across shards. The slow-query log and the periodic dump
+  // live in this layer only (shards never read those fields).
   TelemetryOptions sharded_telemetry = options.shard.telemetry;
   if (per_shard.telemetry.enabled) {
     if (sharded_telemetry.registry == nullptr) {
@@ -131,8 +131,6 @@ Result<std::unique_ptr<ShardedSvrEngine>> ShardedSvrEngine::Open(
           std::make_shared<telemetry::MetricsRegistry>();
     }
     per_shard.telemetry.registry = sharded_telemetry.registry;
-    per_shard.telemetry.dump_interval_ms = 0;
-    per_shard.telemetry.dump_sink = nullptr;
   }
   std::vector<std::unique_ptr<SvrEngine>> shards;
   shards.reserve(options.num_shards);

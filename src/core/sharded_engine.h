@@ -59,9 +59,9 @@ struct ShardedSvrEngineOptions {
   /// Telemetry rides in `shard.telemetry` (docs/observability.md): Open
   /// installs ONE shared registry into every shard, so per-shard
   /// instruments aggregate under their single names; the sharded layer
-  /// adds its own `sharded.*` scatter/gather instruments, slow-query log
-  /// and — when configured — the periodic dump (per-shard dumps are
-  /// disabled so only this layer emits).
+  /// adds its own `sharded.*` scatter/gather instruments and owns the
+  /// telemetry lifecycle — the slow-query log and, when configured, the
+  /// periodic dump.
 };
 
 /// \brief One pinned cross-shard read point: every shard's ReadView plus
@@ -246,13 +246,12 @@ class ShardedSvrEngine {
   std::string DumpMetrics(telemetry::DumpFormat format) const {
     return metrics_ != nullptr ? metrics_->Dump(format) : std::string();
   }
-  /// The shared registry (null when telemetry is off). Shards expose the
-  /// same object through their own accessor.
+  /// The shared registry (null when telemetry is off).
   telemetry::MetricsRegistry* metrics_registry() const {
     return metrics_.get();
   }
-  /// The sharded layer's own slow-query log: end-to-end scatter-gather
-  /// queries, not per-shard legs. Null when telemetry is off.
+  /// The engine's one slow-query log: end-to-end scatter-gather queries
+  /// (shards keep none). Null when telemetry is off.
   telemetry::SlowQueryLog* slow_query_log() { return slow_log_.get(); }
 
   uint32_t num_shards() const {

@@ -66,8 +66,6 @@ void SvrEngine::InitTelemetry() {
   metrics_ = topt.registry != nullptr
                  ? topt.registry
                  : std::make_shared<telemetry::MetricsRegistry>();
-  slow_log_ = std::make_unique<telemetry::SlowQueryLog>(
-      topt.slow_query_log_capacity, topt.slow_query_threshold_us);
   // Resolve every instrument once; the record paths never take the
   // registry mutex (docs/observability.md lists the metric names).
   tel_.dml_apply_us = metrics_->GetHistogram("dml.apply_us");
@@ -79,7 +77,6 @@ void SvrEngine::InitTelemetry() {
   tel_.query_join_us = metrics_->GetHistogram("query.join_us");
   tel_.merge_prepare_us = metrics_->GetHistogram("merge.prepare_us");
   tel_.merge_install_us = metrics_->GetHistogram("merge.install_us");
-  tel_.slow_queries = metrics_->GetCounter("query.slow");
   // Gauges read internally synchronized sources at dump time (no
   // registry lock held). Registration is additive: shards sharing one
   // registry sum into the same gauge.
@@ -89,15 +86,6 @@ void SvrEngine::InitTelemetry() {
   metrics_->RegisterGauge("epoch.objects_reclaimed", [this] {
     return static_cast<double>(epochs_->objects_reclaimed());
   });
-  if (topt.dump_interval_ms > 0 && topt.dump_sink) {
-    metrics_->StartPeriodicDump(topt.dump_interval_ms, topt.dump_format,
-                                topt.dump_sink);
-    owns_periodic_dump_ = true;
-  }
-}
-
-std::string SvrEngine::DumpMetrics(telemetry::DumpFormat format) const {
-  return metrics_ != nullptr ? metrics_->Dump(format) : std::string();
 }
 
 uint64_t SvrEngine::PublishCommit() {
@@ -316,12 +304,6 @@ Status SvrEngine::Start() {
 }
 
 void SvrEngine::Stop() {
-  // Periodic metrics dump first: its gauge callbacks read engine state
-  // that the steps below start tearing down.
-  if (owns_periodic_dump_ && metrics_ != nullptr) {
-    metrics_->StopPeriodicDump();
-    owns_periodic_dump_ = false;
-  }
   concurrency::MergeScheduler* scheduler =
       scheduler_ptr_.load(std::memory_order_acquire);
   if (scheduler != nullptr) {
@@ -457,15 +439,15 @@ Status SvrEngine::Delete(const std::string& table, int64_t pk,
                                commit_ts);
 }
 
-Result<std::vector<ScoredRow>> SvrEngine::Search(
-    const std::string& keywords, size_t k, bool conjunctive,
-    telemetry::QueryTrace* trace) {
-  return SearchAt(PinReadView(), keywords, k, conjunctive, trace);
+Result<std::vector<ScoredRow>> SvrEngine::Search(const std::string& keywords,
+                                                 size_t k, bool conjunctive) {
+  return SearchAt(PinReadView(), keywords, k, conjunctive);
 }
 
-Result<std::vector<ScoredRow>> SvrEngine::SearchAt(
-    const ReadView& view, const std::string& keywords, size_t k,
-    bool conjunctive, telemetry::QueryTrace* trace) {
+Result<std::vector<ScoredRow>> SvrEngine::SearchAt(const ReadView& view,
+                                                   const std::string& keywords,
+                                                   size_t k,
+                                                   bool conjunctive) {
   // Everything below — term resolution, the scan, the score probes, the
   // row join — observes the single sealed version the view pinned. The
   // epoch guard keeps reclamation honest about the blobs and tree pages
@@ -473,20 +455,9 @@ Result<std::vector<ScoredRow>> SvrEngine::SearchAt(
   if (!view.indexed()) {
     return Status::InvalidArgument("no text index; CreateTextIndex first");
   }
-  // Stage tracing (docs/observability.md): the caller's out-param, or a
-  // local when telemetry needs one for the histograms / slow-query log.
-  // Null = fully untraced, no clock reads.
-  telemetry::QueryTrace local_trace;
-  telemetry::QueryTrace* t = trace;
-  if (t == nullptr && telemetry_enabled_) t = &local_trace;
-  if (t != nullptr) {
-    *t = telemetry::QueryTrace();
-    t->keywords = keywords;
-    t->k = k;
-    t->conjunctive = conjunctive;
-    t->commit_ts = view.commit_ts();
-  }
-  telemetry::StageTimer timer(t != nullptr);
+  // Stage histograms (docs/observability.md); disabled, the timer reads
+  // no clock.
+  telemetry::StageTimer timer(telemetry_enabled_);
 
   const EngineSnapshot& snap = *view.state;
   index::Query query;
@@ -508,15 +479,14 @@ Result<std::vector<ScoredRow>> SvrEngine::SearchAt(
       query.terms.push_back(term);
     }
   }
-  if (t != nullptr) t->term_resolve_us = timer.Lap(tel_.query_term_resolve_us);
+  timer.Lap(tel_.query_term_resolve_us);
 
   std::vector<ScoredRow> out;
   Status st;
   if (!impossible && !query.terms.empty()) {
     std::vector<index::SearchResult> hits;
-    st = index_->TopKAt(snap.index, query, k, &hits,
-                        t != nullptr ? &t->stats : nullptr);
-    if (t != nullptr) t->index_topk_us = timer.Lap(tel_.query_index_us);
+    st = index_->TopKAt(snap.index, query, k, &hits);
+    timer.Lap(tel_.query_index_us);
     if (st.ok()) {
       out.reserve(hits.size());
       for (const auto& h : hits) {
@@ -527,17 +497,10 @@ Result<std::vector<ScoredRow>> SvrEngine::SearchAt(
         if (!st.ok()) break;
         out.push_back(std::move(r));
       }
-      if (t != nullptr) t->join_us = timer.Lap(tel_.query_join_us);
+      timer.Lap(tel_.query_join_us);
     }
   }
-  if (t != nullptr) {
-    t->results = out.size();
-    t->total_us = timer.TotalUs(tel_.query_total_us);
-    if (slow_log_ != nullptr && slow_log_->MaybeRecord(*t) &&
-        tel_.slow_queries != nullptr) {
-      tel_.slow_queries->Increment();
-    }
-  }
+  timer.TotalUs(tel_.query_total_us);
   SVR_RETURN_NOT_OK(st);
   return out;
 }

@@ -21,8 +21,6 @@
 #include "storage/buffer_pool.h"
 #include "storage/page_store.h"
 #include "telemetry/metrics_registry.h"
-#include "telemetry/query_trace.h"
-#include "telemetry/slow_query_log.h"
 #include "text/corpus.h"
 #include "text/vocabulary.h"
 
@@ -34,25 +32,28 @@ namespace svr::core {
 
 /// Engine observability (docs/observability.md). Off by default: every
 /// instrumented site costs one predictable branch and nothing else, and
-/// no telemetry state is allocated.
+/// no telemetry state is allocated. Set on a ShardedSvrEngine through
+/// `ShardedSvrEngineOptions::shard.telemetry`; a shard reads `enabled`
+/// and `registry` only — the slow-query log and the periodic dump are
+/// the sharded layer's.
 struct TelemetryOptions {
   bool enabled = false;
-  /// Queries whose total wall time crosses this land in the slow-query
-  /// ring buffer with their full stage trace.
+  /// Sharded layer only: end-to-end queries whose total wall time
+  /// crosses this land in the slow-query ring buffer with their full
+  /// stage trace.
   uint64_t slow_query_threshold_us = 100000;
-  /// Traces the slow-query ring retains (oldest evicted first).
+  /// Sharded layer only: traces the slow-query ring retains (oldest
+  /// evicted first).
   uint32_t slow_query_log_capacity = 128;
-  /// Registry the engine resolves its instruments from. Null = the
-  /// engine creates a private one. The sharded layer installs one shared
-  /// registry into every shard, so `dml.*` / `query.*` / `merge.*`
-  /// histograms aggregate across shards and one DumpMetrics covers the
-  /// whole engine.
+  /// Registry the instruments resolve from. Null = a private one. The
+  /// sharded layer installs one shared registry into every shard, so
+  /// `dml.*` / `query.*` / `merge.*` histograms aggregate across shards
+  /// and one sharded dump covers the whole engine.
   std::shared_ptr<telemetry::MetricsRegistry> registry;
-  /// > 0 starts the registry's background periodic dump: every
-  /// `dump_interval_ms`, `dump_sink` receives a fresh Dump(dump_format).
-  /// Requires a non-null sink. The engine that *starts* the dump stops
-  /// it in Stop(); engines handed a shared registry leave the interval
-  /// at 0 and let the registry owner drive it.
+  /// Sharded layer only: > 0 starts the registry's background periodic
+  /// dump — every `dump_interval_ms`, `dump_sink` receives a fresh
+  /// Dump(dump_format). Requires a non-null sink; stopped by the sharded
+  /// engine's Stop().
   uint32_t dump_interval_ms = 0;
   telemetry::DumpFormat dump_format = telemetry::DumpFormat::kJson;
   std::function<void(const std::string&)> dump_sink;
@@ -86,8 +87,7 @@ struct SvrEngineOptions {
   /// creates a private clock.
   std::shared_ptr<concurrency::CommitClock> commit_clock;
   /// Observability (docs/observability.md): registry-backed histograms
-  /// on every hot subsystem, per-query stage traces, and the slow-query
-  /// log. Disabled by default.
+  /// on every hot subsystem. Disabled by default.
   TelemetryOptions telemetry;
 };
 
@@ -260,18 +260,15 @@ class SvrEngine {
   /// Top-k keyword search over the indexed text column; results are
   /// joined back to their rows. Safe to call from any number of threads
   /// concurrently with DML and background merges; never blocks on them.
-  /// `trace` (optional) receives this call's stage trace — wall time per
-  /// stage plus the index's per-query cursor counters
-  /// (docs/observability.md); it is filled whether or not telemetry is
-  /// enabled and never alters the results.
-  Result<std::vector<ScoredRow>> Search(
-      const std::string& keywords, size_t k, bool conjunctive = true,
-      telemetry::QueryTrace* trace = nullptr);
+  /// With telemetry enabled, each stage's wall time is recorded into the
+  /// `query.*` histograms (docs/observability.md).
+  Result<std::vector<ScoredRow>> Search(const std::string& keywords,
+                                        size_t k, bool conjunctive = true);
   /// Search against an already-pinned view (the sharded gather pins one
   /// view per shard up front so the whole scatter reads one watermark).
-  Result<std::vector<ScoredRow>> SearchAt(
-      const ReadView& view, const std::string& keywords, size_t k,
-      bool conjunctive = true, telemetry::QueryTrace* trace = nullptr);
+  Result<std::vector<ScoredRow>> SearchAt(const ReadView& view,
+                                          const std::string& keywords,
+                                          size_t k, bool conjunctive = true);
 
   /// Pins a view and runs `fn` against it — multi-statement snapshot
   /// reads (a query plus an oracle check over the same version, as the
@@ -288,25 +285,14 @@ class SvrEngine {
   /// Starts background maintenance (no-op unless options enable it and
   /// a text index exists). CreateTextIndex calls this automatically.
   Status Start() EXCLUDES(writer_mu_);
-  /// Stops the periodic dump and the scheduler thread, and reclaims
-  /// every retired version. Callers must have stopped issuing queries.
-  /// Idempotent, and safe to call before Start() or on an engine that
-  /// never enabled any background machinery. DML after Stop() still
-  /// works.
+  /// Stops the scheduler thread and reclaims every retired version.
+  /// Callers must have stopped issuing queries. Idempotent, and safe to
+  /// call before Start() or on an engine that never enabled any
+  /// background machinery. DML after Stop() still works.
   void Stop() EXCLUDES(writer_mu_);
 
   /// Index + concurrency counters; lock-free.
   EngineStats GetStats() const;
-
-  /// Serializes every registry instrument (docs/observability.md).
-  /// Empty string when telemetry is disabled.
-  std::string DumpMetrics(telemetry::DumpFormat format) const;
-  /// The registry this engine records into; null when disabled.
-  telemetry::MetricsRegistry* metrics_registry() const {
-    return metrics_.get();
-  }
-  /// The slow-query ring buffer; null when telemetry is disabled.
-  telemetry::SlowQueryLog* slow_query_log() { return slow_log_.get(); }
 
   // --- component access (benchmarks, tests, diagnostics) --------------
   // Unversioned: use only while no other thread touches the engine.
@@ -339,13 +325,11 @@ class SvrEngine {
     telemetry::ShardedHistogram* query_join_us = nullptr;
     telemetry::ShardedHistogram* merge_prepare_us = nullptr;
     telemetry::ShardedHistogram* merge_install_us = nullptr;
-    telemetry::Counter* slow_queries = nullptr;
   };
 
   /// Wires the registry (creating a private one unless the options hand
-  /// a shared one in), resolves instruments, registers the epoch gauges,
-  /// creates the slow-query log, and starts the periodic dump when
-  /// asked. Called by Open.
+  /// a shared one in), resolves instruments and registers the epoch
+  /// gauges. Called by Open.
   void InitTelemetry();
 
   text::Document TokenizeToDocument(const std::string& text);
@@ -442,11 +426,7 @@ class SvrEngine {
   /// path. Set once in InitTelemetry, before any concurrency exists.
   bool telemetry_enabled_ = false;
   std::shared_ptr<telemetry::MetricsRegistry> metrics_;
-  std::unique_ptr<telemetry::SlowQueryLog> slow_log_;
   EngineInstruments tel_;
-  /// True when *this* engine started the registry's periodic dump (and
-  /// must stop it in Stop(), before the gauges it registered die).
-  bool owns_periodic_dump_ = false;
 };
 
 }  // namespace svr::core

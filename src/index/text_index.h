@@ -47,8 +47,7 @@ struct QueryStats {
   uint64_t score_lookups = 0;
   uint64_t candidates_considered = 0;
   // Cursor-level counters (src/index/posting_cursor.h), filled on the
-  // query path only — the per-stage attribution docs/observability.md
-  // surfaces through QueryTrace.
+  // query path only.
   uint64_t blocks_decoded = 0;   // v2 block refills (LoadNextBlock)
   uint64_t groups_galloped = 0;  // whole skip groups jumped without decode
   uint64_t cursor_seeks = 0;     // SeekTo calls across all cursors

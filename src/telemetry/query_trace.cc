@@ -9,23 +9,13 @@ std::string QueryTrace::ToString() const {
   int n = std::snprintf(
       buf, sizeof(buf),
       "keywords='%s' k=%llu conj=%d ts=%llu results=%llu total=%lluus "
-      "resolve=%lluus index=%lluus join=%lluus gather=%lluus "
-      "scanned=%llu lookups=%llu candidates=%llu blocks=%llu "
-      "galloped=%llu seeks=%llu shards=%zu",
+      "gather=%lluus join=%lluus shards=%zu",
       keywords.c_str(), static_cast<unsigned long long>(k),
       conjunctive ? 1 : 0, static_cast<unsigned long long>(commit_ts),
       static_cast<unsigned long long>(results),
       static_cast<unsigned long long>(total_us),
-      static_cast<unsigned long long>(term_resolve_us),
-      static_cast<unsigned long long>(index_topk_us),
-      static_cast<unsigned long long>(join_us),
       static_cast<unsigned long long>(gather_us),
-      static_cast<unsigned long long>(stats.postings_scanned),
-      static_cast<unsigned long long>(stats.score_lookups),
-      static_cast<unsigned long long>(stats.candidates_considered),
-      static_cast<unsigned long long>(stats.blocks_decoded),
-      static_cast<unsigned long long>(stats.groups_galloped),
-      static_cast<unsigned long long>(stats.cursor_seeks), shards.size());
+      static_cast<unsigned long long>(join_us), shards.size());
   std::string out(buf, n < 0 ? 0 : static_cast<size_t>(n));
   for (const ShardSpan& s : shards) {
     int m = std::snprintf(buf, sizeof(buf), " [shard %u: %lluus, %llu hits]",

@@ -5,17 +5,13 @@
 #include <string>
 #include <vector>
 
-#include "index/text_index.h"
-
 /// \file
 /// \brief Per-query stage trace (docs/observability.md).
 ///
-/// A QueryTrace rides through Search/SearchAt as an opt-in out-param:
-/// pass one and the engine fills per-stage wall times, the index's
-/// per-query cursor counters, and — on the sharded engine — per-shard
-/// scatter latencies. The same trace is what the slow-query log captures
-/// when `total_us` crosses the threshold, and the stage times are what
-/// feed the registry's `query.*` histograms.
+/// A QueryTrace rides through ShardedSvrEngine::Search/SearchAt as an
+/// opt-in out-param: pass one and the engine fills the gather/join wall
+/// times and one span per shard of the scatter. The same trace is what
+/// the slow-query log captures when `total_us` crosses the threshold.
 
 namespace svr::telemetry {
 
@@ -36,23 +32,17 @@ struct QueryTrace {
   uint64_t commit_ts = 0;
 
   // --- stage wall times, microseconds ---------------------------------
-  uint64_t term_resolve_us = 0;  // tokenize + vocabulary lookups
-  uint64_t index_topk_us = 0;    // TopKAt (cursor scan + heap)
-  uint64_t join_us = 0;          // row join / gid resolution
-  uint64_t total_us = 0;         // whole SearchAt call
-
-  // --- sharded scatter-gather (empty on a single engine) --------------
-  std::vector<ShardSpan> shards;
   uint64_t gather_us = 0;  // top-k merge across shard result lists
+  uint64_t join_us = 0;    // global id resolution + row join
+  uint64_t total_us = 0;   // whole SearchAt call
 
-  // --- index-level counters (single engine; zero-valued on the sharded
-  // trace, whose per-shard work is visible through `shards`) -----------
-  index::QueryStats stats;
+  // --- scatter: one span per shard ------------------------------------
+  std::vector<ShardSpan> shards;
 
   uint64_t results = 0;
 
-  /// One-line rendering for logs ("keywords='a b' k=10 total=1234us
-  /// resolve=... index=... join=... scanned=...").
+  /// One-line rendering for logs ("keywords='a b' k=10 ... total=1234us
+  /// gather=... join=... shards=2 [shard 0: ...]").
   std::string ToString() const;
 };
 

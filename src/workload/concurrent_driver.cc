@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <chrono>
 #include <cmath>
 #include <cstdio>
 #include <mutex>
@@ -72,7 +71,7 @@ LatencySummary SummarizeLatencies(const telemetry::HistogramSnapshot& us) {
 namespace {
 
 /// The churn schema + synthetic load + index declaration, shared by the
-/// single-engine and sharded setups (both expose the identical
+/// shard-level and sharded setups (both expose the identical
 /// CreateTable/Insert/CreateTextIndex surface).
 template <typename Engine>
 Status SetupChurnTables(Engine* engine,
@@ -117,218 +116,7 @@ Result<std::unique_ptr<core::SvrEngine>> SetupChurnEngine(
   return engine;
 }
 
-Result<ConcurrentChurnResult> RunConcurrentChurn(
-    core::SvrEngine* engine, const ConcurrentChurnConfig& config_in) {
-  using relational::Value;
-
-  // *-TermScore methods rank by the combined function; the oracle must
-  // match. Detection by name keeps the driver independent of how the
-  // engine was configured (both benches and tests use the default
-  // TermScoreOptions this assumes).
-  const bool with_ts =
-      engine->text_index()->name().find("TermScore") != std::string::npos;
-  ConcurrentChurnConfig config = config_in;
-  if (with_ts) {
-    // Same carve-out as the single-threaded merge tests: a content
-    // update that keeps a term but changes the document's length leaves
-    // the long/fancy lists' build-time term scores stale by design, so
-    // oracle-validated term-score runs redirect content churn into
-    // score churn.
-    config.content_pct = 0.0;
-  }
-
-  std::atomic<bool> writer_done{false};
-  std::atomic<uint64_t> validated{0};
-  std::atomic<uint64_t> mismatches{0};
-  ErrorSink errors;
-
-  ConcurrentChurnResult out;
-  Stopwatch wall;
-
-  // --- query threads --------------------------------------------------
-  const uint32_t frequent_pool =
-      std::max<uint32_t>(10, config.vocab / 20);
-  // Per-thread latency histograms (microseconds), merged after the join —
-  // no per-sample vector growth on the query path, no final sort.
-  std::vector<telemetry::LocalHistogram> query_us(config.query_threads);
-  std::vector<std::thread> searchers;
-  searchers.reserve(config.query_threads);
-  for (uint32_t qt = 0; qt < config.query_threads; ++qt) {
-    searchers.emplace_back([&, qt] {
-      Random rng(config.seed ^ (0xC0FFEEull * (qt + 1)));
-      uint64_t n = 0;
-      while (!writer_done.load(std::memory_order_acquire)) {
-        std::string keywords;
-        for (uint32_t i = 0; i < config.query_terms; ++i) {
-          if (!keywords.empty()) keywords.push_back(' ');
-          keywords += MakeToken(rng.Uniform(frequent_pool));
-        }
-        if (config.query_think_us > 0) {
-          std::this_thread::sleep_for(
-              std::chrono::microseconds(config.query_think_us));
-        }
-        Stopwatch sw;
-        auto r = engine->Search(keywords, config.top_k);
-        query_us[qt].Record(static_cast<uint64_t>(sw.ElapsedMicros()));
-        if (!r.ok()) {
-          errors.Offer(r.status());
-          return;
-        }
-        ++n;
-
-        if (config.validate_every != 0 &&
-            n % config.validate_every == 0) {
-          // Snapshot check: the same query at index level plus the
-          // brute-force oracle, both against one pinned ReadView (no
-          // lock) — results must agree exactly even while writers and
-          // merges land concurrently.
-          Status st = engine->ReadSnapshot([&](const core::SvrEngine::
-                                                   ReadView& view)
-                                               -> Status {
-            if (!view.indexed()) return Status::OK();
-            index::Query q;
-            q.conjunctive = true;
-            for (uint32_t i = 0; i < config.query_terms; ++i) {
-              // Re-draw from a forked stream so validated queries cover
-              // fresh term combinations.
-              const TermId t = engine->vocabulary()->Lookup(
-                  MakeToken(rng.Uniform(frequent_pool)));
-              if (t == text::Vocabulary::kUnknownTerm) return Status::OK();
-              if (std::find(q.terms.begin(), q.terms.end(), t) ==
-                  q.terms.end()) {
-                q.terms.push_back(t);
-              }
-            }
-            if (q.terms.empty()) return Status::OK();
-            const index::IndexSnapshot& snap = view.state->index;
-            std::vector<index::SearchResult> got, want;
-            SVR_RETURN_NOT_OK(engine->text_index()->TopKAt(
-                snap, q, config.top_k, &got));
-            SVR_RETURN_NOT_OK(core::BruteForceOracle::TopKAt(
-                snap.corpus,
-                relational::ScoreTable::View(engine->score_table(),
-                                             snap.score),
-                q, config.top_k, with_ts, &want));
-            bool equal = got.size() == want.size();
-            for (size_t i = 0; equal && i < got.size(); ++i) {
-              equal = got[i].doc == want[i].doc;
-            }
-            validated.fetch_add(1, std::memory_order_relaxed);
-            if (!equal) {
-              mismatches.fetch_add(1, std::memory_order_relaxed);
-              // Diagnostic dump: which query diverged and how (stderr so
-              // bench JSON stays clean).
-              std::string diag = "oracle mismatch: terms=[";
-              for (TermId t : q.terms) diag += std::to_string(t) + ",";
-              diag += "] got=[";
-              for (const auto& r : got) {
-                diag += std::to_string(r.doc) + ":" +
-                        std::to_string(r.score) + ",";
-              }
-              diag += "] want=[";
-              for (const auto& r : want) {
-                diag += std::to_string(r.doc) + ":" +
-                        std::to_string(r.score) + ",";
-              }
-              diag += "]\n";
-              std::fputs(diag.c_str(), stderr);
-            }
-            return Status::OK();
-          });
-          if (!st.ok()) {
-            errors.Offer(st);
-            return;
-          }
-        }
-      }
-    });
-  }
-
-  // --- writer (this thread) -------------------------------------------
-  {
-    Random rng(config.seed ^ 0xD00D5ull);
-    ZipfDistribution terms(config.vocab, config.term_zipf);
-    std::vector<bool> alive(config.initial_docs, true);
-    uint32_t live_count = config.initial_docs;
-    telemetry::LocalHistogram write_us;
-
-    auto pick_alive = [&]() -> int64_t {
-      if (live_count == 0) return -1;
-      for (int tries = 0; tries < 64; ++tries) {
-        const size_t d = rng.Uniform(alive.size());
-        if (alive[d]) return static_cast<int64_t>(d);
-      }
-      return -1;
-    };
-
-    for (uint32_t op = 0; op < config.writer_ops; ++op) {
-      const double roll = rng.NextDouble() * 100.0;
-      Status st;
-      Stopwatch sw;
-      if (roll < config.insert_pct) {
-        const int64_t id = static_cast<int64_t>(alive.size());
-        st = engine->Insert(
-            "docs", {Value::Int(id),
-                     Value::String(MakeDocText(terms, config.terms_per_doc,
-                                               &rng))});
-        if (st.ok()) {
-          st = engine->Insert(
-              "scores", {Value::Int(id), Value::Double(DrawScore(config,
-                                                                 &rng))});
-        }
-        alive.push_back(true);
-        ++live_count;
-      } else if (roll < config.insert_pct + config.delete_pct) {
-        const int64_t id = pick_alive();
-        if (id < 0) continue;
-        st = engine->Delete("docs", id);
-        alive[id] = false;
-        --live_count;
-      } else if (roll <
-                 config.insert_pct + config.delete_pct + config.content_pct) {
-        const int64_t id = pick_alive();
-        if (id < 0) continue;
-        st = engine->Update(
-            "docs", {Value::Int(id),
-                     Value::String(MakeDocText(terms, config.terms_per_doc,
-                                               &rng))});
-      } else {
-        const int64_t id = pick_alive();
-        if (id < 0) continue;
-        st = engine->Update(
-            "scores", {Value::Int(id), Value::Double(DrawScore(config,
-                                                               &rng))});
-      }
-      write_us.Record(static_cast<uint64_t>(sw.ElapsedMicros()));
-      if (!st.ok()) {
-        errors.Offer(st);
-        break;
-      }
-    }
-    out.write = SummarizeLatencies(write_us.Snapshot());
-  }
-
-  writer_done.store(true, std::memory_order_release);
-  for (auto& t : searchers) t.join();
-  out.wall_ms = wall.ElapsedMillis();
-
-  telemetry::HistogramSnapshot all_queries;
-  for (const auto& h : query_us) all_queries.Merge(h.Snapshot());
-  out.queries_run = all_queries.count;
-  out.query = SummarizeLatencies(all_queries);
-  out.validated_queries = validated.load();
-  out.mismatches = mismatches.load();
-  out.stats = engine->GetStats();
-
-  SVR_RETURN_NOT_OK(errors.first());
-  if (config.validate_every != 0 && out.mismatches != 0) {
-    return Status::Internal("concurrent top-k mismatched the oracle " +
-                            std::to_string(out.mismatches) + " time(s)");
-  }
-  return out;
-}
-
-// --- sharded engine churn ---------------------------------------------
+// --- churn driver ------------------------------------------------------
 
 Result<std::unique_ptr<core::ShardedSvrEngine>> SetupShardedChurnEngine(
     const core::ShardedSvrEngineOptions& options,
@@ -414,8 +202,11 @@ Result<ShardedChurnResult> RunShardedChurn(
       std::string::npos;
   ConcurrentChurnConfig config = config_in;
   if (with_ts) {
-    // Same carve-out as RunConcurrentChurn: oracle-validated term-score
-    // runs redirect content churn into score churn.
+    // Same carve-out as the single-threaded merge tests: a content
+    // update that keeps a term but changes the document's length leaves
+    // the long/fancy lists' build-time term scores stale by design, so
+    // oracle-validated term-score runs redirect content churn into
+    // score churn.
     config.content_pct = 0.0;
   }
   if (writer_threads == 0) writer_threads = 1;
@@ -445,10 +236,6 @@ Result<ShardedChurnResult> RunShardedChurn(
         for (uint32_t i = 0; i < config.query_terms; ++i) {
           if (!keywords.empty()) keywords.push_back(' ');
           keywords += MakeToken(rng.Uniform(frequent_pool));
-        }
-        if (config.query_think_us > 0) {
-          std::this_thread::sleep_for(
-              std::chrono::microseconds(config.query_think_us));
         }
         Stopwatch sw;
         auto r = engine->Search(keywords, config.top_k);
@@ -527,10 +314,10 @@ Result<ShardedChurnResult> RunShardedChurn(
       for (uint32_t op = 0;; ++op) {
         if (run_ms > 0) {
           // Throughput mode: run out the wall budget, but always finish
-          // a handful of ops — under extreme reader starvation (the
-          // 1-shard configs this driver exists to measure) the budget
-          // can elapse before the writer ever gets the lock, and a
-          // zero-op series would make the reported rate meaningless.
+          // a handful of ops — on an oversubscribed box the budget can
+          // elapse before a writer is ever scheduled onto its shard's
+          // writer mutex, and a zero-op series would make the reported
+          // rate meaningless.
           // The measured wall time grows accordingly, so the ops/sec
           // figure stays honest.
           if (elapsed.ElapsedMillis() >= run_ms && op >= 8) break;

@@ -14,8 +14,9 @@
 
 namespace svr::workload {
 
-/// Parameters for one multi-threaded churn run against an SvrEngine
-/// (bench_concurrent_churn, concurrency_test).
+/// Parameters for one multi-threaded churn run (RunShardedChurn; the
+/// churn benches and concurrency_test run it on one shard where one
+/// engine is meant).
 struct ConcurrentChurnConfig {
   // Synthetic collection seeded through the engine's DML path.
   uint32_t initial_docs = 5000;
@@ -38,12 +39,7 @@ struct ConcurrentChurnConfig {
   uint32_t query_threads = 2;
   uint32_t query_terms = 2;
   uint32_t top_k = 20;
-  /// Think time between queries per thread, in microseconds. 0 =
-  /// closed-loop saturation (the default). The MVCC bench's paced regime
-  /// sets it > 0, so readers arrive as an open process and the reader
-  /// latency reflects contention rather than a saturated core.
-  uint32_t query_think_us = 0;
-  /// Every Nth query per thread additionally runs under ReadSnapshot
+  /// Every Nth query per thread additionally runs under ReadSnapshotAll
   /// and is checked against the brute-force oracle at that snapshot.
   /// 0 disables validation.
   uint32_t validate_every = 0;
@@ -68,37 +64,15 @@ struct LatencySummary {
 /// edges — within 6.25% of exact (docs/observability.md).
 LatencySummary SummarizeLatencies(const telemetry::HistogramSnapshot& us);
 
-struct ConcurrentChurnResult {
-  LatencySummary query;   // per-Search wall latency across all threads
-  LatencySummary write;   // per-DML-op wall latency on the writer
-  uint64_t queries_run = 0;
-  uint64_t validated_queries = 0;
-  uint64_t mismatches = 0;  // oracle disagreements (must stay 0)
-  core::EngineStats stats;  // engine counters at the end of the run
-  double wall_ms = 0.0;     // whole run, writer start to last join
-};
-
-/// \brief Multi-threaded driver mode (docs/concurrency.md): one writer
-/// thread applying mixed insert/update/delete/content churn through the
-/// engine's DML path, racing `query_threads` searcher threads, with
-/// optional per-snapshot oracle validation.
-///
-/// `SetupChurnEngine` opens an engine with the given options, creates a
-/// scored table ("docs": pk + text) plus a 1:1 score-component table
-/// ("scores"), loads `initial_docs` synthetic documents and builds the
-/// text index — the churn then runs entirely through public engine DML.
+/// Opens a single SvrEngine (one shard, for the shard-level tests),
+/// creates a scored table ("docs": pk + text) plus a 1:1 score-component
+/// table ("scores"), loads `initial_docs` synthetic documents through
+/// the engine's DML path and builds the text index.
 Result<std::unique_ptr<core::SvrEngine>> SetupChurnEngine(
     const core::SvrEngineOptions& options,
     const ConcurrentChurnConfig& config);
 
-/// Runs the churn against an engine prepared by SetupChurnEngine.
-/// Returns an error if any thread saw one; oracle mismatches are
-/// reported in the result (and also as an Internal error when
-/// `validate_every` > 0), so callers can assert mismatches == 0.
-Result<ConcurrentChurnResult> RunConcurrentChurn(
-    core::SvrEngine* engine, const ConcurrentChurnConfig& config);
-
-// --- sharded engine churn (docs/sharding.md) --------------------------
+// --- churn driver (docs/concurrency.md, docs/sharding.md) -------------
 
 struct ShardedChurnResult {
   LatencySummary query;  // per-Search wall latency across query threads
@@ -131,7 +105,8 @@ Result<std::unique_ptr<core::ShardedSvrEngine>> SetupShardedChurnEngine(
 /// split `config.writer_ops` evenly. Every `validate_every`-th query per
 /// thread re-runs under ReadSnapshotAll: each shard's top-k must equal
 /// its brute-force oracle at that cross-shard snapshot, and the
-/// GatherTopK merge of both sides must agree.
+/// GatherTopK merge of both sides must agree. The single-engine run is
+/// one shard, one writer thread and `run_ms` = 0.
 Result<ShardedChurnResult> RunShardedChurn(
     core::ShardedSvrEngine* engine, const ConcurrentChurnConfig& config,
     uint32_t writer_threads, uint32_t run_ms);

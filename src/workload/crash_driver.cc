@@ -61,7 +61,7 @@ Script GenerateScript(const CrashRecoveryConfig& config, bool with_ts) {
   script.doc_scores = GenerateScores(config.initial_docs, config.max_score,
                                      config.score_zipf, config.seed);
 
-  // Same stale-term-score carve-out as RunConcurrentChurn: content
+  // Same stale-term-score carve-out as RunShardedChurn: content
   // updates under a *-TermScore method leave build-time term scores
   // stale by design, so redirect that share into score churn.
   const double content_pct = with_ts ? 0.0 : config.content_pct;

@@ -7,8 +7,9 @@
 //    readers.
 //  - The whole engine under real threads: mixed insert/update/delete/
 //    content churn racing query threads with the background scheduler
-//    on; every validated top-k must match the brute-force oracle at its
-//    pinned ReadView (docs/concurrency.md). (This suite is also a TSan
+//    on, through the churn driver on a 1-shard ShardedSvrEngine; every
+//    validated top-k must match the brute-force oracle at its pinned
+//    view (docs/concurrency.md). (This suite is also a TSan
 //    target in ci.sh.)
 
 #include <gtest/gtest.h>
@@ -358,18 +359,21 @@ TEST_P(ConcurrentChurnTest, ConcurrentTopKMatchesOracleAtItsSnapshot) {
   cfg.validate_every = 3;  // every third query is oracle-checked
   cfg.top_k = 15;
 
-  core::SvrEngineOptions opt;
-  opt.method = GetParam();
-  opt.index_options.chunk.chunking.min_chunk_size = 1;
-  opt.merge_policy.enabled = true;
-  opt.merge_policy.short_ratio = 0.1;
-  opt.merge_policy.min_short_postings = 8;
-  opt.merge_policy.check_interval = 64;
-  opt.background_merge = true;
+  core::ShardedSvrEngineOptions opt;  // one shard: the single-node setup
+  opt.shard.method = GetParam();
+  opt.shard.index_options.chunk.chunking.min_chunk_size = 1;
+  opt.shard.merge_policy.enabled = true;
+  opt.shard.merge_policy.short_ratio = 0.1;
+  opt.shard.merge_policy.min_short_postings = 8;
+  opt.shard.merge_policy.check_interval = 64;
+  opt.shard.background_merge = true;
 
-  auto engine = workload::SetupChurnEngine(opt, cfg);
-  ASSERT_TRUE(engine.ok()) << engine.status().ToString();
-  auto result = workload::RunConcurrentChurn(engine.value().get(), cfg);
+  auto engine_r = workload::SetupShardedChurnEngine(opt, cfg);
+  ASSERT_TRUE(engine_r.ok()) << engine_r.status().ToString();
+  auto engine = std::move(engine_r).value();
+  auto result = workload::RunShardedChurn(engine.get(), cfg,
+                                          /*writer_threads=*/1,
+                                          /*run_ms=*/0);
   ASSERT_TRUE(result.ok()) << result.status().ToString();
 
   EXPECT_GT(result.value().queries_run, 0u);
@@ -378,13 +382,13 @@ TEST_P(ConcurrentChurnTest, ConcurrentTopKMatchesOracleAtItsSnapshot) {
 
   // The background scheduler actually worked: merges happened off the
   // write path and their retired blobs were reclaimed through epochs.
-  engine.value()->merge_scheduler()->WaitIdle();
-  const core::EngineStats stats = engine.value()->GetStats();
+  engine->shard(0)->merge_scheduler()->WaitIdle();
+  const core::EngineStats stats = engine->GetStats().total;
   EXPECT_TRUE(stats.background_merge);
   EXPECT_GT(stats.merge_jobs_enqueued, 0u);
   EXPECT_GT(stats.index.term_merges, 0u);
   EXPECT_EQ(stats.reclaim_pending, 0u);
-  engine.value()->Stop();
+  engine->Stop();
 }
 
 INSTANTIATE_TEST_SUITE_P(AllMethods, ConcurrentChurnTest,

@@ -5,16 +5,18 @@
 //    single-threaded reference over the same values.
 //  - The metrics registry's JSON and Prometheus dumps, including
 //    additive gauge registration.
-//  - Engine plumbing: a traced Search returns result-for-result what an
-//    untraced one does, slow queries land in the ring with a complete
-//    stage trace, DumpMetrics round-trips both formats, the sharded
-//    engine's trace carries one span per shard, and a durable sharded
-//    engine records its WAL-wait and checkpoint histograms. (A TSan
-//    target in ci.sh.)
+//  - Engine plumbing, all through ShardedSvrEngine (the one telemetry
+//    lifecycle owner; one shard = the single-node setup): a traced
+//    Search returns result-for-result what an untraced one does with one
+//    span per shard, slow queries land in the ring with a complete stage
+//    trace, DumpMetrics round-trips both formats, the periodic dump
+//    stops with the engine, and a durable engine records its WAL-wait
+//    and checkpoint histograms. (A TSan target in ci.sh.)
 
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <memory>
 #include <string>
 #include <thread>
@@ -22,7 +24,6 @@
 
 #include "common/random.h"
 #include "core/sharded_engine.h"
-#include "core/svr_engine.h"
 #include "telemetry/histogram.h"
 #include "telemetry/metrics_registry.h"
 #include "telemetry/query_trace.h"
@@ -234,6 +235,8 @@ TEST(SlowQueryLogTest, ThresholdAndRingEviction) {
 }
 
 // --- engine plumbing ---------------------------------------------------
+// Every engine here is a ShardedSvrEngine — the one telemetry lifecycle
+// owner; one shard is the single-node setup.
 
 workload::ConcurrentChurnConfig SmallConfig() {
   workload::ConcurrentChurnConfig cfg;
@@ -243,12 +246,94 @@ workload::ConcurrentChurnConfig SmallConfig() {
   return cfg;
 }
 
-TEST(EngineTelemetryTest, TracedSearchMatchesUntraced) {
-  core::SvrEngineOptions opt;
-  opt.telemetry.enabled = true;
-  auto engine_r = workload::SetupChurnEngine(opt, SmallConfig());
-  ASSERT_TRUE(engine_r.ok()) << engine_r.status().ToString();
-  auto engine = std::move(engine_r).value();
+std::unique_ptr<core::ShardedSvrEngine> OpenEngine(
+    const core::ShardedSvrEngineOptions& opt) {
+  auto engine_r = workload::SetupShardedChurnEngine(opt, SmallConfig());
+  EXPECT_TRUE(engine_r.ok()) << engine_r.status().ToString();
+  return engine_r.ok() ? std::move(engine_r).value() : nullptr;
+}
+
+TEST(EngineTelemetryTest, SlowQueryLandsInLogWithCompleteTrace) {
+  core::ShardedSvrEngineOptions opt;
+  opt.shard.telemetry.enabled = true;
+  // Threshold 0: every query "crosses" it, so the capture path is
+  // exercised deterministically.
+  opt.shard.telemetry.slow_query_threshold_us = 0;
+  opt.shard.telemetry.slow_query_log_capacity = 4;
+  auto engine = OpenEngine(opt);
+  ASSERT_NE(engine, nullptr);
+
+  auto r = engine->Search("t1 t2", 5);
+  ASSERT_TRUE(r.ok());
+  telemetry::SlowQueryLog* log = engine->slow_query_log();
+  ASSERT_NE(log, nullptr);
+  EXPECT_EQ(log->total_recorded(), 1u) << "one query, one capture";
+  const auto entries = log->Entries();
+  ASSERT_FALSE(entries.empty());
+  const telemetry::QueryTrace& t = entries.back();
+  EXPECT_EQ(t.keywords, "t1 t2");
+  EXPECT_EQ(t.k, 5u);
+  EXPECT_EQ(t.results, r.value().size());
+  EXPECT_EQ(t.shards.size(), 1u);
+  EXPECT_FALSE(t.ToString().empty());
+  // The slow counter moved with it; shards keep no slow log of their own.
+  const std::string json = engine->DumpMetrics(telemetry::DumpFormat::kJson);
+  EXPECT_NE(json.find("\"sharded.query.slow\""), std::string::npos);
+  EXPECT_EQ(json.find("\"query.slow\""), std::string::npos);
+  engine->Stop();
+}
+
+TEST(EngineTelemetryTest, DumpMetricsRoundTripsBothFormats) {
+  core::ShardedSvrEngineOptions opt;
+  opt.shard.telemetry.enabled = true;
+  auto engine = OpenEngine(opt);
+  ASSERT_NE(engine, nullptr);
+  ASSERT_TRUE(engine->Search("t1", 10).ok());
+
+  const std::string json = engine->DumpMetrics(telemetry::DumpFormat::kJson);
+  for (const char* key :
+       {"\"histograms\"", "\"query.total_us\"", "\"sharded.query_total_us\"",
+        "\"dml.apply_us\"", "\"dml.publish_us\"",
+        "\"epoch.reclaim_pending\""}) {
+    EXPECT_NE(json.find(key), std::string::npos) << key;
+  }
+  const std::string prom =
+      engine->DumpMetrics(telemetry::DumpFormat::kPrometheus);
+  for (const char* key :
+       {"# TYPE svr_query_total_us summary", "svr_query_total_us_count",
+        "# TYPE svr_epoch_reclaim_pending gauge"}) {
+    EXPECT_NE(prom.find(key), std::string::npos) << key;
+  }
+  engine->Stop();
+}
+
+TEST(EngineTelemetryTest, DisabledTelemetryHasNoSurface) {
+  auto engine = OpenEngine({});  // telemetry off by default
+  ASSERT_NE(engine, nullptr);
+  EXPECT_EQ(engine->metrics_registry(), nullptr);
+  EXPECT_EQ(engine->slow_query_log(), nullptr);
+  EXPECT_TRUE(engine->DumpMetrics(telemetry::DumpFormat::kJson).empty());
+  // A trace passed anyway is still filled (caller opted in explicitly).
+  telemetry::QueryTrace trace;
+  auto r = engine->Search("t1 t2", 10, true, &trace);
+  ASSERT_TRUE(r.ok());
+  EXPECT_EQ(trace.keywords, "t1 t2");
+  EXPECT_EQ(trace.results, r.value().size());
+  engine->Stop();
+}
+
+// A traced Search returns result-for-result what an untraced one does,
+// with one span per shard, at every shard count.
+class ShardedTraceTest : public ::testing::TestWithParam<uint32_t> {};
+
+TEST_P(ShardedTraceTest, TraceCarriesOneSpanPerShard) {
+  const uint32_t shards = GetParam();
+  core::ShardedSvrEngineOptions opt;
+  opt.num_shards = shards;
+  opt.shard.telemetry.enabled = true;
+  opt.shard.telemetry.slow_query_threshold_us = 0;
+  auto engine = OpenEngine(opt);
+  ASSERT_NE(engine, nullptr);
 
   for (const std::string q : {"t1 t2", "t3", "t0 t1 t4"}) {
     auto plain = engine->Search(q, 10);
@@ -266,113 +351,20 @@ TEST(EngineTelemetryTest, TracedSearchMatchesUntraced) {
     EXPECT_EQ(trace.keywords, q);
     EXPECT_EQ(trace.k, 10u);
     EXPECT_EQ(trace.results, b.size());
-    EXPECT_GE(trace.total_us,
-              trace.term_resolve_us)  // total covers every stage
-        << q;
+    EXPECT_GE(trace.total_us, trace.gather_us + trace.join_us) << q;
+    ASSERT_EQ(trace.shards.size(), shards);
+    uint64_t span_hits = 0;
+    for (size_t s = 0; s < trace.shards.size(); ++s) {
+      EXPECT_EQ(trace.shards[s].shard, s);
+      span_hits += trace.shards[s].hits;
+    }
+    EXPECT_GE(span_hits, trace.results)
+        << "shards offer at least what the gather kept";
   }
-  engine->Stop();
-}
 
-TEST(EngineTelemetryTest, SlowQueryLandsInLogWithCompleteTrace) {
-  core::SvrEngineOptions opt;
-  opt.telemetry.enabled = true;
-  // Threshold 0: every query "crosses" it, so the capture path is
-  // exercised deterministically.
-  opt.telemetry.slow_query_threshold_us = 0;
-  opt.telemetry.slow_query_log_capacity = 4;
-  auto engine_r = workload::SetupChurnEngine(opt, SmallConfig());
-  ASSERT_TRUE(engine_r.ok()) << engine_r.status().ToString();
-  auto engine = std::move(engine_r).value();
-
-  auto r = engine->Search("t1 t2", 5);
-  ASSERT_TRUE(r.ok());
-  telemetry::SlowQueryLog* log = engine->slow_query_log();
-  ASSERT_NE(log, nullptr);
-  ASSERT_GE(log->total_recorded(), 1u);
-  const auto entries = log->Entries();
-  ASSERT_FALSE(entries.empty());
-  const telemetry::QueryTrace& t = entries.back();
-  EXPECT_EQ(t.keywords, "t1 t2");
-  EXPECT_EQ(t.k, 5u);
-  EXPECT_EQ(t.results, r.value().size());
-  EXPECT_FALSE(t.ToString().empty());
-  // The slow counter moved with it.
-  const std::string json = engine->DumpMetrics(telemetry::DumpFormat::kJson);
-  EXPECT_NE(json.find("\"query.slow\""), std::string::npos);
-  engine->Stop();
-}
-
-TEST(EngineTelemetryTest, DumpMetricsRoundTripsBothFormats) {
-  core::SvrEngineOptions opt;
-  opt.telemetry.enabled = true;
-  auto engine_r = workload::SetupChurnEngine(opt, SmallConfig());
-  ASSERT_TRUE(engine_r.ok()) << engine_r.status().ToString();
-  auto engine = std::move(engine_r).value();
-  ASSERT_TRUE(engine->Search("t1", 10).ok());
-
-  const std::string json = engine->DumpMetrics(telemetry::DumpFormat::kJson);
-  for (const char* key :
-       {"\"histograms\"", "\"query.total_us\"", "\"dml.apply_us\"",
-        "\"dml.publish_us\"", "\"epoch.reclaim_pending\""}) {
-    EXPECT_NE(json.find(key), std::string::npos) << key;
-  }
-  const std::string prom =
-      engine->DumpMetrics(telemetry::DumpFormat::kPrometheus);
-  for (const char* key :
-       {"# TYPE svr_query_total_us summary", "svr_query_total_us_count",
-        "# TYPE svr_epoch_reclaim_pending gauge"}) {
-    EXPECT_NE(prom.find(key), std::string::npos) << key;
-  }
-  engine->Stop();
-}
-
-TEST(EngineTelemetryTest, DisabledTelemetryHasNoSurface) {
-  core::SvrEngineOptions opt;  // telemetry off by default
-  auto engine_r = workload::SetupChurnEngine(opt, SmallConfig());
-  ASSERT_TRUE(engine_r.ok()) << engine_r.status().ToString();
-  auto engine = std::move(engine_r).value();
-  EXPECT_EQ(engine->metrics_registry(), nullptr);
-  EXPECT_EQ(engine->slow_query_log(), nullptr);
-  EXPECT_TRUE(engine->DumpMetrics(telemetry::DumpFormat::kJson).empty());
-  // A trace passed anyway is still filled (caller opted in explicitly).
-  telemetry::QueryTrace trace;
-  auto r = engine->Search("t1 t2", 10, true, &trace);
-  ASSERT_TRUE(r.ok());
-  EXPECT_EQ(trace.keywords, "t1 t2");
-  EXPECT_EQ(trace.results, r.value().size());
-  engine->Stop();
-}
-
-TEST(ShardedTelemetryTest, TraceCarriesOneSpanPerShard) {
-  core::ShardedSvrEngineOptions opt;
-  opt.num_shards = 3;
-  opt.shard.telemetry.enabled = true;
-  opt.shard.telemetry.slow_query_threshold_us = 0;
-  auto engine_r = workload::SetupShardedChurnEngine(opt, SmallConfig());
-  ASSERT_TRUE(engine_r.ok()) << engine_r.status().ToString();
-  auto engine = std::move(engine_r).value();
-
-  auto plain = engine->Search("t1 t2", 10);
-  telemetry::QueryTrace trace;
-  auto traced = engine->Search("t1 t2", 10, true, &trace);
-  ASSERT_TRUE(plain.ok()) << plain.status().ToString();
-  ASSERT_TRUE(traced.ok()) << traced.status().ToString();
-  ASSERT_EQ(plain.value().size(), traced.value().size());
-  for (size_t i = 0; i < plain.value().size(); ++i) {
-    EXPECT_EQ(plain.value()[i].pk, traced.value()[i].pk);
-  }
-  ASSERT_EQ(trace.shards.size(), 3u);
-  uint64_t span_hits = 0;
-  for (size_t s = 0; s < trace.shards.size(); ++s) {
-    EXPECT_EQ(trace.shards[s].shard, s);
-    span_hits += trace.shards[s].hits;
-  }
-  EXPECT_GE(span_hits, trace.results)
-      << "shards offer at least what the gather kept";
-
-  // The end-to-end query crossed the zero threshold.
+  // The end-to-end queries crossed the zero threshold.
   ASSERT_NE(engine->slow_query_log(), nullptr);
-  EXPECT_GE(engine->slow_query_log()->total_recorded(), 1u);
+  EXPECT_EQ(engine->slow_query_log()->total_recorded(), 6u);
   // One registry serves shards and the sharded layer.
   const std::string json = engine->DumpMetrics(telemetry::DumpFormat::kJson);
   EXPECT_NE(json.find("\"sharded.query_total_us\""), std::string::npos);
@@ -380,6 +372,32 @@ TEST(ShardedTelemetryTest, TraceCarriesOneSpanPerShard) {
   EXPECT_NE(json.find("\"query.total_us\""), std::string::npos)
       << "per-shard instruments share the registry";
   engine->Stop();
+}
+
+INSTANTIATE_TEST_SUITE_P(ShardCounts, ShardedTraceTest,
+                         ::testing::Values(1u, 3u));
+
+// The periodic dump belongs to the engine that started it: the sink
+// fires while the engine runs and never again once Stop() returns.
+TEST(ShardedTelemetryTest, PeriodicDumpStopsWithEngine) {
+  std::atomic<int> dumps{0};
+  core::ShardedSvrEngineOptions opt;
+  opt.shard.telemetry.enabled = true;
+  opt.shard.telemetry.dump_interval_ms = 5;
+  opt.shard.telemetry.dump_sink = [&dumps](const std::string& s) {
+    EXPECT_NE(s.find("\"epoch.reclaim_pending\""), std::string::npos);
+    dumps.fetch_add(1);
+  };
+  auto engine = OpenEngine(opt);
+  ASSERT_NE(engine, nullptr);
+  while (dumps.load() < 2) {
+    ASSERT_TRUE(engine->Search("t1 t2", 10).ok());
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  engine->Stop();
+  const int after_stop = dumps.load();
+  std::this_thread::sleep_for(std::chrono::milliseconds(30));
+  EXPECT_EQ(dumps.load(), after_stop) << "no dumps after Stop()";
 }
 
 // The WAL histograms live at the durability owner: a durable 1-shard
@@ -392,9 +410,8 @@ TEST(ShardedTelemetryTest, DurableEngineRecordsWalWaitAndCheckpoint) {
   opt.shard.telemetry.enabled = true;
   opt.durability.enabled = true;
   opt.durability.dir = dir;
-  auto engine_r = workload::SetupShardedChurnEngine(opt, SmallConfig());
-  ASSERT_TRUE(engine_r.ok()) << engine_r.status().ToString();
-  auto engine = std::move(engine_r).value();
+  auto engine = OpenEngine(opt);
+  ASSERT_NE(engine, nullptr);
   ASSERT_TRUE(engine
                   ->Update("scores", {relational::Value::Int(0),
                                       relational::Value::Double(42.0)})
@@ -413,9 +430,8 @@ TEST(ShardedTelemetryTest, DurableEngineRecordsWalWaitAndCheckpoint) {
 TEST(ShardedTelemetryTest, StatsTotalsSumEveryField) {
   core::ShardedSvrEngineOptions opt;
   opt.num_shards = 3;
-  auto engine_r = workload::SetupShardedChurnEngine(opt, SmallConfig());
-  ASSERT_TRUE(engine_r.ok()) << engine_r.status().ToString();
-  auto engine = std::move(engine_r).value();
+  auto engine = OpenEngine(opt);
+  ASSERT_NE(engine, nullptr);
   for (const std::string q : {"t1 t2", "t0", "t3 t4"}) {
     ASSERT_TRUE(engine->Search(q, 10).ok());
   }
