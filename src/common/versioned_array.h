@@ -13,7 +13,8 @@ namespace svr {
 /// fixed-size chunks shared structurally between versions — the
 /// in-memory analogue of the copy-on-write B+-tree (storage/bptree.h)
 /// for reader-visible state that is not paged: per-term BlobRef
-/// directories, short-list side counters, corpus documents.
+/// directories, short-list side counters, corpus documents, and the
+/// per-document judge columns (the Score table, ListScore/ListChunk).
 ///
 /// Protocol: one writer mutates via Set(); Seal() freezes the current
 /// contents and returns a Snapshot that any number of threads may read
@@ -94,6 +95,7 @@ class VersionedArray {
     if (chunk == nullptr) {
       chunk = std::make_shared<Chunk>();  // value-initialized contents
       writable_[c] = true;
+      ++chunks_;
     } else if (!writable_[c]) {
       chunk = std::make_shared<Chunk>(*chunk);  // copy-on-first-write
       writable_[c] = true;
@@ -101,6 +103,16 @@ class VersionedArray {
     (*chunk)[i % kChunkSize] = std::move(value);
     if (i + 1 > size_) size_ = i + 1;
   }
+
+  /// A read view of the working version that does *not* freeze it, so
+  /// the writer's next Set() pays no spine clone. Not a snapshot in the
+  /// isolation sense: it shares the writer's mutable chunks and sees
+  /// their later in-place writes. Writer-side (exclusive access) only.
+  Snapshot LiveSnapshot() const { return Snapshot(spine_, size_); }
+
+  /// Bytes of the chunks this version references (allocated on first
+  /// write; a chunk shared with older snapshots is counted once here).
+  size_t AllocatedBytes() const { return chunks_ * sizeof(Chunk); }
 
   /// Freezes the working version. Const because sealing changes no
   /// observable contents — only the internal sharing bookkeeping — and
@@ -122,6 +134,7 @@ class VersionedArray {
   /// cloned before any structural change.
   mutable bool frozen_ = false;
   size_t size_ = 0;
+  size_t chunks_ = 0;  // non-null spine entries
 };
 
 }  // namespace svr

@@ -37,14 +37,10 @@ Status BruteForceOracle::TopKAt(const text::Corpus::Snapshot& corpus,
         query.conjunctive ? (matches == query.terms.size()) : (matches > 0);
     if (!qualifies) continue;
 
-    double svr;
-    bool deleted;
-    Status st = scores.GetWithDeleted(d, &svr, &deleted);
-    if (st.IsNotFound()) continue;  // never scored
-    SVR_RETURN_NOT_OK(st);
-    if (deleted) continue;
+    const relational::ScoreTable::Slot slot = scores.At(d);
+    if (!slot.live()) continue;  // never scored, or deleted
 
-    double total = svr;
+    double total = slot.score;
     if (with_term_scores) total += ts_options.term_weight * ts_sum;
     heap.Offer(d, total);
   }

@@ -45,11 +45,7 @@ SvrEngine::~SvrEngine() { Stop(); }
 Result<std::unique_ptr<SvrEngine>> SvrEngine::Open(
     const SvrEngineOptions& options) {
   auto engine = std::unique_ptr<SvrEngine>(new SvrEngine(options));
-  SVR_ASSIGN_OR_RETURN(
-      auto score_table,
-      relational::ScoreTable::Create(engine->table_pool_.get(),
-                                     engine->table_page_retirer_));
-  engine->score_table_ = std::move(score_table);
+  engine->score_table_ = relational::ScoreTable::Create();
   {
     // Publish the initial (empty) version so ReadViews are never null.
     MutexLock lock(engine->writer_mu_);

@@ -137,10 +137,7 @@ Status ChunkIndexBase::Build() {
       auto sl, ShortList::Create(ctx_.table_pool, ShortList::KeyKind::kChunk,
                                  ctx_.table_page_retirer));
   short_list_ = std::move(sl);
-  SVR_ASSIGN_OR_RETURN(
-      auto ls, ListStateTable::Create(ctx_.table_pool,
-                                      ctx_.table_page_retirer));
-  list_state_ = std::move(ls);
+  list_state_ = ListChunkTable::Create();
   SVR_RETURN_NOT_OK(BuildLongLists());
   return BuildExtras();
 }
@@ -153,14 +150,10 @@ Status ChunkIndexBase::BuildLongLists() {
   std::vector<double> scores(corpus.num_docs(), 0.0);
   std::vector<bool> alive(corpus.num_docs(), true);
   for (DocId d = 0; d < corpus.num_docs(); ++d) {
-    bool deleted = false;
-    Status st = ctx_.score_table->GetWithDeleted(d, &scores[d], &deleted);
-    if (st.IsNotFound()) {
-      scores[d] = 0.0;
-    } else {
-      SVR_RETURN_NOT_OK(st);
-      if (deleted) alive[d] = false;
-    }
+    // Never-scored docs read 0.0 and stay indexed there.
+    const relational::ScoreTable::Slot slot = ctx_.score_table->At(d);
+    scores[d] = slot.score;
+    alive[d] = !slot.deleted();
   }
   SVR_ASSIGN_OR_RETURN(Chunker chunker,
                        Chunker::Build(scores, options_.chunking));
@@ -233,59 +226,39 @@ IndexSnapshot ChunkIndexBase::SealSnapshot() {
   return s;
 }
 
-Status ChunkIndexBase::ListChunkOf(DocId doc, ChunkId* cid,
-                                   bool* in_short) const {
+ChunkId ChunkIndexBase::ListChunkOf(DocId doc, bool* in_short) const {
   return ListChunkOfAt(list_state_->LiveSnapshot(),
-                       ctx_.score_table->LiveView(), doc, cid, in_short);
+                       ctx_.score_table->LiveView(), doc, in_short);
 }
 
-Status ChunkIndexBase::ListChunkOfAt(
-    const storage::TreeSnapshot& list_state,
-    const relational::ScoreTable::View& scores, DocId doc, ChunkId* cid,
+ChunkId ChunkIndexBase::ListChunkOfAt(
+    const ListChunkTable::Snapshot& list_state,
+    const relational::ScoreTable::View& scores, DocId doc,
     bool* in_short) const {
-  ListStateTable::Entry e;
-  Status st = list_state_->GetAt(list_state, doc, &e);
-  if (st.ok()) {
-    *cid = static_cast<ChunkId>(e.list_value);
+  ListChunkTable::Entry e;
+  if (ListChunkTable::GetAt(list_state, doc, &e)) {
     *in_short = e.in_short_list;
-    return Status::OK();
+    return e.list_value;
   }
-  if (!st.IsNotFound()) return st;
-  // Never-scored documents rank at 0.0, exactly as BuildLongLists placed
-  // them — NotFound must not fail a content update on such a doc.
-  double score = 0.0;
-  st = scores.Get(doc, &score);
-  if (!st.ok() && !st.IsNotFound()) return st;
-  if (st.IsNotFound()) score = 0.0;
-  *cid = chunker_->ChunkOf(score);
+  // Never-scored documents read 0.0, exactly where BuildLongLists placed
+  // them.
   *in_short = false;
-  return Status::OK();
+  return chunker_->ChunkOf(scores.At(doc).score);
 }
 
 Status ChunkIndexBase::OnScoreUpdate(DocId doc, double new_score) {
   BumpStat(&IndexStats::score_updates);
   // Algorithm 1 with chunks: newS -> newChunk, oldS -> oldChunk. A doc
-  // that was never scored sits at 0.0 (matching BuildLongLists).
-  double old_score = 0.0;
-  Status get = ctx_.score_table->Get(doc, &old_score);
-  if (!get.ok() && !get.IsNotFound()) return get;
+  // that was never scored reads 0.0 (matching BuildLongLists).
+  const double old_score = ctx_.score_table->At(doc).score;
   SVR_RETURN_NOT_OK(ctx_.score_table->Set(doc, new_score));
 
-  ChunkId l_chunk;
-  bool in_short;
-  ListStateTable::Entry e;
-  Status st = list_state_->Get(doc, &e);
-  if (st.ok()) {
-    l_chunk = static_cast<ChunkId>(e.list_value);
-    in_short = e.in_short_list;
-  } else if (st.IsNotFound()) {
-    l_chunk = chunker_->ChunkOf(old_score);
-    in_short = false;
-    SVR_RETURN_NOT_OK(list_state_->Put(
-        doc, {static_cast<double>(l_chunk), false}));
-  } else {
-    return st;
+  ListChunkTable::Entry e;
+  if (!list_state_->Get(doc, &e)) {
+    e = {chunker_->ChunkOf(old_score), false};
+    list_state_->Put(doc, e);
   }
+  const ChunkId l_chunk = e.list_value;
 
   const ChunkId new_chunk = chunker_->ChunkOf(new_score);
   // thresholdValueOf(c) = c + 1: move only on a climb of >= 2 chunks,
@@ -301,9 +274,7 @@ Status ChunkIndexBase::OnScoreUpdate(DocId doc, double new_score) {
                                          PostingOp::kAdd, TsOf(doc, t)));
       BumpStat(&IndexStats::short_list_writes);
     }
-    (void)in_short;
-    SVR_RETURN_NOT_OK(
-        list_state_->Put(doc, {static_cast<double>(new_chunk), true}));
+    list_state_->Put(doc, {new_chunk, true});
     sweep_.NoteMove(doc);
   }
   return Status::OK();
@@ -312,8 +283,7 @@ Status ChunkIndexBase::OnScoreUpdate(DocId doc, double new_score) {
 Status ChunkIndexBase::InsertDocument(DocId doc, double score) {
   SVR_RETURN_NOT_OK(ctx_.score_table->Set(doc, score));
   const ChunkId cid = chunker_->ChunkOf(score);
-  SVR_RETURN_NOT_OK(
-      list_state_->Put(doc, {static_cast<double>(cid), true}));
+  list_state_->Put(doc, {cid, true});
   sweep_.NoteMove(doc);
   for (TermId t : ctx_.corpus->doc(doc).terms()) {
     SVR_RETURN_NOT_OK(
@@ -330,9 +300,8 @@ Status ChunkIndexBase::DeleteDocument(DocId doc) {
 
 Status ChunkIndexBase::UpdateContent(DocId doc,
                                      const text::Document& old_doc) {
-  ChunkId l_chunk;
   bool in_short;
-  SVR_RETURN_NOT_OK(ListChunkOf(doc, &l_chunk, &in_short));
+  const ChunkId l_chunk = ListChunkOf(doc, &in_short);
   const text::Document& new_doc = ctx_.corpus->doc(doc);
   for (TermId t : new_doc.terms()) {
     if (!old_doc.Contains(t)) {
@@ -365,7 +334,7 @@ Status ChunkIndexBase::RebuildIndex() {
     longs_.Set(t, storage::BlobRef());
   }
   SVR_RETURN_NOT_OK(short_list_->Clear());
-  SVR_RETURN_NOT_OK(list_state_->Clear());
+  list_state_->Clear();
   has_deletions_ = false;
   sweep_.Clear();
   SVR_RETURN_NOT_OK(BuildLongLists());
@@ -427,22 +396,12 @@ Result<std::unique_ptr<TermMergePlan>> ChunkIndexBase::PrepareMergeTermAt(
       if (stream.from_short()) {
         plan->from_short_docs.push_back(doc);
       } else {
-        ListStateTable::Entry e;
-        Status st = list_state_->GetAt(snap.list_state, doc, &e);
-        if (st.ok()) {
-          live = !e.in_short_list ||
-                 static_cast<ChunkId>(e.list_value) == cid;
-        } else if (!st.IsNotFound()) {
-          return st;
+        ListChunkTable::Entry e;
+        if (ListChunkTable::GetAt(snap.list_state, doc, &e)) {
+          live = !e.in_short_list || e.list_value == cid;
         }
       }
-      if (live) {
-        double score;
-        bool deleted = false;
-        Status st = scores.GetWithDeleted(doc, &score, &deleted);
-        if (!st.ok() && !st.IsNotFound()) return st;
-        if (st.ok() && deleted) live = false;
-      }
+      if (scores.At(doc).deleted()) live = false;
       if (live) {
         if (plan->groups.empty() || plan->groups.back().cid != cid) {
           plan->groups.push_back(ChunkGroup{cid, {}});
@@ -518,28 +477,22 @@ Status ChunkIndexBase::InstallMergeTerm(TermMergePlan* plan,
   // where the long postings live).
   for (DocId doc : p->from_short_docs) {
     if (short_list_->DocPostingCount(doc) != 0) continue;
-    ListStateTable::Entry e;
-    Status st = list_state_->Get(doc, &e);
-    if (st.IsNotFound()) continue;
-    SVR_RETURN_NOT_OK(st);
-    double score = 0.0;
-    st = ctx_.score_table->Get(doc, &score);
-    if (!st.ok() && !st.IsNotFound()) return st;
+    ListChunkTable::Entry e;
+    if (!list_state_->Get(doc, &e)) continue;
     const bool reproduces =
-        chunker_->ChunkOf(score) == static_cast<ChunkId>(e.list_value);
+        chunker_->ChunkOf(ctx_.score_table->At(doc).score) == e.list_value;
     if (!e.in_short_list) {
       if (reproduces) {
-        SVR_RETURN_NOT_OK(list_state_->Remove(doc));
+        list_state_->Remove(doc);
         BumpStat(&IndexStats::list_state_retired);
       }
       continue;
     }
     if (!sweep_.FullyMerged(*ctx_.corpus, doc)) continue;
     if (reproduces) {
-      SVR_RETURN_NOT_OK(list_state_->Remove(doc));
+      list_state_->Remove(doc);
     } else {
-      SVR_RETURN_NOT_OK(
-          list_state_->Put(doc, {e.list_value, false}));
+      list_state_->Put(doc, {e.list_value, false});
     }
     sweep_.Forget(doc);
     BumpStat(&IndexStats::list_state_retired);
@@ -612,38 +565,30 @@ Status ChunkIndexBase::MakeStreams(const IndexSnapshot& snap,
   return Status::OK();
 }
 
-Status ChunkIndexBase::JudgeCandidate(
+bool ChunkIndexBase::JudgeCandidate(
     const IndexSnapshot& snap, const relational::ScoreTable::View& scores,
-    DocId doc, ChunkId cid, bool from_short, bool* live,
-    double* current_score, bool* deleted, QueryStats* qs) {
-  *live = true;
-  *deleted = false;
-  if (!from_short) {
-    ListStateTable::Entry e;
-    Status st = list_state_->GetAt(snap.list_state, doc, &e);
-    if (st.ok() && e.in_short_list &&
-        static_cast<ChunkId>(e.list_value) != cid) {
-      // Stale long posting left at the chunk the doc moved away from;
-      // the short list (or the incrementally merged long posting at the
-      // doc's current list chunk) governs.
-      *live = false;
-      return Status::OK();
-    }
-    if (!st.ok() && !st.IsNotFound()) return st;
+    DocId doc, ChunkId cid, bool from_short, double* current_score,
+    QueryStats* qs) {
+  ListChunkTable::Entry e;
+  if (!from_short && ListChunkTable::GetAt(snap.list_state, doc, &e) &&
+      e.in_short_list && e.list_value != cid) {
+    // Stale long posting left at the chunk the doc moved away from; the
+    // short list (or the incrementally merged long posting at the doc's
+    // current list chunk) governs.
+    return false;
   }
   // The Chunk family never stores scores in postings, so every live
-  // candidate costs one Score-table probe (cheap: the table is small and
-  // cached, §5.3.1).
-  Status st = scores.GetWithDeleted(doc, current_score, deleted);
+  // candidate costs one Score-table probe. §5.3.1 calls it cheap because
+  // the table is small and cached, which covers only its I/O; as a
+  // B+-tree probe it cost a descent through the table pool with a key
+  // and a value string per call. In the sealed column it is one array
+  // load, with no page, lock or allocation.
+  const relational::ScoreTable::Slot slot = scores.At(doc);
   ++qs->score_lookups;
-  if (st.IsNotFound()) {
-    // Never-scored doc: not a result candidate (the oracle skips these
-    // too), but no longer a query-killing error.
-    *live = false;
-    *current_score = 0.0;
-    return Status::OK();
-  }
-  return st;
+  *current_score = slot.score;
+  // Never-scored (absent) and deleted docs are not result candidates;
+  // the oracle skips them too.
+  return slot.live();
 }
 
 }  // namespace svr::index

@@ -106,7 +106,7 @@ class ChunkIndexBase : public TextIndex {
   /// The doc's current list chunk (ListChunk entry, or the chunk of its
   /// long-list postings). Public for invariant checking: the chunk
   /// analogue of Lemma 1.2 is ChunkOf(score(d)) <= ListChunkOf(d) + 1.
-  Status ListChunkOf(DocId doc, ChunkId* cid, bool* in_short) const;
+  ChunkId ListChunkOf(DocId doc, bool* in_short) const;
 
   /// Live ListChunk entries (diagnostics: the fully-merged sweep must
   /// keep this from growing under long uptimes).
@@ -132,9 +132,9 @@ class ChunkIndexBase : public TextIndex {
   float TsOf(DocId doc, TermId term) const;
 
   /// ListChunkOf against snapshot views (lock-free query path).
-  Status ListChunkOfAt(const storage::TreeSnapshot& list_state,
-                       const relational::ScoreTable::View& scores,
-                       DocId doc, ChunkId* cid, bool* in_short) const;
+  ChunkId ListChunkOfAt(const ListChunkTable::Snapshot& list_state,
+                        const relational::ScoreTable::View& scores,
+                        DocId doc, bool* in_short) const;
 
   /// One merged stream per query term over `snap`, charging scan and
   /// cursor work to `qs` (the calling query's local counters). `scratch`
@@ -145,19 +145,19 @@ class ChunkIndexBase : public TextIndex {
                      std::vector<MergedChunkStream>* streams,
                      QueryStats* qs);
 
-  /// Classifies a candidate seen at a list position: stale long postings
-  /// of short-moved documents are skipped; live ones get their current
-  /// score from the Score table (plus the deleted flag). `cid` is the
-  /// chunk the posting was found in — a long posting of a moved document
-  /// is stale exactly when it sits at a chunk other than the document's
-  /// current list chunk (incrementally merged postings sit *at* it and
-  /// are live; see docs/merge_policy.md). Probe work is charged to the
-  /// calling query's counters `qs`. Reads only the given snapshot views.
-  Status JudgeCandidate(const IndexSnapshot& snap,
-                        const relational::ScoreTable::View& scores,
-                        DocId doc, ChunkId cid, bool from_short,
-                        bool* live, double* current_score, bool* deleted,
-                        QueryStats* qs);
+  /// Classifies a candidate seen at a list position: true, with its
+  /// current score from the Score table, when it belongs in the result
+  /// heap. Stale long postings of short-moved documents, deleted and
+  /// never-scored documents are not candidates. `cid` is the chunk the
+  /// posting was found in — a long posting of a moved document is stale
+  /// exactly when it sits at a chunk other than the document's current
+  /// list chunk (incrementally merged postings sit *at* it and are live;
+  /// see docs/merge_policy.md). Probe work is charged to the calling
+  /// query's counters `qs`. Reads only the given snapshot views.
+  static bool JudgeCandidate(const IndexSnapshot& snap,
+                             const relational::ScoreTable::View& scores,
+                             DocId doc, ChunkId cid, bool from_short,
+                             double* current_score, QueryStats* qs);
 
   IndexContext ctx_;
   ChunkIndexOptions options_;
@@ -167,7 +167,7 @@ class ChunkIndexBase : public TextIndex {
   VersionedArray<storage::BlobRef, 128> longs_;
   std::vector<uint64_t> long_counts_;  // postings per long list
   std::unique_ptr<ShortList> short_list_;
-  std::unique_ptr<ListStateTable> list_state_;
+  std::unique_ptr<ListChunkTable> list_state_;
   std::unique_ptr<Chunker> chunker_;
   bool has_deletions_ = false;
 

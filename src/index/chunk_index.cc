@@ -32,16 +32,12 @@ Status ChunkIndex::TopKAt(const IndexSnapshot& snap, const Query& query,
 
   ResultHeap heap(k);
 
-  auto offer = [&](DocId doc, ChunkId cid, bool from_short) -> Status {
-    bool live, deleted;
+  auto offer = [&](DocId doc, ChunkId cid, bool from_short) {
     double curr;
-    SVR_RETURN_NOT_OK(JudgeCandidate(snap, scores, doc, cid, from_short,
-                                     &live, &curr, &deleted, &qs));
-    if (live && !deleted) {
+    if (JudgeCandidate(snap, scores, doc, cid, from_short, &curr, &qs)) {
       ++qs.candidates_considered;
       heap.Offer(doc, curr);
     }
-    return Status::OK();
   };
 
   while (true) {
@@ -102,7 +98,7 @@ Status ChunkIndex::TopKAt(const IndexSnapshot& snap, const Query& query,
           }
           if (!aligned) continue;
 
-          SVR_RETURN_NOT_OK(offer(max_doc, current, from_short));
+          offer(max_doc, current, from_short);
           for (auto& s : streams) {
             SVR_RETURN_NOT_OK(s.Next());
           }
@@ -132,7 +128,7 @@ Status ChunkIndex::TopKAt(const IndexSnapshot& snap, const Query& query,
             SVR_RETURN_NOT_OK(s.Next());
           }
         }
-        SVR_RETURN_NOT_OK(offer(min_doc, current, from_short));
+        offer(min_doc, current, from_short);
       }
     }
 

@@ -54,12 +54,7 @@ Status ChunkTermScoreIndex::BuildExtras() {
   std::vector<std::vector<IdPosting>> per_term(corpus.vocab_size());
   for (DocId d = 0; d < corpus.num_docs(); ++d) {
     BumpStat(&IndexStats::corpus_docs_scanned);
-    double score;
-    bool deleted = false;
-    if (ctx_.score_table->GetWithDeleted(d, &score, &deleted).ok() &&
-        deleted) {
-      continue;
-    }
+    if (ctx_.score_table->At(d).deleted()) continue;
     const text::Document& doc = corpus.doc(d);
     for (TermId t : doc.terms()) {
       per_term[t].push_back(
@@ -169,10 +164,9 @@ Status ChunkTermScoreIndex::TopKAt(const IndexSnapshot& snap,
         // term score governs.
         bool short_governs = false;
         if (still_contains_all && shorts.DocPostingCount(doc) > 0) {
-          ChunkId l_chunk = 0;
           bool in_short = false;
-          SVR_RETURN_NOT_OK(ListChunkOfAt(snap.list_state, scores, doc,
-                                          &l_chunk, &in_short));
+          const ChunkId l_chunk =
+              ListChunkOfAt(snap.list_state, scores, doc, &in_short);
           for (TermId t : query.terms) {
             if (shorts.TermPostingCount(t) > 0 &&
                 shorts.Contains(t, static_cast<double>(l_chunk), doc)) {
@@ -182,15 +176,11 @@ Status ChunkTermScoreIndex::TopKAt(const IndexSnapshot& snap,
           }
         }
         if (still_contains_all && !short_governs) {
-          double svr;
-          bool deleted;
-          Status st = scores.GetWithDeleted(doc, &svr, &deleted);
+          const relational::ScoreTable::Slot slot = scores.At(doc);
           ++qs.score_lookups;
-          if (st.ok() && !deleted) {
+          if (slot.live()) {
             ++qs.candidates_considered;
-            heap.Offer(doc, svr + tw * e.known_ts_sum);
-          } else if (!st.ok() && !st.IsNotFound()) {
-            return st;
+            heap.Offer(doc, slot.score + tw * e.known_ts_sum);
           }
           finalized.insert(doc);
           continue;
@@ -257,12 +247,9 @@ Status ChunkTermScoreIndex::TopKAt(const IndexSnapshot& snap,
           query.conjunctive ? (mask == full_mask) : (mask != 0);
       if (!is_candidate) continue;
 
-      bool live, deleted;
       double svr;
-      SVR_RETURN_NOT_OK(JudgeCandidate(snap, scores, min_doc, current,
-                                       from_short, &live, &svr, &deleted,
-                                       &qs));
-      if (live && !deleted) {
+      if (JudgeCandidate(snap, scores, min_doc, current, from_short, &svr,
+                         &qs)) {
         ++qs.candidates_considered;
         heap.Offer(min_doc, svr + tw * ts_sum);
       }

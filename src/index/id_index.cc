@@ -117,12 +117,8 @@ Status IdIndex::BuildLongLists() {
   std::vector<std::vector<IdPosting>> postings(corpus.vocab_size());
   for (DocId d = 0; d < corpus.num_docs(); ++d) {
     BumpStat(&IndexStats::corpus_docs_scanned);
-    double score;
-    bool deleted = false;
-    if (ctx_.score_table->GetWithDeleted(d, &score, &deleted).ok() &&
-        deleted) {
-      continue;  // rebuilt indexes drop deleted documents
-    }
+    // Rebuilt indexes drop deleted documents.
+    if (ctx_.score_table->At(d).deleted()) continue;
     const text::Document& doc = corpus.doc(d);
     for (size_t i = 0; i < doc.terms().size(); ++i) {
       const TermId t = doc.terms()[i];
@@ -263,11 +259,7 @@ Result<std::unique_ptr<TermMergePlan>> IdIndex::PrepareMergeTermAt(
         shorts.Scan(term), &scanned);
     SVR_RETURN_NOT_OK(stream.Init());
     while (stream.Valid()) {
-      double score;
-      bool deleted = false;
-      Status st = scores.GetWithDeleted(stream.doc(), &score, &deleted);
-      if (!st.ok() && !st.IsNotFound()) return st;
-      if (!(st.ok() && deleted)) {
+      if (!scores.At(stream.doc()).deleted()) {
         merged.push_back({stream.doc(), stream.term_score()});
       }
       SVR_RETURN_NOT_OK(stream.Next());
@@ -405,18 +397,14 @@ Status IdIndex::TopKAt(const IndexSnapshot& snap, const Query& query,
   }
 
   ResultHeap heap(k);
-  auto offer = [&](DocId doc, double ts_sum) -> Status {
-    double svr;
-    bool deleted;
-    Status st = scores.GetWithDeleted(doc, &svr, &deleted);
+  auto offer = [&](DocId doc, double ts_sum) {
+    const relational::ScoreTable::Slot slot = scores.At(doc);
     ++qs.score_lookups;
-    if (st.IsNotFound()) return Status::OK();  // never scored: skip
-    SVR_RETURN_NOT_OK(st);
-    if (deleted) return Status::OK();
+    if (!slot.live()) return;  // never scored or deleted: skip
     ++qs.candidates_considered;
-    heap.Offer(doc, svr + (with_ts_ ? ts_options_.term_weight * ts_sum
-                                    : 0.0));
-    return Status::OK();
+    heap.Offer(doc, slot.score + (with_ts_
+                                      ? ts_options_.term_weight * ts_sum
+                                      : 0.0));
   };
 
   if (query.conjunctive) {
@@ -442,7 +430,7 @@ Status IdIndex::TopKAt(const IndexSnapshot& snap, const Query& query,
 
       double ts_sum = 0.0;
       for (auto& s : streams) ts_sum += s.term_score();
-      SVR_RETURN_NOT_OK(offer(max_doc, ts_sum));
+      offer(max_doc, ts_sum);
       for (auto& s : streams) {
         SVR_RETURN_NOT_OK(s.Next());
       }
@@ -463,7 +451,7 @@ Status IdIndex::TopKAt(const IndexSnapshot& snap, const Query& query,
           SVR_RETURN_NOT_OK(s.Next());
         }
       }
-      SVR_RETURN_NOT_OK(offer(min_doc, ts_sum));
+      offer(min_doc, ts_sum);
     }
   }
 

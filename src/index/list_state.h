@@ -1,69 +1,109 @@
 #ifndef SVR_INDEX_LIST_STATE_H_
 #define SVR_INDEX_LIST_STATE_H_
 
+#include <cstdint>
 #include <memory>
 
-#include "common/result.h"
-#include "common/status.h"
 #include "common/types.h"
-#include "storage/bptree.h"
+#include "common/versioned_array.h"
 
 namespace svr::index {
 
 /// \brief The paper's ListScore / ListChunk side table (Figures 4 and 5):
-/// one entry per document whose score has ever been updated, holding the
-/// document's current *list* position (its short- or long-list score for
-/// Score-Threshold, or chunk id for Chunk) and whether its postings have
-/// been moved into the short lists.
+/// an entry for each document whose score has been updated, holding the
+/// document's current *list* position — its short- or long-list score
+/// for Score-Threshold (V = double), its chunk id for the Chunk family
+/// (V = ChunkId) — and whether its postings have been moved into the
+/// short lists.
 ///
-/// Stored as a B+-tree keyed by DocId; values are 9 bytes. Score-keyed
-/// methods store the score directly; chunk-keyed methods store the cid
-/// (losslessly representable in a double). Created with a PageRetirer
-/// the tree is copy-on-write: sealed versions serve lock-free snapshot
-/// queries (docs/concurrency.md).
+/// Doc ids are dense, so the table is one VersionedArray column: slot
+/// `d` holds the list value and a state of absent, recorded or in_short.
+/// A ListChunk slot is 8 bytes. The paper's per-candidate probe is one
+/// array load and costs no table-pool page. Seal() publishes a version
+/// that snapshot queries read with no lock; old chunks are freed by
+/// refcount with the last snapshot holding them (docs/concurrency.md).
+template <typename V>
 class ListStateTable {
  public:
   struct Entry {
-    double list_value = 0.0;  // list score, or chunk id as a double
+    V list_value{};  // list score, or chunk id
     bool in_short_list = false;
   };
+  struct Slot {
+    enum class State : uint8_t { kAbsent = 0, kRecorded, kInShort };
+    V list_value{};
+    State state = State::kAbsent;
+  };
+  using Column = VersionedArray<Slot>;
+  using Snapshot = typename Column::Snapshot;
 
-  static Result<std::unique_ptr<ListStateTable>> Create(
-      storage::BufferPool* pool, storage::PageRetirer retire = nullptr);
+  static std::unique_ptr<ListStateTable> Create() {
+    return std::unique_ptr<ListStateTable>(new ListStateTable());
+  }
 
   /// Inserts or replaces the entry of `doc`.
-  Status Put(DocId doc, const Entry& entry);
+  void Put(DocId doc, const Entry& entry) {
+    if (column_.Get(doc).state == Slot::State::kAbsent) ++size_;
+    column_.Set(doc, Slot{entry.list_value, entry.in_short_list
+                                                ? Slot::State::kInShort
+                                                : Slot::State::kRecorded});
+  }
 
-  /// NotFound if the doc's score was never updated.
-  Status Get(DocId doc, Entry* entry) const;
+  /// False if the doc has no entry (its score was never updated, or the
+  /// entry was retired). Reads the working column; never seals it.
+  bool Get(DocId doc, Entry* entry) const {
+    return ToEntry(column_.Get(doc), entry);
+  }
 
   /// Same probe against a sealed version (lock-free snapshot reads).
-  Status GetAt(const storage::TreeSnapshot& snap, DocId doc,
-               Entry* entry) const;
+  static bool GetAt(const Snapshot& snap, DocId doc, Entry* entry) {
+    return ToEntry(snap.Get(doc), entry);
+  }
 
   /// Drops the entry (offline merges, and the fully-merged sweep that
   /// retires stale in_short entries — docs/merge_policy.md).
-  Status Remove(DocId doc);
-
-  /// Removes every entry (offline merge resets list state).
-  Status Clear();
-
-  /// Freezes the current version; see storage::BPlusTree::Seal.
-  storage::TreeSnapshot Seal() { return tree_->Seal(); }
-  /// Current (unsealed) version — exclusive access only.
-  storage::TreeSnapshot LiveSnapshot() const {
-    return tree_->LiveSnapshot();
+  void Remove(DocId doc) {
+    if (column_.Get(doc).state == Slot::State::kAbsent) return;
+    column_.Set(doc, Slot());
+    --size_;
   }
 
-  uint64_t size() const { return tree_->size(); }
-  uint64_t SizeBytes() const { return tree_->SizeBytes(); }
+  /// Removes every entry (offline rebuild resets list state). Sealed
+  /// versions keep their own chunks.
+  void Clear() {
+    column_ = Column();
+    size_ = 0;
+  }
+
+  /// Freezes the current version; see VersionedArray::Seal.
+  Snapshot Seal() { return column_.Seal(); }
+  /// The working version, unsealed — exclusive access only.
+  Snapshot LiveSnapshot() const { return column_.LiveSnapshot(); }
+
+  /// Live entries.
+  uint64_t size() const { return size_; }
+  uint64_t SizeBytes() const { return column_.AllocatedBytes(); }
 
  private:
-  explicit ListStateTable(std::unique_ptr<storage::BPlusTree> tree)
-      : tree_(std::move(tree)) {}
+  ListStateTable() = default;
 
-  std::unique_ptr<storage::BPlusTree> tree_;
+  static bool ToEntry(const Slot& slot, Entry* entry) {
+    if (slot.state == Slot::State::kAbsent) return false;
+    entry->list_value = slot.list_value;
+    entry->in_short_list = slot.state == Slot::State::kInShort;
+    return true;
+  }
+
+  Column column_;
+  uint64_t size_ = 0;
 };
+
+/// Score-Threshold's ListScore table.
+using ListScoreTable = ListStateTable<double>;
+/// The Chunk family's ListChunk table.
+using ListChunkTable = ListStateTable<ChunkId>;
+static_assert(sizeof(ListChunkTable::Slot) <= 8,
+              "a ListChunk slot must stay within 8 bytes");
 
 }  // namespace svr::index
 

@@ -82,17 +82,11 @@ Status ScoreIndex::Build() {
   tree_ = std::move(tree).value();
   const text::Corpus& corpus = *ctx_.corpus;
   for (DocId d = 0; d < corpus.num_docs(); ++d) {
-    double score = 0.0;
-    bool deleted = false;
-    Status st = ctx_.score_table->GetWithDeleted(d, &score, &deleted);
-    if (st.IsNotFound()) {
-      score = 0.0;
-    } else {
-      SVR_RETURN_NOT_OK(st);
-      if (deleted) continue;
-    }
+    // Never-scored docs read 0.0 and are indexed there.
+    const relational::ScoreTable::Slot slot = ctx_.score_table->At(d);
+    if (slot.deleted()) continue;
     for (TermId t : corpus.doc(d).terms()) {
-      SVR_RETURN_NOT_OK(tree_->Put(PostingKey(t, score, d), Slice()));
+      SVR_RETURN_NOT_OK(tree_->Put(PostingKey(t, slot.score, d), Slice()));
     }
   }
   return Status::OK();
@@ -100,10 +94,8 @@ Status ScoreIndex::Build() {
 
 Status ScoreIndex::OnScoreUpdate(DocId doc, double new_score) {
   BumpStat(&IndexStats::score_updates);
-  // Never-scored docs were built at 0.0; NotFound must not fail here.
-  double old_score = 0.0;
-  Status get = ctx_.score_table->Get(doc, &old_score);
-  if (!get.ok() && !get.IsNotFound()) return get;
+  // Never-scored docs were built at 0.0, where their slot reads.
+  const double old_score = ctx_.score_table->At(doc).score;
   SVR_RETURN_NOT_OK(ctx_.score_table->Set(doc, new_score));
   if (old_score == new_score) return Status::OK();
   // Relocate the posting in every distinct term's list: this is the
@@ -125,9 +117,7 @@ Status ScoreIndex::InsertDocument(DocId doc, double score) {
 }
 
 Status ScoreIndex::DeleteDocument(DocId doc) {
-  double score = 0.0;
-  Status get = ctx_.score_table->Get(doc, &score);
-  if (!get.ok() && !get.IsNotFound()) return get;
+  const double score = ctx_.score_table->At(doc).score;
   for (TermId t : ctx_.corpus->doc(doc).terms()) {
     SVR_RETURN_NOT_OK(tree_->Delete(PostingKey(t, score, doc)));
   }
@@ -137,9 +127,7 @@ Status ScoreIndex::DeleteDocument(DocId doc) {
 
 Status ScoreIndex::UpdateContent(DocId doc, const text::Document& old_doc) {
   // Postings of never-scored docs are keyed at 0.0 (as Build wrote them).
-  double score = 0.0;
-  Status get = ctx_.score_table->Get(doc, &score);
-  if (!get.ok() && !get.IsNotFound()) return get;
+  const double score = ctx_.score_table->At(doc).score;
   const text::Document& new_doc = ctx_.corpus->doc(doc);
   for (TermId t : new_doc.terms()) {
     if (!old_doc.Contains(t)) {
@@ -191,21 +179,16 @@ Status ScoreIndex::TopKAt(const IndexSnapshot& snap, const Query& query,
   }
 
   ResultHeap heap(k);
-  auto offer = [&](DocId doc, double score) -> Status {
+  auto offer = [&](DocId doc, double score) {
     // Probe only when deletions exist — or at score 0.0, the one place
     // a never-scored doc (indexed at 0.0, no Score-table entry; the
     // oracle skips it) can sit.
     if (has_deletions || score == 0.0) {
-      double s;
-      bool deleted = false;
-      Status st = scores.GetWithDeleted(doc, &s, &deleted);
-      if (!st.ok() && !st.IsNotFound()) return st;
       ++qs.score_lookups;
-      if (st.IsNotFound() || deleted) return Status::OK();
+      if (!scores.At(doc).live()) return;
     }
     ++qs.candidates_considered;
     heap.Offer(doc, score);
-    return Status::OK();
   };
 
   // Postings are in exact (score desc, doc asc) order in every cursor, so
@@ -244,7 +227,7 @@ Status ScoreIndex::TopKAt(const IndexSnapshot& snap, const Query& query,
       }
       if (!aligned) continue;
 
-      SVR_RETURN_NOT_OK(offer(target_doc, target_score));
+      offer(target_doc, target_score);
       for (auto& c : cursors) c.Next();
     }
   } else {
@@ -263,7 +246,7 @@ Status ScoreIndex::TopKAt(const IndexSnapshot& snap, const Query& query,
       for (auto& c : cursors) {
         if (c.Valid() && c.score() == score && c.doc() == doc) c.Next();
       }
-      SVR_RETURN_NOT_OK(offer(doc, score));
+      offer(doc, score);
     }
   }
 

@@ -129,10 +129,7 @@ Status ScoreThresholdIndex::Build() {
       auto sl, ShortList::Create(ctx_.table_pool, ShortList::KeyKind::kScore,
                                  ctx_.table_page_retirer));
   short_list_ = std::move(sl);
-  SVR_ASSIGN_OR_RETURN(
-      auto ls, ListStateTable::Create(ctx_.table_pool,
-                                      ctx_.table_page_retirer));
-  list_state_ = std::move(ls);
+  list_state_ = ListScoreTable::Create();
   return BuildLongLists();
 }
 
@@ -141,17 +138,11 @@ Status ScoreThresholdIndex::BuildLongLists() {
   std::vector<std::vector<ScorePosting>> postings(corpus.vocab_size());
   for (DocId d = 0; d < corpus.num_docs(); ++d) {
     BumpStat(&IndexStats::corpus_docs_scanned);
-    double score = 0.0;
-    bool deleted = false;
-    Status st = ctx_.score_table->GetWithDeleted(d, &score, &deleted);
-    if (st.IsNotFound()) {
-      score = 0.0;
-    } else {
-      SVR_RETURN_NOT_OK(st);
-      if (deleted) continue;
-    }
+    // Never-scored docs read 0.0 and are indexed there.
+    const relational::ScoreTable::Slot slot = ctx_.score_table->At(d);
+    if (slot.deleted()) continue;
     for (TermId t : corpus.doc(d).terms()) {
-      postings[t].push_back({score, d});
+      postings[t].push_back({slot.score, d});
     }
   }
 
@@ -179,7 +170,7 @@ Status ScoreThresholdIndex::BuildLongLists() {
 IndexSnapshot ScoreThresholdIndex::SealSnapshot() {
   IndexSnapshot s;
   s.short_list = short_list_->Seal();
-  s.list_state = list_state_->Seal();
+  s.list_score = list_state_->Seal();
   s.score = ctx_.score_table->Seal();
   s.longs = longs_.Seal();
   s.corpus = ctx_.corpus->Seal();
@@ -187,58 +178,39 @@ IndexSnapshot ScoreThresholdIndex::SealSnapshot() {
   return s;
 }
 
-Status ScoreThresholdIndex::ListScoreOf(DocId doc, double* list_score,
-                                        bool* in_short) const {
+double ScoreThresholdIndex::ListScoreOf(DocId doc, bool* in_short) const {
   return ListScoreOfAt(list_state_->LiveSnapshot(),
-                       ctx_.score_table->LiveView(), doc, list_score,
-                       in_short);
+                       ctx_.score_table->LiveView(), doc, in_short);
 }
 
-Status ScoreThresholdIndex::ListScoreOfAt(
-    const storage::TreeSnapshot& list_state,
-    const relational::ScoreTable::View& scores, DocId doc,
-    double* list_score, bool* in_short) const {
-  ListStateTable::Entry e;
-  Status st = list_state_->GetAt(list_state, doc, &e);
-  if (st.ok()) {
-    *list_score = e.list_value;
+double ScoreThresholdIndex::ListScoreOfAt(
+    const ListScoreTable::Snapshot& list_state,
+    const relational::ScoreTable::View& scores, DocId doc, bool* in_short) {
+  ListScoreTable::Entry e;
+  if (ListScoreTable::GetAt(list_state, doc, &e)) {
     *in_short = e.in_short_list;
-    return Status::OK();
+    return e.list_value;
   }
-  if (!st.IsNotFound()) return st;
-  // Never-scored documents rank at 0.0, exactly as BuildLongLists placed
-  // them — NotFound must not fail a content update on such a doc.
-  *list_score = 0.0;
-  st = scores.Get(doc, list_score);
-  if (!st.ok() && !st.IsNotFound()) return st;
+  // Never-scored documents read 0.0, exactly where BuildLongLists placed
+  // them.
   *in_short = false;
-  return Status::OK();
+  return scores.At(doc).score;
 }
 
 Status ScoreThresholdIndex::OnScoreUpdate(DocId doc, double new_score) {
   BumpStat(&IndexStats::score_updates);
   // Algorithm 1, lines 7-8. A never-scored doc sits at 0.0 (matching
   // BuildLongLists).
-  double old_score = 0.0;
-  Status get = ctx_.score_table->Get(doc, &old_score);
-  if (!get.ok() && !get.IsNotFound()) return get;
+  const double old_score = ctx_.score_table->At(doc).score;
   SVR_RETURN_NOT_OK(ctx_.score_table->Set(doc, new_score));
 
   // Lines 9-17: establish the document's list score.
-  double l_score;
-  bool in_short;
-  ListStateTable::Entry e;
-  Status st = list_state_->Get(doc, &e);
-  if (st.ok()) {
-    l_score = e.list_value;
-    in_short = e.in_short_list;
-  } else if (st.IsNotFound()) {
-    l_score = old_score;
-    in_short = false;
-    SVR_RETURN_NOT_OK(list_state_->Put(doc, {old_score, false}));
-  } else {
-    return st;
+  ListScoreTable::Entry e;
+  if (!list_state_->Get(doc, &e)) {
+    e = {old_score, false};
+    list_state_->Put(doc, e);
   }
+  const double l_score = e.list_value;
 
   // Lines 18-28: move postings only past the threshold.
   if (new_score > thresholdValueOf(l_score)) {
@@ -252,8 +224,7 @@ Status ScoreThresholdIndex::OnScoreUpdate(DocId doc, double new_score) {
           short_list_->Put(t, new_score, doc, PostingOp::kAdd, 0.0f));
       BumpStat(&IndexStats::short_list_writes);
     }
-    (void)in_short;
-    SVR_RETURN_NOT_OK(list_state_->Put(doc, {new_score, true}));
+    list_state_->Put(doc, {new_score, true});
     sweep_.NoteMove(doc);
   }
   return Status::OK();
@@ -261,7 +232,7 @@ Status ScoreThresholdIndex::OnScoreUpdate(DocId doc, double new_score) {
 
 Status ScoreThresholdIndex::InsertDocument(DocId doc, double score) {
   SVR_RETURN_NOT_OK(ctx_.score_table->Set(doc, score));
-  SVR_RETURN_NOT_OK(list_state_->Put(doc, {score, true}));
+  list_state_->Put(doc, {score, true});
   sweep_.NoteMove(doc);
   for (TermId t : ctx_.corpus->doc(doc).terms()) {
     SVR_RETURN_NOT_OK(
@@ -278,9 +249,8 @@ Status ScoreThresholdIndex::DeleteDocument(DocId doc) {
 
 Status ScoreThresholdIndex::UpdateContent(DocId doc,
                                           const text::Document& old_doc) {
-  double l_score;
   bool in_short;
-  SVR_RETURN_NOT_OK(ListScoreOf(doc, &l_score, &in_short));
+  const double l_score = ListScoreOf(doc, &in_short);
   const text::Document& new_doc = ctx_.corpus->doc(doc);
   for (TermId t : new_doc.terms()) {
     if (!old_doc.Contains(t)) {
@@ -312,7 +282,7 @@ Status ScoreThresholdIndex::RebuildIndex() {
     longs_.Set(t, storage::BlobRef());
   }
   SVR_RETURN_NOT_OK(short_list_->Clear());
-  SVR_RETURN_NOT_OK(list_state_->Clear());
+  list_state_->Clear();
   has_deletions_ = false;
   sweep_.Clear();
   return BuildLongLists();
@@ -373,21 +343,12 @@ ScoreThresholdIndex::PrepareMergeTermAt(const IndexSnapshot& snap,
       if (stream.from_short()) {
         plan->from_short_docs.push_back(doc);
       } else {
-        ListStateTable::Entry e;
-        Status st = list_state_->GetAt(snap.list_state, doc, &e);
-        if (st.ok()) {
+        ListScoreTable::Entry e;
+        if (ListScoreTable::GetAt(snap.list_score, doc, &e)) {
           live = !e.in_short_list || e.list_value == stream.score();
-        } else if (!st.IsNotFound()) {
-          return st;
         }
       }
-      if (live) {
-        double score;
-        bool deleted = false;
-        Status st = scores.GetWithDeleted(doc, &score, &deleted);
-        if (!st.ok() && !st.IsNotFound()) return st;
-        if (st.ok() && deleted) live = false;
-      }
+      if (scores.At(doc).deleted()) live = false;
       if (live) merged.push_back({stream.score(), doc});
       SVR_RETURN_NOT_OK(stream.Next());
     }
@@ -455,26 +416,21 @@ Status ScoreThresholdIndex::InstallMergeTerm(TermMergePlan* plan,
   // downgraded to in_short == false instead of removed.
   for (DocId doc : p->from_short_docs) {
     if (short_list_->DocPostingCount(doc) != 0) continue;
-    ListStateTable::Entry e;
-    Status st = list_state_->Get(doc, &e);
-    if (st.IsNotFound()) continue;
-    SVR_RETURN_NOT_OK(st);
-    double score = 0.0;
-    st = ctx_.score_table->Get(doc, &score);
-    if (!st.ok() && !st.IsNotFound()) return st;
-    const bool reproduces = score == e.list_value;
+    ListScoreTable::Entry e;
+    if (!list_state_->Get(doc, &e)) continue;
+    const bool reproduces = ctx_.score_table->At(doc).score == e.list_value;
     if (!e.in_short_list) {
       if (reproduces) {
-        SVR_RETURN_NOT_OK(list_state_->Remove(doc));
+        list_state_->Remove(doc);
         BumpStat(&IndexStats::list_state_retired);
       }
       continue;
     }
     if (!sweep_.FullyMerged(*ctx_.corpus, doc)) continue;
     if (reproduces) {
-      SVR_RETURN_NOT_OK(list_state_->Remove(doc));
+      list_state_->Remove(doc);
     } else {
-      SVR_RETURN_NOT_OK(list_state_->Put(doc, {e.list_value, false}));
+      list_state_->Put(doc, {e.list_value, false});
     }
     sweep_.Forget(doc);
     BumpStat(&IndexStats::list_state_retired);
@@ -558,59 +514,40 @@ Status ScoreThresholdIndex::TopKAt(const IndexSnapshot& snap,
 
   // Processes one aligned candidate (Algorithm 2 lines 12-21); returns
   // false if the scan may stop.
-  auto process = [&](const ListPos& pos, bool from_short) -> Result<bool> {
+  auto process = [&](const ListPos& pos, bool from_short) {
     // Lines 9-11: the stop test against the candidate's list score.
     if (threshold_set && thresholdValueOf(pos.score) < threshold) {
       return false;
     }
+    // Never-scored (absent) and deleted docs are not result candidates
+    // (the oracle skips them too).
     double curr = 0.0;
-    bool deleted = false;
-    bool skip = false;
-    if (from_short) {
-      Status st = scores.GetWithDeleted(pos.doc, &curr, &deleted);
-      // Never-scored docs are not result candidates (the oracle skips
-      // them too) — but their postings must not kill the query.
-      if (st.IsNotFound()) {
-        skip = true;
-      } else if (!st.ok()) {
-        return st;
-      }
-      ++qs.score_lookups;
-    } else {
-      ListStateTable::Entry e;
-      Status st = list_state_->GetAt(snap.list_state, pos.doc, &e);
-      if (st.ok()) {
-        if (e.in_short_list && e.list_value != pos.score) {
-          // Stale long posting at the score the doc moved away from; the
-          // short list (or the incrementally merged long posting at the
-          // doc's current list score) governs.
-          skip = true;
-        } else {
-          Status st2 = scores.GetWithDeleted(pos.doc, &curr, &deleted);
-          if (!st2.ok() && !st2.IsNotFound()) return st2;
-          ++qs.score_lookups;
-        }
-      } else if (st.IsNotFound()) {
-        // Never updated: the list score is the current score (line 18).
-        // Probes are only needed once deletions exist — or at position
-        // 0.0, the one place a never-scored doc (indexed at 0.0, no
-        // Score-table entry; the oracle skips it) can sit.
-        curr = pos.score;
-        if (has_deletions || pos.score == 0.0) {
-          double s;
-          Status st2 = scores.GetWithDeleted(pos.doc, &s, &deleted);
-          if (st2.IsNotFound()) {
-            skip = true;  // never-scored: not a candidate
-          } else if (!st2.ok()) {
-            return st2;
-          }
-          ++qs.score_lookups;
-        }
+    bool candidate = true;
+    ListScoreTable::Entry e;
+    if (from_short || ListScoreTable::GetAt(snap.list_score, pos.doc, &e)) {
+      if (!from_short && e.in_short_list && e.list_value != pos.score) {
+        // Stale long posting at the score the doc moved away from; the
+        // short list (or the incrementally merged long posting at the
+        // doc's current list score) governs.
+        candidate = false;
       } else {
-        return st;
+        const relational::ScoreTable::Slot slot = scores.At(pos.doc);
+        ++qs.score_lookups;
+        curr = slot.score;
+        candidate = slot.live();
+      }
+    } else {
+      // Never updated: the list score is the current score (line 18).
+      // Probes are only needed once deletions exist — or at position
+      // 0.0, the one place a never-scored doc (indexed at 0.0, no
+      // Score-table entry) can sit.
+      curr = pos.score;
+      if (has_deletions || pos.score == 0.0) {
+        ++qs.score_lookups;
+        candidate = scores.At(pos.doc).live();
       }
     }
-    if (!skip && !deleted) {
+    if (candidate) {
       ++qs.candidates_considered;
       heap.Offer(pos.doc, curr);
     }
@@ -658,8 +595,7 @@ Status ScoreThresholdIndex::TopKAt(const IndexSnapshot& snap,
         continue;
       }
 
-      SVR_ASSIGN_OR_RETURN(bool keep_going, process(target, from_short));
-      if (!keep_going) break;
+      if (!process(target, from_short)) break;
       for (auto& s : streams) {
         SVR_RETURN_NOT_OK(s.Next());
       }
@@ -681,8 +617,7 @@ Status ScoreThresholdIndex::TopKAt(const IndexSnapshot& snap,
           from_short = from_short || s.from_short();
         }
       }
-      SVR_ASSIGN_OR_RETURN(bool keep_going, process(pos, from_short));
-      if (!keep_going) break;
+      if (!process(pos, from_short)) break;
       for (auto& s : streams) {
         if (s.Valid() && PosEqual(s.pos(), pos)) {
           SVR_RETURN_NOT_OK(s.Next());

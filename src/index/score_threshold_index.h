@@ -79,7 +79,7 @@ class ScoreThresholdIndex final : public TextIndex {
   /// The doc's list position: ListScore entry if present, else its
   /// current (== original) score. Public for invariant checking
   /// (Lemma 1.1/1.2 of Appendix B).
-  Status ListScoreOf(DocId doc, double* list_score, bool* in_short) const;
+  double ListScoreOf(DocId doc, bool* in_short) const;
 
   /// Live ListScore entries (diagnostics: the fully-merged sweep must
   /// keep this from growing under long uptimes).
@@ -90,9 +90,9 @@ class ScoreThresholdIndex final : public TextIndex {
   struct MergePlanImpl;
 
   Status BuildLongLists();
-  Status ListScoreOfAt(const storage::TreeSnapshot& list_state,
-                       const relational::ScoreTable::View& scores,
-                       DocId doc, double* list_score, bool* in_short) const;
+  static double ListScoreOfAt(const ListScoreTable::Snapshot& list_state,
+                              const relational::ScoreTable::View& scores,
+                              DocId doc, bool* in_short);
 
   IndexContext ctx_;
   ScoreThresholdOptions options_;
@@ -101,7 +101,7 @@ class ScoreThresholdIndex final : public TextIndex {
   VersionedArray<storage::BlobRef, 128> longs_;
   std::vector<uint64_t> long_counts_;  // postings per long list
   std::unique_ptr<ShortList> short_list_;
-  std::unique_ptr<ListStateTable> list_state_;
+  std::unique_ptr<ListScoreTable> list_state_;
   bool has_deletions_ = false;
 
   /// Fully-merged sweep bookkeeping (docs/merge_policy.md).

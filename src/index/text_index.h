@@ -12,6 +12,7 @@
 #include "common/thread_annotations.h"
 #include "common/types.h"
 #include "common/versioned_array.h"
+#include "index/list_state.h"
 #include "index/short_list.h"
 #include "relational/score_table.h"
 #include "storage/blob_store.h"
@@ -109,16 +110,17 @@ static_assert(sizeof(IndexStats) ==
               "add IndexStats fields via SVR_INDEX_STATS_FIELDS");
 
 /// \brief One sealed, immutable version of everything a query touches:
-/// tree roots (short lists, list-state, Score table, the Score method's
-/// clustered list tree), the per-term blob directories, the corpus, and
-/// the deletion flag. Built by the writer via TextIndex::SealSnapshot()
+/// tree roots (short lists, the Score method's clustered list tree), the
+/// per-document judge columns (Score table, ListScore/ListChunk), the
+/// per-term blob directories, the corpus, and the deletion flag. Built by the writer via TextIndex::SealSnapshot()
 /// at each commit; consumed lock-free by TopKAt / PrepareMergeTermAt at
 /// a pinned ReadView (docs/concurrency.md). One concrete struct serves
 /// all methods — fields a method does not use stay empty.
 struct IndexSnapshot {
   ShortList::Snapshot short_list;
-  storage::TreeSnapshot list_state;
-  storage::TreeSnapshot score;           // the shared Score table
+  ListChunkTable::Snapshot list_state;   // Chunk family's ListChunk
+  ListScoreTable::Snapshot list_score;   // Score-Threshold's ListScore
+  relational::ScoreTable::Column::Snapshot score;  // the shared Score table
   storage::TreeSnapshot score_postings;  // Score method's clustered lists
   VersionedArray<storage::BlobRef, 128>::Snapshot longs;
   VersionedArray<storage::BlobRef, 128>::Snapshot fancy;
@@ -128,9 +130,8 @@ struct IndexSnapshot {
 
 /// Everything an index method needs from the outside world.
 struct IndexContext {
-  /// Pool for B+-tree structures: short lists, ListScore/ListChunk.
-  /// (The Score table's tree lives in a pool chosen by its creator;
-  /// §5.2 keeps these small structures cached.)
+  /// Pool for the short lists' B+-trees (§5.2 keeps them cached).
+  /// ListScore/ListChunk and the Score table are in-memory columns.
   storage::BufferPool* table_pool = nullptr;
   /// Pool for the long-list blobs. Benchmarks evict this one before
   /// queries — the paper's cold-cache protocol.
@@ -147,8 +148,8 @@ struct IndexContext {
   /// Auto-merge triggers for the incremental short→long merge; evaluated
   /// by MaybeAutoMerge() (docs/merge_policy.md). Disabled by default.
   MergePolicy merge_policy;
-  /// Non-null puts the method's B+-trees (short lists, list state, the
-  /// Score method's clustered lists) in copy-on-write mode: pages of
+  /// Non-null puts the method's B+-trees (short lists, the Score
+  /// method's clustered lists) in copy-on-write mode: pages of
   /// sealed versions go to these callbacks instead of being freed, and
   /// the owner defers the free past the last reader epoch. Table-side
   /// trees use `table_page_retirer`; the Score method's list tree (it
@@ -254,8 +255,9 @@ class TextIndex {
   }
 
   /// Freezes the current contents of everything TopKAt reads — trees,
-  /// blob directories, side counters, the shared Score table, the
-  /// corpus's document array — and returns the snapshot. Called by the
+  /// blob directories, side counters, the judge columns (the shared
+  /// Score table, ListScore/ListChunk), the corpus's document array —
+  /// and returns the snapshot. Called by the
   /// engine once per commit (writer-serialized); cheap, O(state touched
   /// since the previous seal).
   virtual IndexSnapshot SealSnapshot() { return IndexSnapshot(); }
@@ -371,7 +373,8 @@ class TextIndex {
 
   /// Size of the long inverted lists (Table 1).
   virtual uint64_t LongListBytes() const = 0;
-  /// Size of the short lists + list-state tables, 0 if the method has none.
+  /// Size of the short lists + the list-state column's allocated chunks,
+  /// 0 if the method has none.
   virtual uint64_t ShortListBytes() const { return 0; }
   /// Number of live short-list postings, 0 if the method has none.
   virtual uint64_t ShortPostingCount() const { return 0; }

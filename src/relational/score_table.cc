@@ -1,64 +1,24 @@
 #include "relational/score_table.h"
 
-#include "common/coding.h"
-#include "common/key_codec.h"
-
 namespace svr::relational {
 
 namespace {
 
-std::string DocKey(DocId doc) {
-  std::string k;
-  PutKeyU32(&k, doc);
-  return k;
-}
-
-std::string ScoreValue(double score, bool deleted) {
-  std::string v;
-  PutFixedDouble(&v, score);
-  v.push_back(deleted ? 1 : 0);
-  return v;
-}
-
-Status ParseScoreValue(const std::string& v, double* score, bool* deleted) {
-  if (v.size() != 9) return Status::Corruption("bad score entry");
-  *score = DecodeFixedDouble(v.data());
-  *deleted = v[8] != 0;
-  return Status::OK();
-}
-
-Status ScanTree(const storage::BPlusTree* tree,
-                const storage::TreeSnapshot& snap,
-                const std::function<bool(DocId, double, bool)>& fn) {
-  auto it = tree->SeekAt(snap, Slice());
-  while (it->Valid()) {
-    Slice k = it->key();
-    DocId doc;
-    if (!GetKeyU32(&k, &doc)) return Status::Corruption("bad score key");
-    std::string v = it->value().ToString();
-    double score = 0.0;
-    bool deleted = false;
-    SVR_RETURN_NOT_OK(ParseScoreValue(v, &score, &deleted));
-    if (!fn(doc, score, deleted)) break;
-    it->Next();
+Status ReadSlot(const ScoreTable::Slot& slot, double* score, bool* deleted) {
+  if (slot.state == ScoreTable::Slot::State::kAbsent) {
+    return Status::NotFound("doc never scored");
   }
-  return it->status();
+  *score = slot.score;
+  *deleted = slot.state == ScoreTable::Slot::State::kDeleted;
+  return Status::OK();
 }
 
 }  // namespace
 
-Result<std::unique_ptr<ScoreTable>> ScoreTable::Create(
-    storage::BufferPool* pool, storage::PageRetirer retire) {
-  auto tree = retire != nullptr
-                  ? storage::BPlusTree::CreateCow(pool, std::move(retire))
-                  : storage::BPlusTree::Create(pool);
-  SVR_RETURN_NOT_OK(tree.status());
-  return std::unique_ptr<ScoreTable>(
-      new ScoreTable(std::move(tree).value()));
-}
-
 Status ScoreTable::Set(DocId doc, double score) {
-  return tree_->Put(DocKey(doc), ScoreValue(score, /*deleted=*/false));
+  if (At(doc).state == Slot::State::kAbsent) ++size_;
+  column_.Set(doc, Slot{score, Slot::State::kLive});
+  return Status::OK();
 }
 
 Status ScoreTable::Get(DocId doc, double* score) const {
@@ -68,23 +28,27 @@ Status ScoreTable::Get(DocId doc, double* score) const {
 
 Status ScoreTable::GetWithDeleted(DocId doc, double* score,
                                   bool* deleted) const {
-  std::string v;
-  SVR_RETURN_NOT_OK(tree_->Get(DocKey(doc), &v));
-  return ParseScoreValue(v, score, deleted);
+  return ReadSlot(At(doc), score, deleted);
 }
 
 Status ScoreTable::MarkDeleted(DocId doc) {
-  double score;
-  bool deleted;
-  SVR_RETURN_NOT_OK(GetWithDeleted(doc, &score, &deleted));
-  return tree_->Put(DocKey(doc), ScoreValue(score, /*deleted=*/true));
+  Slot slot = At(doc);
+  if (slot.state == Slot::State::kAbsent) {
+    return Status::NotFound("doc never scored");
+  }
+  slot.state = Slot::State::kDeleted;
+  column_.Set(doc, slot);
+  return Status::OK();
 }
-
-Status ScoreTable::Remove(DocId doc) { return tree_->Delete(DocKey(doc)); }
 
 Status ScoreTable::Scan(
     const std::function<bool(DocId, double, bool)>& fn) const {
-  return ScanTree(tree_.get(), tree_->LiveSnapshot(), fn);
+  for (DocId d = 0; d < column_.size(); ++d) {
+    const Slot slot = At(d);
+    if (slot.state == Slot::State::kAbsent) continue;
+    if (!fn(d, slot.score, slot.state == Slot::State::kDeleted)) break;
+  }
+  return Status::OK();
 }
 
 Status ScoreTable::View::Get(DocId doc, double* score) const {
@@ -94,14 +58,7 @@ Status ScoreTable::View::Get(DocId doc, double* score) const {
 
 Status ScoreTable::View::GetWithDeleted(DocId doc, double* score,
                                         bool* deleted) const {
-  std::string v;
-  SVR_RETURN_NOT_OK(table_->tree_->GetAt(snap_, DocKey(doc), &v));
-  return ParseScoreValue(v, score, deleted);
-}
-
-Status ScoreTable::View::Scan(
-    const std::function<bool(DocId, double, bool)>& fn) const {
-  return ScanTree(table_->tree_.get(), snap_, fn);
+  return ReadSlot(At(doc), score, deleted);
 }
 
 }  // namespace svr::relational

@@ -1,13 +1,13 @@
 #ifndef SVR_RELATIONAL_SCORE_TABLE_H_
 #define SVR_RELATIONAL_SCORE_TABLE_H_
 
+#include <cstdint>
 #include <functional>
 #include <memory>
 
-#include "common/result.h"
 #include "common/status.h"
 #include "common/types.h"
-#include "storage/bptree.h"
+#include "common/versioned_array.h"
 
 namespace svr::relational {
 
@@ -15,18 +15,30 @@ namespace svr::relational {
 /// map from document id to its *current* SVR score (§4.2.1), plus the
 /// deleted flag from Appendix A.2.
 ///
-/// Physically a B+-tree keyed by doc id, so score lookups by id are one
-/// indexed probe, exactly as the paper requires. All index methods share
-/// one instance. Created with a PageRetirer the tree is copy-on-write:
-/// Seal() publishes a version snapshot that queries probe with no lock
-/// (docs/concurrency.md).
+/// Doc ids are dense (the engines' density rule), so the table is one
+/// column: slot `d` of a VersionedArray holds doc d's score and a state
+/// of absent, live or deleted. The paper's per-candidate "indexed probe"
+/// is one array load and costs no table-pool page. All index methods
+/// share one instance. Seal() publishes a version snapshot that queries
+/// read with no lock; the chunks it shares are freed by refcount with
+/// the last snapshot (docs/concurrency.md).
 class ScoreTable {
  public:
-  /// `retire` non-null makes the tree copy-on-write (MVCC read path).
-  static Result<std::unique_ptr<ScoreTable>> Create(
-      storage::BufferPool* pool, storage::PageRetirer retire = nullptr);
+  struct Slot {
+    enum class State : uint8_t { kAbsent = 0, kLive, kDeleted };
+    double score = 0.0;  // 0.0 while absent: never-scored docs rank there
+    State state = State::kAbsent;
 
-  /// Inserts or updates the score of `doc`.
+    bool live() const { return state == State::kLive; }
+    bool deleted() const { return state == State::kDeleted; }
+  };
+  using Column = VersionedArray<Slot>;
+
+  static std::unique_ptr<ScoreTable> Create() {
+    return std::unique_ptr<ScoreTable>(new ScoreTable());
+  }
+
+  /// Inserts or updates the score of `doc` (reviving a deleted doc).
   Status Set(DocId doc, double score);
 
   /// Current score; NotFound if the doc was never scored.
@@ -39,45 +51,46 @@ class ScoreTable {
   /// queries can filter it out of result heaps.
   Status MarkDeleted(DocId doc);
 
-  /// Physically removes the entry (used when doc ids can be recycled).
-  Status Remove(DocId doc);
+  /// Scan over (doc, score, deleted) in doc order.
+  Status Scan(const std::function<bool(DocId, double, bool)>& fn) const;
 
-  /// In-order scan over (doc, score, deleted).
-  Status Scan(
-      const std::function<bool(DocId, double, bool)>& fn) const;
+  /// Writer-side probe of the working column; never seals it.
+  Slot At(DocId doc) const { return column_.Get(doc); }
 
-  /// Freezes the current version; see storage::BPlusTree::Seal.
-  storage::TreeSnapshot Seal() { return tree_->Seal(); }
+  /// Freezes the current version; see VersionedArray::Seal.
+  Column::Snapshot Seal() { return column_.Seal(); }
 
   /// \brief Read adapter over one sealed version — the Score table a
-  /// pinned ReadView probes. Copyable; the ScoreTable must outlive it.
+  /// pinned ReadView probes. Copyable and self-contained: the snapshot
+  /// keeps its chunks alive.
   class View {
    public:
     View() = default;
-    View(const ScoreTable* table, storage::TreeSnapshot snap)
-        : table_(table), snap_(snap) {}
+    View(const ScoreTable* table, Column::Snapshot snap)
+        : table_(table), snap_(std::move(snap)) {}
 
     bool valid() const { return table_ != nullptr; }
+    /// The doc's slot (State::kAbsent when never scored): one array load.
+    Slot At(DocId doc) const { return snap_.Get(doc); }
     Status Get(DocId doc, double* score) const;
     Status GetWithDeleted(DocId doc, double* score, bool* deleted) const;
-    Status Scan(const std::function<bool(DocId, double, bool)>& fn) const;
 
    private:
     const ScoreTable* table_ = nullptr;
-    storage::TreeSnapshot snap_;
+    Column::Snapshot snap_;
   };
 
-  /// View over the current (unsealed) contents — exclusive access only.
-  View LiveView() const { return View(this, tree_->LiveSnapshot()); }
+  /// View over the working column, unsealed — exclusive access only.
+  View LiveView() const { return View(this, column_.LiveSnapshot()); }
 
-  uint64_t size() const { return tree_->size(); }
-  uint64_t SizeBytes() const { return tree_->SizeBytes(); }
+  /// Scored docs, live or deleted.
+  uint64_t size() const { return size_; }
 
  private:
-  explicit ScoreTable(std::unique_ptr<storage::BPlusTree> tree)
-      : tree_(std::move(tree)) {}
+  ScoreTable() = default;
 
-  std::unique_ptr<storage::BPlusTree> tree_;
+  Column column_;
+  uint64_t size_ = 0;
 };
 
 }  // namespace svr::relational

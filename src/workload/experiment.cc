@@ -27,9 +27,7 @@ Result<std::unique_ptr<Experiment>> Experiment::Setup(
   exp->list_pool_ = std::make_unique<storage::BufferPool>(
       exp->list_store_.get(), config.list_pool_pages);
 
-  SVR_ASSIGN_OR_RETURN(
-      exp->score_table_,
-      relational::ScoreTable::Create(exp->table_pool_.get()));
+  exp->score_table_ = relational::ScoreTable::Create();
 
   exp->corpus_ = text::GenerateCorpus(config.corpus);
   exp->current_scores_ =

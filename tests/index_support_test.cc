@@ -400,21 +400,22 @@ TEST_F(ShortListTest, DeleteAndClear) {
 }
 
 TEST_F(ShortListTest, ListStateRoundTrip) {
-  auto ls = ListStateTable::Create(pool_.get());
-  ASSERT_TRUE(ls.ok());
-  auto& table = *ls.value();
-  ListStateTable::Entry e;
-  EXPECT_TRUE(table.Get(42, &e).IsNotFound());
-  ASSERT_TRUE(table.Put(42, {87.13, false}).ok());
-  ASSERT_TRUE(table.Get(42, &e).ok());
+  auto ls = ListScoreTable::Create();
+  auto& table = *ls;
+  ListScoreTable::Entry e;
+  EXPECT_FALSE(table.Get(42, &e));
+  table.Put(42, {87.13, false});
+  ASSERT_TRUE(table.Get(42, &e));
   EXPECT_EQ(e.list_value, 87.13);
   EXPECT_FALSE(e.in_short_list);
-  ASSERT_TRUE(table.Put(42, {124.2, true}).ok());
-  ASSERT_TRUE(table.Get(42, &e).ok());
+  table.Put(42, {124.2, true});
+  ASSERT_TRUE(table.Get(42, &e));
   EXPECT_EQ(e.list_value, 124.2);
   EXPECT_TRUE(e.in_short_list);
-  ASSERT_TRUE(table.Remove(42).ok());
-  EXPECT_TRUE(table.Get(42, &e).IsNotFound());
+  EXPECT_EQ(table.size(), 1u);
+  table.Remove(42);
+  EXPECT_FALSE(table.Get(42, &e));
+  EXPECT_EQ(table.size(), 0u);
 }
 
 }  // namespace

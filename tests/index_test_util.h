@@ -43,9 +43,7 @@ struct IndexWorld {
         std::make_unique<storage::BufferPool>(w->table_store.get(), 4096);
     w->list_pool =
         std::make_unique<storage::BufferPool>(w->list_store.get(), 4096);
-    auto st = relational::ScoreTable::Create(w->table_pool.get());
-    if (!st.ok()) return nullptr;
-    w->score_table = std::move(st).value();
+    w->score_table = relational::ScoreTable::Create();
     w->corpus = text::GenerateCorpus(corpus_params);
     for (DocId d = 0; d < w->corpus.num_docs(); ++d) {
       if (std::isnan(scores[d])) continue;

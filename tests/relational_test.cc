@@ -138,14 +138,8 @@ TEST_F(TableTest, PkMustBeInt) {
 class ScoreTableTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    store_ = std::make_unique<storage::InMemoryPageStore>(1024);
-    pool_ = std::make_unique<storage::BufferPool>(store_.get(), 512);
-    auto t = ScoreTable::Create(pool_.get());
-    ASSERT_TRUE(t.ok());
-    scores_ = std::move(t).value();
+    scores_ = ScoreTable::Create();
   }
-  std::unique_ptr<storage::InMemoryPageStore> store_;
-  std::unique_ptr<storage::BufferPool> pool_;
   std::unique_ptr<ScoreTable> scores_;
 };
 
@@ -218,9 +212,7 @@ class ScoreViewTest : public ::testing::Test {
                                         0))
                     .ok());
 
-    auto st = ScoreTable::Create(pool_.get());
-    ASSERT_TRUE(st.ok());
-    scores_ = std::move(st).value();
+    scores_ = ScoreTable::Create();
 
     // The paper's §3.1 example: S1 = avg rating, S2 = visits,
     // S3 = downloads; Agg = s1*100 + s2/2 + s3.
@@ -321,12 +313,11 @@ TEST_F(ScoreViewTest, HandlerReceivesScoreUpdates) {
 }
 
 TEST_F(ScoreViewTest, CountAggregate) {
-  auto st2 = ScoreTable::Create(pool_.get());
-  ASSERT_TRUE(st2.ok());
+  auto st2 = ScoreTable::Create();
   ScoreView popularity(
       db_.get(), "Movies",
       {{"S", "Reviews", "mID", "", AggregateKind::kCount}},
-      AggFunction::WeightedSum({1.0}), st2.value().get());
+      AggFunction::WeightedSum({1.0}), st2.get());
   db_->AddObserver(&popularity);
   InsertBase();
   EXPECT_EQ(popularity.ScoreOf(0), 2.0);
@@ -334,14 +325,13 @@ TEST_F(ScoreViewTest, CountAggregate) {
 }
 
 TEST_F(ScoreViewTest, CustomAggFunction) {
-  auto st2 = ScoreTable::Create(pool_.get());
-  ASSERT_TRUE(st2.ok());
+  auto st2 = ScoreTable::Create();
   ScoreView v(db_.get(), "Movies",
               {{"S1", "Reviews", "mID", "rating", AggregateKind::kSum}},
               AggFunction::Custom([](const std::vector<double>& s) {
                 return s[0] * s[0];
               }),
-              st2.value().get());
+              st2.get());
   db_->AddObserver(&v);
   InsertBase();
   EXPECT_NEAR(v.ScoreOf(0), 81.0, 1e-9);  // (4+5)^2

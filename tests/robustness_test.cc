@@ -56,10 +56,10 @@ TEST_F(InvariantTest, ScoreThresholdLemma12HoldsUnderChurn) {
   auto* st = static_cast<index::ScoreThresholdIndex*>(w->idx.get());
   Churn(w.get(), [&] {
     for (DocId d = 0; d < params_.num_docs; ++d) {
-      double curr, l_score;
+      double curr;
       bool in_short;
       ASSERT_TRUE(w->score_table->Get(d, &curr).ok());
-      ASSERT_TRUE(st->ListScoreOf(d, &l_score, &in_short).ok());
+      const double l_score = st->ListScoreOf(d, &in_short);
       EXPECT_LE(curr, st->thresholdValueOf(l_score) + 1e-9) << "doc " << d;
     }
   });
@@ -74,10 +74,9 @@ TEST_F(InvariantTest, ChunkLemmaHoldsUnderChurn) {
   Churn(w.get(), [&] {
     for (DocId d = 0; d < params_.num_docs; ++d) {
       double curr;
-      ChunkId l_chunk;
       bool in_short;
       ASSERT_TRUE(w->score_table->Get(d, &curr).ok());
-      ASSERT_TRUE(ci->ListChunkOf(d, &l_chunk, &in_short).ok());
+      const ChunkId l_chunk = ci->ListChunkOf(d, &in_short);
       EXPECT_LE(ci->chunker().ChunkOf(curr),
                 index::Chunker::ThresholdValueOf(l_chunk))
           << "doc " << d << " curr " << curr;
@@ -124,9 +123,7 @@ TEST_F(InvariantTest, SubThresholdIncreasesAreFree) {
 // --- oracle sanity ---------------------------------------------------------
 
 TEST(OracleTest, HandComputedRanking) {
-  storage::InMemoryPageStore store(1024);
-  storage::BufferPool pool(&store, 256);
-  auto scores = relational::ScoreTable::Create(&pool).value();
+  auto scores = relational::ScoreTable::Create();
   text::Corpus corpus(10);
   corpus.Add(text::Document::FromTokens({1, 2}));     // doc 0
   corpus.Add(text::Document::FromTokens({1, 2, 3}));  // doc 1
@@ -154,9 +151,7 @@ TEST(OracleTest, HandComputedRanking) {
 }
 
 TEST(OracleTest, SkipsDeletedAndUnscored) {
-  storage::InMemoryPageStore store(1024);
-  storage::BufferPool pool(&store, 256);
-  auto scores = relational::ScoreTable::Create(&pool).value();
+  auto scores = relational::ScoreTable::Create();
   text::Corpus corpus(10);
   corpus.Add(text::Document::FromTokens({1}));
   corpus.Add(text::Document::FromTokens({1}));
@@ -256,8 +251,7 @@ TEST(FailureInjectionTest, QueriesFailCleanlyOnListIOErrors) {
   w->table_pool =
       std::make_unique<storage::BufferPool>(w->table_store.get(), 4096);
   w->list_pool = std::make_unique<storage::BufferPool>(flaky.get(), 4096);
-  w->score_table =
-      relational::ScoreTable::Create(w->table_pool.get()).value();
+  w->score_table = relational::ScoreTable::Create();
   w->corpus = text::GenerateCorpus(params);
   for (DocId d = 0; d < w->corpus.num_docs(); ++d) {
     ASSERT_TRUE(w->score_table->Set(d, scores[d]).ok());
