@@ -253,11 +253,17 @@ Status ShardedSvrEngine::CreateTextIndex(
       tables_[name].route_column = column;
     }
   }
-  for (auto& shard : shards_) {
-    Status st = shard->CreateTextIndex(table, text_column, specs, agg);
+  // The shards share nothing while they tokenize, intern and build
+  // their lists, so they build in parallel.
+  std::vector<Status> shard_status(shards_.size());
+  ForEachShard([&](size_t s) {
+    shard_status[s] =
+        shards_[s]->CreateTextIndex(table, text_column, specs, agg);
+  });
+  for (const Status& st : shard_status) {
     if (!st.ok()) {
       // Routing metadata is restored so DML semantics do not change,
-      // but shards that already built keep their index (per-shard
+      // but shards that built keep their index (per-shard
       // CreateTextIndex is not undoable; a retry on them returns
       // AlreadyExists). A partially-indexed engine should be
       // discarded — docs/sharding.md.
@@ -280,6 +286,21 @@ Status ShardedSvrEngine::CreateTextIndex(
     return LogDdl(std::move(ddl));
   }
   return Status::OK();
+}
+
+void ShardedSvrEngine::ForEachShard(const std::function<void(size_t)>& fn) {
+  // The pool exists only for engines of two or more shards.
+  if (query_pool_ == nullptr) {
+    for (size_t s = 0; s < shards_.size(); ++s) fn(s);
+    return;
+  }
+  // One task per shard on the persistent pool (docs/sharding.md).
+  std::vector<std::function<void()>> tasks;
+  tasks.reserve(shards_.size());
+  for (size_t s = 0; s < shards_.size(); ++s) {
+    tasks.emplace_back([&fn, s] { fn(s); });
+  }
+  query_pool_->RunAll(std::move(tasks));
 }
 
 Result<const ShardedSvrEngine::TableRoute*> ShardedSvrEngine::RouteOf(
@@ -699,18 +720,7 @@ Result<std::vector<ScoredRow>> ShardedSvrEngine::SearchAt(
       span.latency_us = shard_timer.TotalUs(tel_.scatter_shard_us);
     }
   };
-  if (query_pool_ != nullptr && n > 1) {
-    // Query-side fan-out (docs/sharding.md): one task per shard on the
-    // persistent pool; the calling thread runs one of them.
-    std::vector<std::function<void()>> tasks;
-    tasks.reserve(n);
-    for (size_t s = 0; s < n; ++s) {
-      tasks.emplace_back([&run_shard, s] { run_shard(s); });
-    }
-    query_pool_->RunAll(std::move(tasks));
-  } else {
-    for (size_t s = 0; s < n; ++s) run_shard(s);
-  }
+  ForEachShard(run_shard);
   for (const Status& st : shard_status) {
     SVR_RETURN_NOT_OK(st);
   }

@@ -290,6 +290,11 @@ class ShardedSvrEngine {
 
   Result<const TableRoute*> RouteOf(const std::string& table) const
       EXCLUDES(map_mu_);
+  /// Runs fn(s) once per shard and returns when all calls have: fanned
+  /// out on the query pool (the caller takes one lane) when the engine
+  /// has one, else one shard after another. The search scatter and
+  /// CreateTextIndex both use it.
+  void ForEachShard(const std::function<void(size_t)>& fn);
   /// Insert of a row whose routing column is a match column rather than
   /// its pk: requires the referenced document to exist, claims the
   /// row's own pk engine-wide (shard-level duplicate checks only see

@@ -107,6 +107,10 @@ class ChunkIndexBase : public TextIndex {
   /// long-list postings). Public for invariant checking: the chunk
   /// analogue of Lemma 1.2 is ChunkOf(score(d)) <= ListChunkOf(d) + 1.
   ChunkId ListChunkOf(DocId doc, bool* in_short) const;
+  /// ListChunkOf against snapshot views (the lock-free query path).
+  ChunkId ListChunkOfAt(const ListChunkTable::Snapshot& list_state,
+                        const relational::ScoreTable::View& scores,
+                        DocId doc, bool* in_short) const;
 
   /// Live ListChunk entries (diagnostics: the fully-merged sweep must
   /// keep this from growing under long uptimes).
@@ -130,11 +134,6 @@ class ChunkIndexBase : public TextIndex {
 
   Status BuildLongLists();
   float TsOf(DocId doc, TermId term) const;
-
-  /// ListChunkOf against snapshot views (lock-free query path).
-  ChunkId ListChunkOfAt(const ListChunkTable::Snapshot& list_state,
-                        const relational::ScoreTable::View& scores,
-                        DocId doc, bool* in_short) const;
 
   /// One merged stream per query term over `snap`, charging scan and
   /// cursor work to `qs` (the calling query's local counters). `scratch`

@@ -624,12 +624,27 @@ TEST(MergeSchedulerTest, StopIsIdempotentAndRestartable) {
 TEST(BufferPoolTest, StatsReadersRaceLiveIo) {
   storage::InMemoryPageStore store(256);
   storage::BufferPool pool(&store, 4);  // small: constant eviction
+  {
+    // One hit before the readers start, so every snapshot they take
+    // must already report IO.
+    storage::PageHandle h;
+    ASSERT_TRUE(pool.NewPage(&h).ok());
+    const storage::PageId id = h.id();
+    h.Release();
+    ASSERT_TRUE(pool.Fetch(id, &h).ok());
+  }
+  constexpr int kReaders = 2;
   std::atomic<bool> stop{false};
   std::atomic<uint64_t> reads{0};
+  // Readers that have taken their first snapshot. The writers wait for
+  // all of them: otherwise a loaded machine can run every write and set
+  // `stop` before a reader is ever scheduled.
+  std::atomic<int> readers_started{0};
 
   std::vector<std::thread> stats_readers;
-  for (int t = 0; t < 2; ++t) {
+  for (int t = 0; t < kReaders; ++t) {
     stats_readers.emplace_back([&] {
+      bool started = false;
       while (!stop.load(std::memory_order_relaxed)) {
         const auto ps = pool.stats();
         const auto ss = store.stats();
@@ -638,6 +653,10 @@ TEST(BufferPoolTest, StatsReadersRaceLiveIo) {
         if (ps.hits + ps.misses + ps.evictions + ss.reads + ss.writes >
             0) {
           reads.fetch_add(1, std::memory_order_relaxed);
+        }
+        if (!started) {
+          started = true;
+          readers_started.fetch_add(1, std::memory_order_release);
         }
       }
     });
@@ -648,6 +667,9 @@ TEST(BufferPoolTest, StatsReadersRaceLiveIo) {
   std::vector<std::thread> writers;
   for (int t = 0; t < kWriters; ++t) {
     writers.emplace_back([&, t] {
+      while (readers_started.load(std::memory_order_acquire) < kReaders) {
+        std::this_thread::yield();
+      }
       std::vector<storage::PageId> ids;
       for (int i = 0; i < kPagesPerWriter; ++i) {
         storage::PageHandle h;
