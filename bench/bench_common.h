@@ -6,6 +6,7 @@
 #include <map>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "index/index_factory.h"
@@ -201,6 +202,67 @@ inline std::string Mb(uint64_t bytes) {
                 static_cast<double>(bytes) / (1024.0 * 1024.0));
   return buf;
 }
+
+/// \brief The paper benches' shared JSON emitter. Collects the rows a
+/// bench prints and writes them as
+///   {"bench": ..., <header fields>, "context": {...},
+///    "rows": [{"<column>": <cell>, ...}, ...]}
+/// Cells (and header values) that parse as numbers, or are true/false,
+/// are written bare; everything else as a JSON string.
+class JsonRows {
+ public:
+  explicit JsonRows(std::vector<std::string> columns)
+      : columns_(std::move(columns)) {}
+
+  void Row(std::vector<std::string> cells) {
+    rows_.push_back(std::move(cells));
+  }
+
+  /// Writes the artifact to `path`; exits on an unwritable path.
+  void Write(const std::string& path, const std::string& bench,
+             const std::vector<std::pair<std::string, std::string>>&
+                 header = {}) const {
+    std::FILE* json = std::fopen(path.c_str(), "w");
+    if (json == nullptr) {
+      std::fprintf(stderr, "FATAL cannot write %s\n", path.c_str());
+      std::exit(1);
+    }
+    std::fprintf(json, "{\n  \"bench\": %s,\n", Value(bench).c_str());
+    for (const auto& [key, value] : header) {
+      std::fprintf(json, "  \"%s\": %s,\n", key.c_str(),
+                   Value(value).c_str());
+    }
+    WriteContextJson(json);
+    std::fprintf(json, "  \"rows\": [");
+    for (size_t r = 0; r < rows_.size(); ++r) {
+      std::fprintf(json, "%s\n    {", r == 0 ? "" : ",");
+      for (size_t c = 0; c < columns_.size() && c < rows_[r].size(); ++c) {
+        std::fprintf(json, "%s\"%s\": %s", c == 0 ? "" : ", ",
+                     columns_[c].c_str(), Value(rows_[r][c]).c_str());
+      }
+      std::fprintf(json, "}");
+    }
+    std::fprintf(json, "\n  ]\n}\n");
+    std::fclose(json);
+  }
+
+ private:
+  static std::string Value(const std::string& cell) {
+    if (cell == "true" || cell == "false") return cell;
+    char* end = nullptr;
+    std::strtod(cell.c_str(), &end);
+    if (!cell.empty() && end == cell.c_str() + cell.size()) return cell;
+    std::string quoted = "\"";
+    for (char ch : cell) {
+      if (ch == '"' || ch == '\\') quoted.push_back('\\');
+      quoted.push_back(ch);
+    }
+    return quoted + "\"";
+  }
+
+  std::vector<std::string> columns_;
+  std::vector<std::vector<std::string>> rows_;
+};
 
 /// Fails loudly: benches must not silently report nonsense.
 inline void Check(const Status& st, const char* what) {

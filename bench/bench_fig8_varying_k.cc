@@ -8,6 +8,9 @@
 // lists), and both converge to ID for very large k — Score-Threshold
 // even overtakes ID there because its score-fattened lists are longer
 // to scan.
+//
+// `out=BENCH_paper.json` also writes the rows as JSON (method, k,
+// qry_ms, qry_pages); tools/check_bench_json.py gates the page counts.
 
 #include <cstdio>
 
@@ -20,6 +23,7 @@ int main(int argc, char** argv) {
   Flags flags(argc, argv);
   workload::ExperimentConfig config = DefaultConfig(flags);
   const bool validate = flags.GetBool("validate", false);
+  const std::string out_path = flags.GetString("out", "");
 
   const uint32_t ks[] = {1, 5, 10, 20, 50, 100, 500, 2000};
   const index::Method methods[] = {index::Method::kId,
@@ -32,6 +36,7 @@ int main(int argc, char** argv) {
 
   TablePrinter table(
       {"method", "k", "qry ms", "qry pages", "sim qry ms"});
+  JsonRows json({"method", "k", "qry_ms", "qry_pages"});
   for (index::Method m : methods) {
     auto exp = CheckResult(workload::Experiment::Setup(
                                m, config, DefaultIndexOptions(flags)),
@@ -45,7 +50,17 @@ int main(int argc, char** argv) {
       table.Row({exp->index()->name(), std::to_string(k), Ms(qry.avg_ms()),
                  Num(qry.avg_misses()),
                  Ms(qry.sim_avg_ms(config.page_ms))});
+      json.Row({exp->index()->name(), std::to_string(k), Ms(qry.avg_ms()),
+                Num(qry.avg_misses())});
     }
+  }
+  if (!out_path.empty()) {
+    json.Write(out_path, "paper",
+               {{"figure", "fig8"},
+                {"docs", std::to_string(config.corpus.num_docs)},
+                {"updates", std::to_string(config.num_updates)},
+                {"queries", std::to_string(config.num_queries)},
+                {"validated", validate ? "true" : "false"}});
   }
   std::printf(
       "\n# paper: ID flat; Chunk & Score-Threshold grow with k; Chunk "

@@ -106,11 +106,18 @@ if [ "$SANITIZERS_ONLY" != "1" ]; then
     search_requests=1200 probe_ops=250 clients=2,8 \
     dir=bench_server_dir out="$SMOKE/BENCH_server.json"
 
+  # Paper smoke run (Fig. 8): query work against k for ID,
+  # Score-Threshold and Chunk, oracle-validated. The JSON check gates
+  # only the list-page counts, which repeat exactly: ID flat within
+  # +-20% and Chunk <= Score-Threshold at every k.
+  "$BUILD_DIR/bench_fig8_varying_k" docs=5000 vocab=5000 terms=60 \
+    updates=2000 validate=1 out="$SMOKE/BENCH_paper.json"
+
   # The committed artifacts (BENCH_mvcc.json is frozen history: its
   # bench is retired) and this run's smoke outputs pass the same gates.
   COMMITTED="BENCH_merge.json BENCH_concurrency.json BENCH_sharding.json
     BENCH_mvcc.json BENCH_durability.json BENCH_telemetry.json
-    BENCH_server.json"
+    BENCH_server.json BENCH_paper.json"
   if command -v python3 > /dev/null; then
     python3 tools/check_bench_json.py --self-test
     # shellcheck disable=SC2086

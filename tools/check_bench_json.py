@@ -13,6 +13,7 @@ file prints a one-line summary.
 """
 
 import json
+import statistics
 import sys
 
 
@@ -222,6 +223,38 @@ def check_server(d):
             over[0]["p99_ceiling_us"])
 
 
+def check_paper(d):
+    """BENCH_paper.json: the paper's Fig. 8, gated only on the list-page
+    counts, which repeat exactly from run to run. Wall time drifts with
+    the host, so it is recorded but not gated."""
+    ctx = require_context(d)
+    assert d.get("figure") == "fig8", "unknown figure %r" % d.get("figure")
+    assert d.get("validated") is True, "fig8 ran without validate=1"
+    pages = {}
+    for r in d["rows"]:
+        pages.setdefault(r["method"], {})[r["k"]] = r["qry_pages"]
+    assert {"ID", "Score-Threshold", "Chunk"} <= set(pages), \
+        "fig8 lacks a method: %s" % sorted(pages)
+    ks = sorted(pages["ID"])
+    assert ks and all(sorted(p) == ks for p in pages.values()), \
+        "fig8 methods ran different k"
+    # ID scans every posting of the query terms whatever k is.
+    id_mid = statistics.median(pages["ID"].values())
+    for k in ks:
+        assert abs(pages["ID"][k] - id_mid) <= 0.2 * id_mid, \
+            "ID pages not flat: %.1f at k=%d vs median %.1f" % (
+                pages["ID"][k], k, id_mid)
+    # The paper's claim in the I/O model: Chunk never reads more pages
+    # than Score-Threshold.
+    for k in ks:
+        assert pages["Chunk"][k] <= pages["Score-Threshold"][k], \
+            "Chunk reads %.1f pages > Score-Threshold %.1f at k=%d" % (
+                pages["Chunk"][k], pages["Score-Threshold"][k], k)
+    return "fig8: k=%d..%d, Chunk <= ST pages at every k, ID flat " \
+        "around %.1f pages; %d CPUs" % (ks[0], ks[-1], id_mid,
+                                        ctx["hardware_concurrency"])
+
+
 CHECKERS = {
     "merge_policy": check_merge_policy,
     "concurrent_churn": check_concurrent_churn,
@@ -230,6 +263,7 @@ CHECKERS = {
     "durability": check_durability,
     "telemetry": check_telemetry,
     "server": check_server,
+    "paper": check_paper,
 }
 
 
@@ -293,6 +327,14 @@ def _self_test_fixtures():
         {"kind": "overload", "clients": 16, "p99_ceiling_us": 500,
          "rejected": 1500, "admitted": 2500, "admitted_p99_us": 1200},
     ]}
+    fig8_pages = {"ID": (36.0, 37.0, 40.0),
+                  "Score-Threshold": (5.0, 20.0, 150.0),
+                  "Chunk": (2.0, 4.0, 31.0)}
+    paper_ok = {"figure": "fig8", "validated": True, "context": context,
+                "rows": [{"method": m, "k": k, "qry_ms": 0.1,
+                          "qry_pages": p[i]}
+                         for m, p in fig8_pages.items()
+                         for i, k in enumerate((1, 10, 100))]}
     passing = {
         "merge_policy": merge_ok,
         "concurrent_churn": churn_ok,
@@ -301,6 +343,7 @@ def _self_test_fixtures():
         "durability": dur_ok,
         "telemetry": telemetry_ok,
         "server": server_ok,
+        "paper": paper_ok,
     }
     # Seeded failures: each flips exactly one property its checker gates.
     def without_context(payload):
@@ -322,6 +365,12 @@ def _self_test_fixtures():
     telemetry_bad["summary"]["overhead_ratio"] = 1.12  # over the 5% budget
     server_bad = json.loads(json.dumps(server_ok))
     server_bad["series"][4]["rejected"] = 0  # admission never shed
+    paper_slow_chunk = json.loads(json.dumps(paper_ok))
+    paper_slow_chunk["rows"][7]["qry_pages"] = 25.0  # Chunk > ST at k=10
+    paper_id_climbs = json.loads(json.dumps(paper_ok))
+    paper_id_climbs["rows"][2]["qry_pages"] = 60.0  # ID not flat
+    paper_unvalidated = json.loads(json.dumps(paper_ok))
+    paper_unvalidated["validated"] = False
     failing = {
         "merge_policy": [merge_bad],
         "concurrent_churn": [churn_bad, without_context(churn_ok)],
@@ -330,6 +379,8 @@ def _self_test_fixtures():
         "durability": [dur_bad],
         "telemetry": [telemetry_bad, without_context(telemetry_ok)],
         "server": [server_bad],
+        "paper": [paper_slow_chunk, paper_id_climbs, paper_unvalidated,
+                  without_context(paper_ok)],
     }
     return passing, failing
 
