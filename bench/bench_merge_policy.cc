@@ -16,7 +16,8 @@
 // Simulated times use the split cost model: long-list misses at
 // list_page_ms (HDD-ish sequential scans), table-pool misses at
 // table_page_ms (SSD-ish point reads) — table_page_ms=... /
-// list_page_ms=... flags.
+// list_page_ms=... flags. The Score table and ListScore/ListChunk are
+// in-memory columns, so `tbl_misses` counts short-list pages only.
 
 #include <cstdio>
 #include <string>

@@ -2,19 +2,6 @@
 
 namespace svr::relational {
 
-namespace {
-
-Status ReadSlot(const ScoreTable::Slot& slot, double* score, bool* deleted) {
-  if (slot.state == ScoreTable::Slot::State::kAbsent) {
-    return Status::NotFound("doc never scored");
-  }
-  *score = slot.score;
-  *deleted = slot.state == ScoreTable::Slot::State::kDeleted;
-  return Status::OK();
-}
-
-}  // namespace
-
 Status ScoreTable::Set(DocId doc, double score) {
   if (At(doc).state == Slot::State::kAbsent) ++size_;
   column_.Set(doc, Slot{score, Slot::State::kLive});
@@ -28,7 +15,13 @@ Status ScoreTable::Get(DocId doc, double* score) const {
 
 Status ScoreTable::GetWithDeleted(DocId doc, double* score,
                                   bool* deleted) const {
-  return ReadSlot(At(doc), score, deleted);
+  const Slot slot = At(doc);
+  if (slot.state == Slot::State::kAbsent) {
+    return Status::NotFound("doc never scored");
+  }
+  *score = slot.score;
+  *deleted = slot.deleted();
+  return Status::OK();
 }
 
 Status ScoreTable::MarkDeleted(DocId doc) {
@@ -46,19 +39,9 @@ Status ScoreTable::Scan(
   for (DocId d = 0; d < column_.size(); ++d) {
     const Slot slot = At(d);
     if (slot.state == Slot::State::kAbsent) continue;
-    if (!fn(d, slot.score, slot.state == Slot::State::kDeleted)) break;
+    if (!fn(d, slot.score, slot.deleted())) break;
   }
   return Status::OK();
-}
-
-Status ScoreTable::View::Get(DocId doc, double* score) const {
-  bool deleted;
-  return GetWithDeleted(doc, score, &deleted);
-}
-
-Status ScoreTable::View::GetWithDeleted(DocId doc, double* score,
-                                        bool* deleted) const {
-  return ReadSlot(At(doc), score, deleted);
 }
 
 }  // namespace svr::relational

@@ -62,21 +62,17 @@ class ScoreTable {
 
   /// \brief Read adapter over one sealed version — the Score table a
   /// pinned ReadView probes. Copyable and self-contained: the snapshot
-  /// keeps its chunks alive.
+  /// keeps its chunks alive, so `table` only names the view's origin.
   class View {
    public:
     View() = default;
-    View(const ScoreTable* table, Column::Snapshot snap)
-        : table_(table), snap_(std::move(snap)) {}
+    View(const ScoreTable* /*table*/, Column::Snapshot snap)
+        : snap_(std::move(snap)) {}
 
-    bool valid() const { return table_ != nullptr; }
     /// The doc's slot (State::kAbsent when never scored): one array load.
     Slot At(DocId doc) const { return snap_.Get(doc); }
-    Status Get(DocId doc, double* score) const;
-    Status GetWithDeleted(DocId doc, double* score, bool* deleted) const;
 
    private:
-    const ScoreTable* table_ = nullptr;
     Column::Snapshot snap_;
   };
 
