@@ -578,11 +578,9 @@ bool ChunkIndexBase::JudgeCandidate(
     return false;
   }
   // The Chunk family never stores scores in postings, so every live
-  // candidate costs one Score-table probe. §5.3.1 calls it cheap because
-  // the table is small and cached, which covers only its I/O; as a
-  // B+-tree probe it cost a descent through the table pool with a key
-  // and a value string per call. In the sealed column it is one array
-  // load, with no page, lock or allocation.
+  // candidate costs one Score-table probe. §5.3.1 counts it as free I/O
+  // (the table is small and cached); its CPU cost is one array load in
+  // the sealed column, with no page fetch, lock or allocation.
   const relational::ScoreTable::Slot slot = scores.At(doc);
   ++qs->score_lookups;
   *current_score = slot.score;
