@@ -112,10 +112,11 @@ static_assert(sizeof(IndexStats) ==
 /// \brief One sealed, immutable version of everything a query touches:
 /// tree roots (short lists, the Score method's clustered list tree), the
 /// per-document judge columns (Score table, ListScore/ListChunk), the
-/// per-term blob directories, the corpus, and the deletion flag. Built by the writer via TextIndex::SealSnapshot()
-/// at each commit; consumed lock-free by TopKAt / PrepareMergeTermAt at
-/// a pinned ReadView (docs/concurrency.md). One concrete struct serves
-/// all methods — fields a method does not use stay empty.
+/// per-term blob directories, the corpus, and the deletion flag. Built
+/// by the writer via TextIndex::SealSnapshot() at each commit; consumed
+/// lock-free by TopKAt / PrepareMergeTermAt at a pinned ReadView
+/// (docs/concurrency.md). One concrete struct serves all methods —
+/// fields a method does not use stay empty.
 struct IndexSnapshot {
   ShortList::Snapshot short_list;
   ListChunkTable::Snapshot list_state;   // Chunk family's ListChunk
@@ -257,9 +258,9 @@ class TextIndex {
   /// Freezes the current contents of everything TopKAt reads — trees,
   /// blob directories, side counters, the judge columns (the shared
   /// Score table, ListScore/ListChunk), the corpus's document array —
-  /// and returns the snapshot. Called by the
-  /// engine once per commit (writer-serialized); cheap, O(state touched
-  /// since the previous seal).
+  /// and returns the snapshot. Called by the engine once per commit
+  /// (writer-serialized); cheap, O(state touched since the previous
+  /// seal).
   virtual IndexSnapshot SealSnapshot() { return IndexSnapshot(); }
 
   /// Appendix A.2: index a new document. The corpus must already contain
