@@ -17,7 +17,9 @@ namespace svr::relational {
 ///
 /// Doc ids are dense (the engines' density rule), so the table is one
 /// column: slot `d` of a VersionedArray holds doc d's score and a state
-/// of absent, live or deleted. The paper's per-candidate "indexed probe"
+/// of absent, live or deleted. Its memory follows the largest id set,
+/// which is why the ids must stay dense; the sharded layer allocates
+/// every shard-local id densely. The paper's per-candidate "indexed probe"
 /// is one array load and costs no table-pool page. All index methods
 /// share one instance. Seal() publishes a version snapshot that queries
 /// read with no lock; the chunks it shares are freed by refcount with
