@@ -4,6 +4,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <map>
+#include <regex>
 #include <string>
 #include <thread>
 #include <utility>
@@ -207,8 +208,8 @@ inline std::string Mb(uint64_t bytes) {
 /// bench prints and writes them as
 ///   {"bench": ..., <header fields>, "context": {...},
 ///    "rows": [{"<column>": <cell>, ...}, ...]}
-/// Cells (and header values) that parse as numbers, or are true/false,
-/// are written bare; everything else as a JSON string.
+/// Cells (and header values) that are JSON numbers, or true/false, are
+/// written bare; everything else (nan and inf included) as a JSON string.
 class JsonRows {
  public:
   explicit JsonRows(std::vector<std::string> columns)
@@ -248,10 +249,11 @@ class JsonRows {
 
  private:
   static std::string Value(const std::string& cell) {
+    // JSON's number grammar: no nan/inf, hex, leading '+' or leading 0s.
+    static const std::regex kNumber(
+        R"(-?(0|[1-9][0-9]*)(\.[0-9]+)?([eE][+-]?[0-9]+)?)");
     if (cell == "true" || cell == "false") return cell;
-    char* end = nullptr;
-    std::strtod(cell.c_str(), &end);
-    if (!cell.empty() && end == cell.c_str() + cell.size()) return cell;
+    if (std::regex_match(cell, kNumber)) return cell;
     std::string quoted = "\"";
     for (char ch : cell) {
       if (ch == '"' || ch == '\\') quoted.push_back('\\');

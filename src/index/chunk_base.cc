@@ -235,9 +235,9 @@ ChunkId ChunkIndexBase::ListChunkOfAt(
     const ListChunkTable::Snapshot& list_state,
     const relational::ScoreTable::View& scores, DocId doc,
     bool* in_short) const {
-  ListChunkTable::Entry e;
-  if (ListChunkTable::GetAt(list_state, doc, &e)) {
-    *in_short = e.in_short_list;
+  const ListChunkTable::Slot e = ListChunkTable::GetAt(list_state, doc);
+  if (e.recorded()) {
+    *in_short = e.in_short();
     return e.list_value;
   }
   // Never-scored documents read 0.0, exactly where BuildLongLists placed
@@ -253,12 +253,10 @@ Status ChunkIndexBase::OnScoreUpdate(DocId doc, double new_score) {
   const double old_score = ctx_.score_table->At(doc).score;
   SVR_RETURN_NOT_OK(ctx_.score_table->Set(doc, new_score));
 
-  ListChunkTable::Entry e;
-  if (!list_state_->Get(doc, &e)) {
-    e = {chunker_->ChunkOf(old_score), false};
-    list_state_->Put(doc, e);
-  }
-  const ChunkId l_chunk = e.list_value;
+  const ListChunkTable::Slot e = list_state_->Get(doc);
+  const ChunkId l_chunk =
+      e.recorded() ? e.list_value : chunker_->ChunkOf(old_score);
+  if (!e.recorded()) list_state_->Put(doc, l_chunk, false);
 
   const ChunkId new_chunk = chunker_->ChunkOf(new_score);
   // thresholdValueOf(c) = c + 1: move only on a climb of >= 2 chunks,
@@ -274,7 +272,7 @@ Status ChunkIndexBase::OnScoreUpdate(DocId doc, double new_score) {
                                          PostingOp::kAdd, TsOf(doc, t)));
       BumpStat(&IndexStats::short_list_writes);
     }
-    list_state_->Put(doc, {new_chunk, true});
+    list_state_->Put(doc, new_chunk, true);
     sweep_.NoteMove(doc);
   }
   return Status::OK();
@@ -283,7 +281,7 @@ Status ChunkIndexBase::OnScoreUpdate(DocId doc, double new_score) {
 Status ChunkIndexBase::InsertDocument(DocId doc, double score) {
   SVR_RETURN_NOT_OK(ctx_.score_table->Set(doc, score));
   const ChunkId cid = chunker_->ChunkOf(score);
-  list_state_->Put(doc, {cid, true});
+  list_state_->Put(doc, cid, true);
   sweep_.NoteMove(doc);
   for (TermId t : ctx_.corpus->doc(doc).terms()) {
     SVR_RETURN_NOT_OK(
@@ -364,7 +362,7 @@ Result<std::unique_ptr<TermMergePlan>> ChunkIndexBase::PrepareMergeTermAt(
   // Reader phase against a sealed snapshot: mutates nothing a concurrent
   // query can see (the new blob stays unpublished until Install).
   const ShortList::View shorts(short_list_.get(), snap.short_list);
-  const relational::ScoreTable::View scores(ctx_.score_table, snap.score);
+  const relational::ScoreTable::View scores(snap.score);
   const storage::BlobRef old_ref = snap.longs.Get(term);
   if (!old_ref.valid() && shorts.TermPostingCount(term) == 0) {
     return std::unique_ptr<TermMergePlan>();
@@ -396,10 +394,9 @@ Result<std::unique_ptr<TermMergePlan>> ChunkIndexBase::PrepareMergeTermAt(
       if (stream.from_short()) {
         plan->from_short_docs.push_back(doc);
       } else {
-        ListChunkTable::Entry e;
-        if (ListChunkTable::GetAt(snap.list_state, doc, &e)) {
-          live = !e.in_short_list || e.list_value == cid;
-        }
+        const ListChunkTable::Slot e =
+            ListChunkTable::GetAt(snap.list_state, doc);
+        if (e.recorded()) live = !e.in_short() || e.list_value == cid;
       }
       if (scores.At(doc).deleted()) live = false;
       if (live) {
@@ -477,11 +474,11 @@ Status ChunkIndexBase::InstallMergeTerm(TermMergePlan* plan,
   // where the long postings live).
   for (DocId doc : p->from_short_docs) {
     if (short_list_->DocPostingCount(doc) != 0) continue;
-    ListChunkTable::Entry e;
-    if (!list_state_->Get(doc, &e)) continue;
+    const ListChunkTable::Slot e = list_state_->Get(doc);
+    if (!e.recorded()) continue;
     const bool reproduces =
         chunker_->ChunkOf(ctx_.score_table->At(doc).score) == e.list_value;
-    if (!e.in_short_list) {
+    if (!e.in_short()) {
       if (reproduces) {
         list_state_->Remove(doc);
         BumpStat(&IndexStats::list_state_retired);
@@ -492,7 +489,7 @@ Status ChunkIndexBase::InstallMergeTerm(TermMergePlan* plan,
     if (reproduces) {
       list_state_->Remove(doc);
     } else {
-      list_state_->Put(doc, {e.list_value, false});
+      list_state_->Put(doc, e.list_value, false);
     }
     sweep_.Forget(doc);
     BumpStat(&IndexStats::list_state_retired);
@@ -569,13 +566,12 @@ bool ChunkIndexBase::JudgeCandidate(
     const IndexSnapshot& snap, const relational::ScoreTable::View& scores,
     DocId doc, ChunkId cid, bool from_short, double* current_score,
     QueryStats* qs) {
-  ListChunkTable::Entry e;
-  if (!from_short && ListChunkTable::GetAt(snap.list_state, doc, &e) &&
-      e.in_short_list && e.list_value != cid) {
+  if (!from_short) {
+    const ListChunkTable::Slot e = ListChunkTable::GetAt(snap.list_state, doc);
     // Stale long posting left at the chunk the doc moved away from; the
     // short list (or the incrementally merged long posting at the doc's
     // current list chunk) governs.
-    return false;
+    if (e.in_short() && e.list_value != cid) return false;
   }
   // The Chunk family never stores scores in postings, so every live
   // candidate costs one Score-table probe. §5.3.1 counts it as free I/O

@@ -23,7 +23,7 @@ Status ChunkIndex::TopKAt(const IndexSnapshot& snap, const Query& query,
     if (query_stats != nullptr) *query_stats = qs;
     return Status::OK();
   }
-  const relational::ScoreTable::View scores(ctx_.score_table, snap.score);
+  const relational::ScoreTable::View scores(snap.score);
 
   std::vector<CursorScratch> scratch;
   std::vector<MergedChunkStream> streams;

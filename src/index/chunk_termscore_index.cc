@@ -109,7 +109,7 @@ Status ChunkTermScoreIndex::TopKAt(const IndexSnapshot& snap,
         "Chunk-TermScore queries support at most 64 terms");
   }
   const ShortList::View shorts(short_list_.get(), snap.short_list);
-  const relational::ScoreTable::View scores(ctx_.score_table, snap.score);
+  const relational::ScoreTable::View scores(snap.score);
   const double tw = options_.term_scores.term_weight;
   const uint64_t full_mask =
       n_terms == 64 ? ~0ull : ((1ull << n_terms) - 1);

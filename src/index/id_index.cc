@@ -235,7 +235,7 @@ Result<std::unique_ptr<TermMergePlan>> IdIndex::PrepareMergeTermAt(
   // Reader phase against a sealed snapshot: mutates nothing a concurrent
   // query can see (the new blob stays unpublished until Install).
   const ShortList::View shorts(short_list_.get(), snap.short_list);
-  const relational::ScoreTable::View scores(ctx_.score_table, snap.score);
+  const relational::ScoreTable::View scores(snap.score);
   const storage::BlobRef old_ref = snap.longs.Get(term);
   if (!old_ref.valid() && shorts.TermPostingCount(term) == 0) {
     return std::unique_ptr<TermMergePlan>();  // nothing on either side
@@ -379,7 +379,7 @@ Status IdIndex::TopKAt(const IndexSnapshot& snap, const Query& query,
     return Status::OK();
   }
   const ShortList::View shorts(short_list_.get(), snap.short_list);
-  const relational::ScoreTable::View scores(ctx_.score_table, snap.score);
+  const relational::ScoreTable::View scores(snap.score);
 
   // One scratch block per stream, owned here: the whole query decodes
   // into these buffers with no per-posting allocation.

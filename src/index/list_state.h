@@ -25,14 +25,14 @@ namespace svr::index {
 template <typename V>
 class ListStateTable {
  public:
-  struct Entry {
-    V list_value{};  // list score, or chunk id
-    bool in_short_list = false;
-  };
   struct Slot {
     enum class State : uint8_t { kAbsent = 0, kRecorded, kInShort };
-    V list_value{};
+    V list_value{};  // list score, or chunk id
     State state = State::kAbsent;
+
+    /// The doc has an entry (in the short lists or not).
+    bool recorded() const { return state != State::kAbsent; }
+    bool in_short() const { return state == State::kInShort; }
   };
   using Column = VersionedArray<Slot>;
   using Snapshot = typename Column::Snapshot;
@@ -42,28 +42,24 @@ class ListStateTable {
   }
 
   /// Inserts or replaces the entry of `doc`.
-  void Put(DocId doc, const Entry& entry) {
-    if (column_.Get(doc).state == Slot::State::kAbsent) ++size_;
-    column_.Set(doc, Slot{entry.list_value, entry.in_short_list
-                                                ? Slot::State::kInShort
-                                                : Slot::State::kRecorded});
+  void Put(DocId doc, V list_value, bool in_short) {
+    if (!column_.Get(doc).recorded()) ++size_;
+    column_.Set(doc, Slot{list_value, in_short ? Slot::State::kInShort
+                                               : Slot::State::kRecorded});
   }
 
-  /// False if the doc has no entry (its score was never updated, or the
-  /// entry was retired). Reads the working column; never seals it.
-  bool Get(DocId doc, Entry* entry) const {
-    return ToEntry(column_.Get(doc), entry);
-  }
+  /// The doc's slot; not recorded() if it has no entry (its score was
+  /// never updated, or the entry was retired). Reads the working column;
+  /// never seals it.
+  Slot Get(DocId doc) const { return column_.Get(doc); }
 
   /// Same probe against a sealed version (lock-free snapshot reads).
-  static bool GetAt(const Snapshot& snap, DocId doc, Entry* entry) {
-    return ToEntry(snap.Get(doc), entry);
-  }
+  static Slot GetAt(const Snapshot& snap, DocId doc) { return snap.Get(doc); }
 
   /// Drops the entry (offline merges, and the fully-merged sweep that
   /// retires stale in_short entries — docs/merge_policy.md).
   void Remove(DocId doc) {
-    if (column_.Get(doc).state == Slot::State::kAbsent) return;
+    if (!column_.Get(doc).recorded()) return;
     column_.Set(doc, Slot());
     --size_;
   }
@@ -86,13 +82,6 @@ class ListStateTable {
 
  private:
   ListStateTable() = default;
-
-  static bool ToEntry(const Slot& slot, Entry* entry) {
-    if (slot.state == Slot::State::kAbsent) return false;
-    entry->list_value = slot.list_value;
-    entry->in_short_list = slot.state == Slot::State::kInShort;
-    return true;
-  }
 
   Column column_;
   uint64_t size_ = 0;

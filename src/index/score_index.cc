@@ -168,7 +168,7 @@ Status ScoreIndex::TopKAt(const IndexSnapshot& snap, const Query& query,
     if (query_stats != nullptr) *query_stats = qs;
     return Status::OK();
   }
-  const relational::ScoreTable::View scores(ctx_.score_table, snap.score);
+  const relational::ScoreTable::View scores(snap.score);
   const bool has_deletions = snap.has_deletions;
 
   std::vector<TermCursor> cursors;

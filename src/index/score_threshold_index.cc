@@ -186,9 +186,9 @@ double ScoreThresholdIndex::ListScoreOf(DocId doc, bool* in_short) const {
 double ScoreThresholdIndex::ListScoreOfAt(
     const ListScoreTable::Snapshot& list_state,
     const relational::ScoreTable::View& scores, DocId doc, bool* in_short) {
-  ListScoreTable::Entry e;
-  if (ListScoreTable::GetAt(list_state, doc, &e)) {
-    *in_short = e.in_short_list;
+  const ListScoreTable::Slot e = ListScoreTable::GetAt(list_state, doc);
+  if (e.recorded()) {
+    *in_short = e.in_short();
     return e.list_value;
   }
   // Never-scored documents read 0.0, exactly where BuildLongLists placed
@@ -205,12 +205,9 @@ Status ScoreThresholdIndex::OnScoreUpdate(DocId doc, double new_score) {
   SVR_RETURN_NOT_OK(ctx_.score_table->Set(doc, new_score));
 
   // Lines 9-17: establish the document's list score.
-  ListScoreTable::Entry e;
-  if (!list_state_->Get(doc, &e)) {
-    e = {old_score, false};
-    list_state_->Put(doc, e);
-  }
-  const double l_score = e.list_value;
+  const ListScoreTable::Slot e = list_state_->Get(doc);
+  const double l_score = e.recorded() ? e.list_value : old_score;
+  if (!e.recorded()) list_state_->Put(doc, l_score, false);
 
   // Lines 18-28: move postings only past the threshold.
   if (new_score > thresholdValueOf(l_score)) {
@@ -224,7 +221,7 @@ Status ScoreThresholdIndex::OnScoreUpdate(DocId doc, double new_score) {
           short_list_->Put(t, new_score, doc, PostingOp::kAdd, 0.0f));
       BumpStat(&IndexStats::short_list_writes);
     }
-    list_state_->Put(doc, {new_score, true});
+    list_state_->Put(doc, new_score, true);
     sweep_.NoteMove(doc);
   }
   return Status::OK();
@@ -232,7 +229,7 @@ Status ScoreThresholdIndex::OnScoreUpdate(DocId doc, double new_score) {
 
 Status ScoreThresholdIndex::InsertDocument(DocId doc, double score) {
   SVR_RETURN_NOT_OK(ctx_.score_table->Set(doc, score));
-  list_state_->Put(doc, {score, true});
+  list_state_->Put(doc, score, true);
   sweep_.NoteMove(doc);
   for (TermId t : ctx_.corpus->doc(doc).terms()) {
     SVR_RETURN_NOT_OK(
@@ -311,7 +308,7 @@ ScoreThresholdIndex::PrepareMergeTermAt(const IndexSnapshot& snap,
   // Reader phase against a sealed snapshot: mutates nothing a concurrent
   // query can see (the new blob stays unpublished until Install).
   const ShortList::View shorts(short_list_.get(), snap.short_list);
-  const relational::ScoreTable::View scores(ctx_.score_table, snap.score);
+  const relational::ScoreTable::View scores(snap.score);
   const storage::BlobRef old_ref = snap.longs.Get(term);
   if (!old_ref.valid() && shorts.TermPostingCount(term) == 0) {
     return std::unique_ptr<TermMergePlan>();
@@ -343,9 +340,10 @@ ScoreThresholdIndex::PrepareMergeTermAt(const IndexSnapshot& snap,
       if (stream.from_short()) {
         plan->from_short_docs.push_back(doc);
       } else {
-        ListScoreTable::Entry e;
-        if (ListScoreTable::GetAt(snap.list_score, doc, &e)) {
-          live = !e.in_short_list || e.list_value == stream.score();
+        const ListScoreTable::Slot e =
+            ListScoreTable::GetAt(snap.list_score, doc);
+        if (e.recorded()) {
+          live = !e.in_short() || e.list_value == stream.score();
         }
       }
       if (scores.At(doc).deleted()) live = false;
@@ -416,10 +414,10 @@ Status ScoreThresholdIndex::InstallMergeTerm(TermMergePlan* plan,
   // downgraded to in_short == false instead of removed.
   for (DocId doc : p->from_short_docs) {
     if (short_list_->DocPostingCount(doc) != 0) continue;
-    ListScoreTable::Entry e;
-    if (!list_state_->Get(doc, &e)) continue;
+    const ListScoreTable::Slot e = list_state_->Get(doc);
+    if (!e.recorded()) continue;
     const bool reproduces = ctx_.score_table->At(doc).score == e.list_value;
-    if (!e.in_short_list) {
+    if (!e.in_short()) {
       if (reproduces) {
         list_state_->Remove(doc);
         BumpStat(&IndexStats::list_state_retired);
@@ -430,7 +428,7 @@ Status ScoreThresholdIndex::InstallMergeTerm(TermMergePlan* plan,
     if (reproduces) {
       list_state_->Remove(doc);
     } else {
-      list_state_->Put(doc, {e.list_value, false});
+      list_state_->Put(doc, e.list_value, false);
     }
     sweep_.Forget(doc);
     BumpStat(&IndexStats::list_state_retired);
@@ -492,7 +490,7 @@ Status ScoreThresholdIndex::TopKAt(const IndexSnapshot& snap,
     return Status::OK();
   }
   const ShortList::View shorts(short_list_.get(), snap.short_list);
-  const relational::ScoreTable::View scores(ctx_.score_table, snap.score);
+  const relational::ScoreTable::View scores(snap.score);
   const bool has_deletions = snap.has_deletions;
 
   std::vector<ScoreCursorScratch> scratch(query.terms.size());
@@ -523,9 +521,11 @@ Status ScoreThresholdIndex::TopKAt(const IndexSnapshot& snap,
     // (the oracle skips them too).
     double curr = 0.0;
     bool candidate = true;
-    ListScoreTable::Entry e;
-    if (from_short || ListScoreTable::GetAt(snap.list_score, pos.doc, &e)) {
-      if (!from_short && e.in_short_list && e.list_value != pos.score) {
+    const ListScoreTable::Slot e =
+        from_short ? ListScoreTable::Slot()
+                   : ListScoreTable::GetAt(snap.list_score, pos.doc);
+    if (from_short || e.recorded()) {
+      if (e.in_short() && e.list_value != pos.score) {
         // Stale long posting at the score the doc moved away from; the
         // short list (or the incrementally merged long posting at the
         // doc's current list score) governs.

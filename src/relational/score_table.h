@@ -64,12 +64,16 @@ class ScoreTable {
 
   /// \brief Read adapter over one sealed version — the Score table a
   /// pinned ReadView probes. Copyable and self-contained: the snapshot
-  /// keeps its chunks alive, so `table` only names the view's origin.
+  /// keeps its chunks alive, so the view does not depend on the table.
   class View {
    public:
     View() = default;
+    explicit View(Column::Snapshot snap) : snap_(std::move(snap)) {}
+    /// The same view; `table` is ignored. Kept only because the
+    /// end-to-end benchmark's oracle check (svrbench/bench_svr.cc)
+    /// still passes the table it pins.
     View(const ScoreTable* /*table*/, Column::Snapshot snap)
-        : snap_(std::move(snap)) {}
+        : View(std::move(snap)) {}
 
     /// The doc's slot (State::kAbsent when never scored): one array load.
     Slot At(DocId doc) const { return snap_.Get(doc); }
@@ -79,7 +83,7 @@ class ScoreTable {
   };
 
   /// View over the working column, unsealed — exclusive access only.
-  View LiveView() const { return View(this, column_.LiveSnapshot()); }
+  View LiveView() const { return View(column_.LiveSnapshot()); }
 
   /// Scored docs, live or deleted.
   uint64_t size() const { return size_; }

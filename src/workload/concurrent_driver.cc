@@ -156,7 +156,7 @@ Status ValidateShardedQuery(core::ShardedSvrEngine* engine,
         shard->text_index()->TopKAt(snap, q, top_k, &got[s]));
     SVR_RETURN_NOT_OK(core::BruteForceOracle::TopKAt(
         snap.corpus,
-        relational::ScoreTable::View(shard->score_table(), snap.score), q,
+        relational::ScoreTable::View(snap.score), q,
         top_k, with_ts, &want[s]));
     if (got[s] != want[s]) *mismatch = true;
   }

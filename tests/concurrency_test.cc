@@ -15,6 +15,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <memory>
 #include <string>
 #include <thread>
@@ -624,15 +625,6 @@ TEST(MergeSchedulerTest, StopIsIdempotentAndRestartable) {
 TEST(BufferPoolTest, StatsReadersRaceLiveIo) {
   storage::InMemoryPageStore store(256);
   storage::BufferPool pool(&store, 4);  // small: constant eviction
-  {
-    // One hit before the readers start, so every snapshot they take
-    // must already report IO.
-    storage::PageHandle h;
-    ASSERT_TRUE(pool.NewPage(&h).ok());
-    const storage::PageId id = h.id();
-    h.Release();
-    ASSERT_TRUE(pool.Fetch(id, &h).ok());
-  }
   constexpr int kReaders = 2;
   std::atomic<bool> stop{false};
   std::atomic<uint64_t> reads{0};
@@ -679,6 +671,17 @@ TEST(BufferPoolTest, StatsReadersRaceLiveIo) {
         h.Release();
         storage::PageHandle r;
         ASSERT_TRUE(pool.Fetch(ids[i / 2], &r).ok());
+      }
+      // The readers' first snapshots saw no IO. Keep the IO going until
+      // one of them has counted a snapshot taken while it runs, so a
+      // descheduled reader cannot miss the whole write phase.
+      const auto deadline =
+          std::chrono::steady_clock::now() + std::chrono::seconds(10);
+      for (size_t i = 0; reads.load(std::memory_order_relaxed) == 0 &&
+                         std::chrono::steady_clock::now() < deadline;
+           ++i) {
+        storage::PageHandle r;
+        ASSERT_TRUE(pool.Fetch(ids[i % ids.size()], &r).ok());
       }
     });
   }

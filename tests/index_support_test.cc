@@ -402,19 +402,20 @@ TEST_F(ShortListTest, DeleteAndClear) {
 TEST_F(ShortListTest, ListStateRoundTrip) {
   auto ls = ListScoreTable::Create();
   auto& table = *ls;
-  ListScoreTable::Entry e;
-  EXPECT_FALSE(table.Get(42, &e));
-  table.Put(42, {87.13, false});
-  ASSERT_TRUE(table.Get(42, &e));
+  EXPECT_FALSE(table.Get(42).recorded());
+  table.Put(42, 87.13, false);
+  ListScoreTable::Slot e = table.Get(42);
+  ASSERT_TRUE(e.recorded());
   EXPECT_EQ(e.list_value, 87.13);
-  EXPECT_FALSE(e.in_short_list);
-  table.Put(42, {124.2, true});
-  ASSERT_TRUE(table.Get(42, &e));
+  EXPECT_FALSE(e.in_short());
+  table.Put(42, 124.2, true);
+  e = table.Get(42);
+  ASSERT_TRUE(e.recorded());
   EXPECT_EQ(e.list_value, 124.2);
-  EXPECT_TRUE(e.in_short_list);
+  EXPECT_TRUE(e.in_short());
   EXPECT_EQ(table.size(), 1u);
   table.Remove(42);
-  EXPECT_FALSE(table.Get(42, &e));
+  EXPECT_FALSE(table.Get(42).recorded());
   EXPECT_EQ(table.size(), 0u);
 }
 

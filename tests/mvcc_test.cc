@@ -280,8 +280,7 @@ TEST_P(PinnedViewTest, PinnedViewIsImmutableUnderWriterChurn) {
       engine->text_index()->TopKAt(view.state->index, q, 20, &before).ok());
   ASSERT_TRUE(core::BruteForceOracle::TopKAt(
                   view.state->index.corpus,
-                  relational::ScoreTable::View(engine->score_table(),
-                                               view.state->index.score),
+                  relational::ScoreTable::View(view.state->index.score),
                   q, 20, with_ts, &oracle_at_view)
                   .ok());
   EXPECT_EQ(before, oracle_at_view)
@@ -343,8 +342,7 @@ TEST_P(PinnedViewTest, PinnedViewIsImmutableUnderWriterChurn) {
       engine->text_index()->TopKAt(fresh.state->index, q, 20, &now).ok());
   ASSERT_TRUE(core::BruteForceOracle::TopKAt(
                   fresh.state->index.corpus,
-                  relational::ScoreTable::View(engine->score_table(),
-                                               fresh.state->index.score),
+                  relational::ScoreTable::View(fresh.state->index.score),
                   q, 20, with_ts, &oracle_now)
                   .ok());
   EXPECT_EQ(now, oracle_now);
@@ -426,8 +424,7 @@ TEST_P(PinnedViewRaceTest, HeldViewStaysConsistentWhileWritersRace) {
     std::vector<index::SearchResult> want;
     st = core::BruteForceOracle::TopKAt(
         view.state->index.corpus,
-        relational::ScoreTable::View(engine->score_table(),
-                                     view.state->index.score),
+        relational::ScoreTable::View(view.state->index.score),
         q, 15, with_ts, &want);
     if (!st.ok() || first != want) {
       reader_status =
@@ -678,9 +675,9 @@ TEST(JudgeColumnTest, SealedVersionsIgnoreLaterWrites) {
   constexpr DocId kDocs = 1000;  // several VersionedArray chunks
   for (DocId d = 0; d < kDocs; d += 2) {
     ASSERT_TRUE(scores->Set(d, 1.5 * d).ok());
-    chunks->Put(d, {d % 7, d % 3 == 0});
+    chunks->Put(d, d % 7, d % 3 == 0);
   }
-  const relational::ScoreTable::View sealed(scores.get(), scores->Seal());
+  const relational::ScoreTable::View sealed(scores->Seal());
   const index::ListChunkTable::Snapshot sealed_chunks = chunks->Seal();
 
   Random rng(11);
@@ -691,24 +688,24 @@ TEST(JudgeColumnTest, SealedVersionsIgnoreLaterWrites) {
       chunks->Remove(d);
     } else {
       ASSERT_TRUE(scores->Set(d, -1.0 * i).ok());
-      chunks->Put(d, {static_cast<ChunkId>(i), true});
+      chunks->Put(d, static_cast<ChunkId>(i), true);
     }
   }
   chunks->Clear();
 
   for (DocId d = 0; d < kDocs + 300; ++d) {
     const Slot slot = sealed.At(d);
-    index::ListChunkTable::Entry e;
-    const bool recorded = index::ListChunkTable::GetAt(sealed_chunks, d, &e);
+    const index::ListChunkTable::Slot e =
+        index::ListChunkTable::GetAt(sealed_chunks, d);
     if (d < kDocs && d % 2 == 0) {
       EXPECT_TRUE(slot.live()) << "doc " << d;
       EXPECT_EQ(slot.score, 1.5 * d) << "doc " << d;
-      ASSERT_TRUE(recorded) << "doc " << d;
+      ASSERT_TRUE(e.recorded()) << "doc " << d;
       EXPECT_EQ(e.list_value, d % 7);
-      EXPECT_EQ(e.in_short_list, d % 3 == 0);
+      EXPECT_EQ(e.in_short(), d % 3 == 0);
     } else {
       EXPECT_EQ(slot.state, Slot::State::kAbsent) << "doc " << d;
-      EXPECT_FALSE(recorded) << "doc " << d;
+      EXPECT_FALSE(e.recorded()) << "doc " << d;
     }
   }
   EXPECT_EQ(chunks->size(), 0u);
@@ -754,8 +751,7 @@ TEST(JudgeColumnTest, PinnedColumnsMatchRelationalRowsAfterChurn) {
     core::SvrEngine* shard = engine->shard(s);
     ASSERT_TRUE(view.shards[s].indexed());
     const index::IndexSnapshot& snap = view.shards[s].state->index;
-    const relational::ScoreTable::View column(shard->score_table(),
-                                              snap.score);
+    const relational::ScoreTable::View column(snap.score);
 
     auto fresh_table = relational::ScoreTable::Create();
     relational::ScoreView fresh(
