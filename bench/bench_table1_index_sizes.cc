@@ -9,6 +9,9 @@
 // score per posting and loses delta compression; the TermScore variants
 // add a 4-byte term score per posting; Chunk matches ID except for the
 // per-chunk group headers.
+//
+// `out=BENCH_paper_table1.json` also writes the rows as JSON (method,
+// format, long_bytes); tools/check_bench_json.py gates the byte order.
 
 #include <cstdio>
 
@@ -21,6 +24,9 @@ int main(int argc, char** argv) {
   Flags flags(argc, argv);
   workload::ExperimentConfig config = DefaultConfig(flags);
   index::IndexOptions options = DefaultIndexOptions(flags);
+  const std::string out_path = flags.GetString("out", "");
+  const std::string format =
+      config.posting_format == PostingFormat::kV1 ? "v1" : "v2";
 
   std::printf("# Table 1: size of long inverted lists\n");
   std::printf("# corpus: %u docs x %u terms, vocab %u\n\n",
@@ -34,6 +40,7 @@ int main(int argc, char** argv) {
   };
 
   TablePrinter table({"method", "long lists MB", "vs ID"});
+  JsonRows json({"method", "format", "long_bytes"});
   uint64_t id_bytes = 0;
   for (index::Method m : methods) {
     auto exp = CheckResult(workload::Experiment::Setup(m, config, options),
@@ -46,6 +53,14 @@ int main(int argc, char** argv) {
                                 : static_cast<double>(bytes) /
                                       static_cast<double>(id_bytes));
     table.Row({index::MethodName(m), Mb(bytes), ratio});
+    json.Row({index::MethodName(m), format, std::to_string(bytes)});
+  }
+  if (!out_path.empty()) {
+    json.Write(out_path, "paper",
+               {{"figure", "table1"},
+                {"docs", std::to_string(config.corpus.num_docs)},
+                {"terms", std::to_string(config.corpus.terms_per_doc)},
+                {"vocab", std::to_string(config.corpus.vocab_size)}});
   }
   std::printf(
       "\n# paper: ID 145MB | Score 2768MB | Score-Threshold 847MB | "

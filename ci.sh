@@ -113,11 +113,17 @@ if [ "$SANITIZERS_ONLY" != "1" ]; then
   "$BUILD_DIR/bench_fig8_varying_k" docs=5000 vocab=5000 terms=60 \
     updates=2000 validate=1 out="$SMOKE/BENCH_paper.json"
 
+  # Paper smoke run (Table 1): long-list bytes per method. The JSON
+  # check gates the deterministic order Score > Score-Threshold >
+  # TermScore variants > Chunk >= ID, with Chunk within 1.25x of ID.
+  "$BUILD_DIR/bench_table1_index_sizes" docs=3000 terms=60 vocab=5000 \
+    out="$SMOKE/BENCH_paper_table1.json"
+
   # The committed artifacts (BENCH_mvcc.json is frozen history: its
   # bench is retired) and this run's smoke outputs pass the same gates.
   COMMITTED="BENCH_merge.json BENCH_concurrency.json BENCH_sharding.json
     BENCH_mvcc.json BENCH_durability.json BENCH_telemetry.json
-    BENCH_server.json BENCH_paper.json"
+    BENCH_server.json BENCH_paper.json BENCH_paper_table1.json"
   if command -v python3 > /dev/null; then
     python3 tools/check_bench_json.py --self-test
     # shellcheck disable=SC2086

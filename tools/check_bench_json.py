@@ -223,12 +223,10 @@ def check_server(d):
             over[0]["p99_ceiling_us"])
 
 
-def check_paper(d):
-    """BENCH_paper.json: the paper's Fig. 8, gated only on the list-page
-    counts, which repeat exactly from run to run. Wall time drifts with
-    the host, so it is recorded but not gated."""
-    ctx = require_context(d)
-    assert d.get("figure") == "fig8", "unknown figure %r" % d.get("figure")
+def check_paper_fig8(d, ctx):
+    """Fig. 8, gated only on the list-page counts, which repeat exactly
+    from run to run. Wall time drifts with the host, so it is recorded
+    but not gated."""
     assert d.get("validated") is True, "fig8 ran without validate=1"
     pages = {}
     for r in d["rows"]:
@@ -253,6 +251,57 @@ def check_paper(d):
     return "fig8: k=%d..%d, Chunk <= ST pages at every k, ID flat " \
         "around %.1f pages; %d CPUs" % (ks[0], ks[-1], id_mid,
                                         ctx["hardware_concurrency"])
+
+
+TABLE1_METHODS = ("ID", "Score", "Score-Threshold", "Chunk",
+                  "ID-TermScore", "Chunk-TermScore")
+
+
+def check_paper_table1(d, ctx):
+    """Table 1: long-list bytes per method, one group of rows per posting
+    format. Sizes are deterministic, so each group is gated on the
+    paper's strict order. The v1 rows (the paper's one-varint-per-posting
+    layout) are frozen history; a fresh run writes v2 rows only."""
+    sizes = {}
+    for r in d["rows"]:
+        group = sizes.setdefault(r["format"], {})
+        assert r["method"] not in group, \
+            "table1 repeats %s/%s" % (r["format"], r["method"])
+        group[r["method"]] = r["long_bytes"]
+    assert "v2" in sizes, "table1 has no v2 rows"
+    ratios = []
+    for fmt, b in sorted(sizes.items()):
+        missing = [m for m in TABLE1_METHODS if m not in b]
+        assert not missing, "table1 %s lacks %s" % (fmt, missing)
+        ts_hi = max(b["ID-TermScore"], b["Chunk-TermScore"])
+        ts_lo = min(b["ID-TermScore"], b["Chunk-TermScore"])
+        assert b["Score"] > b["Score-Threshold"] > ts_hi, \
+            "%s: not Score > Score-Threshold > max(ID-TS, Chunk-TS): " \
+            "%d, %d, %d" % (fmt, b["Score"], b["Score-Threshold"], ts_hi)
+        assert ts_lo > b["Chunk"] >= b["ID"] > 0, \
+            "%s: not min(ID-TS, Chunk-TS) > Chunk >= ID: %d, %d, %d" % (
+                fmt, ts_lo, b["Chunk"], b["ID"])
+        # The paper's "Chunk ~= ID": group headers cost a bounded share.
+        assert b["Chunk"] <= 1.25 * b["ID"], \
+            "%s: Chunk %d > 1.25x ID %d" % (fmt, b["Chunk"], b["ID"])
+        ratios.append("%s Chunk/ID %.2f" % (fmt, b["Chunk"] / b["ID"]))
+    return "table1: Score > ST > TS > Chunk >= ID in every format, %s; " \
+        "%d CPUs" % (", ".join(ratios), ctx["hardware_concurrency"])
+
+
+PAPER_FIGURES = {
+    "fig8": check_paper_fig8,
+    "table1": check_paper_table1,
+}
+
+
+def check_paper(d):
+    """BENCH_paper*.json: one of the paper's figures or tables, one file
+    each, dispatched on "figure"."""
+    ctx = require_context(d)
+    checker = PAPER_FIGURES.get(d.get("figure"))
+    assert checker is not None, "unknown figure %r" % d.get("figure")
+    return checker(d, ctx)
 
 
 CHECKERS = {
@@ -335,6 +384,13 @@ def _self_test_fixtures():
                           "qry_pages": p[i]}
                          for m, p in fig8_pages.items()
                          for i, k in enumerate((1, 10, 100))]}
+    table1_bytes = {"ID": 1000, "Score": 9000, "Score-Threshold": 6000,
+                    "Chunk": 1090, "ID-TermScore": 3000,
+                    "Chunk-TermScore": 3050}
+    table1_ok = {"figure": "table1", "context": context,
+                 "rows": [{"method": m, "format": f, "long_bytes": b}
+                          for f in ("v1", "v2")
+                          for m, b in table1_bytes.items()]}
     passing = {
         "merge_policy": merge_ok,
         "concurrent_churn": churn_ok,
@@ -343,7 +399,7 @@ def _self_test_fixtures():
         "durability": dur_ok,
         "telemetry": telemetry_ok,
         "server": server_ok,
-        "paper": paper_ok,
+        "paper": [paper_ok, table1_ok],
     }
     # Seeded failures: each flips exactly one property its checker gates.
     def without_context(payload):
@@ -371,6 +427,20 @@ def _self_test_fixtures():
     paper_id_climbs["rows"][2]["qry_pages"] = 60.0  # ID not flat
     paper_unvalidated = json.loads(json.dumps(paper_ok))
     paper_unvalidated["validated"] = False
+
+    def table1_with(fmt, method, long_bytes):
+        bad = json.loads(json.dumps(table1_ok))
+        for r in bad["rows"]:
+            if r["format"] == fmt and r["method"] == method:
+                r["long_bytes"] = long_bytes
+        return bad
+
+    table1_v1_only = json.loads(json.dumps(table1_ok))
+    table1_v1_only["rows"] = [r for r in table1_v1_only["rows"]
+                              if r["format"] == "v1"]
+    table1_no_chunk = json.loads(json.dumps(table1_ok))
+    table1_no_chunk["rows"] = [r for r in table1_no_chunk["rows"]
+                               if r["method"] != "Chunk"]
     failing = {
         "merge_policy": [merge_bad],
         "concurrent_churn": [churn_bad, without_context(churn_ok)],
@@ -380,7 +450,14 @@ def _self_test_fixtures():
         "telemetry": [telemetry_bad, without_context(telemetry_ok)],
         "server": [server_bad],
         "paper": [paper_slow_chunk, paper_id_climbs, paper_unvalidated,
-                  without_context(paper_ok)],
+                  without_context(paper_ok), dict(paper_ok, figure="fig9"),
+                  table1_v1_only, table1_no_chunk,
+                  table1_with("v2", "Chunk", 1300),  # Chunk > 1.25x ID
+                  table1_with("v1", "Chunk", 990),  # Chunk < ID
+                  table1_with("v2", "Score", 5000),  # Score < ST
+                  table1_with("v2", "Score-Threshold", 3020),  # ST < C-TS
+                  table1_with("v1", "ID-TermScore", 1050),  # ID-TS < Chunk
+                  without_context(table1_ok)],
     }
     return passing, failing
 
@@ -388,9 +465,11 @@ def _self_test_fixtures():
 def self_test():
     passing, failing = _self_test_fixtures()
     assert set(passing) == set(CHECKERS), "fixture per checker required"
-    for bench, payload in passing.items():
-        summary = CHECKERS[bench](payload)
-        assert summary, bench
+    for bench, payloads in passing.items():
+        if not isinstance(payloads, list):
+            payloads = [payloads]
+        for payload in payloads:
+            assert CHECKERS[bench](payload), bench
     for bench, payloads in failing.items():
         for payload in payloads:
             try:
