@@ -95,8 +95,6 @@ inline workload::ExperimentConfig DefaultConfig(const Flags& flags) {
   c.num_queries = static_cast<uint32_t>(flags.GetInt("queries", 50));
   c.top_k = static_cast<uint32_t>(flags.GetInt("k", 20));
   c.seed = static_cast<uint64_t>(flags.GetInt("seed", 2005));
-  c.posting_format = flags.GetInt("format", 2) == 1 ? PostingFormat::kV1
-                                                    : PostingFormat::kV2;
   c.merge_policy.enabled = flags.GetBool("auto_merge", false);
   c.merge_policy.short_ratio = flags.GetDouble("merge_ratio", 0.25);
   c.merge_policy.min_short_postings =

@@ -1,8 +1,8 @@
 // Micro-benchmarks (google-benchmark) for the posting codecs: the inner
-// loops every query method is built on. Every decode benchmark runs the
-// v1 (per-posting LEB128) and v2 (blocked group-varint) formats side by
-// side through the same cursor pipeline; the v1 rows double as the seed
-// baseline.
+// loops every query method is built on, through the same cursors the
+// queries use. BENCH_codec.json is a frozen record of these loops
+// against the paper's per-posting varint layout, which is no longer
+// built.
 
 #include <benchmark/benchmark.h>
 
@@ -17,10 +17,6 @@
 
 namespace svr::index {
 namespace {
-
-PostingFormat Fmt(int64_t arg) {
-  return arg == 1 ? PostingFormat::kV1 : PostingFormat::kV2;
-}
 
 std::vector<DocId> MakeDocs(size_t n) {
   std::vector<DocId> docs(n);
@@ -46,32 +42,27 @@ struct BlobFixture {
 
 void BM_EncodeIdList(benchmark::State& state) {
   const auto docs = MakeDocs(state.range(0));
-  const PostingFormat fmt = Fmt(state.range(1));
   std::string out;
   for (auto _ : state) {
     out.clear();
-    EncodeIdList(docs, &out, fmt);
+    EncodeIdList(docs, &out);
     benchmark::DoNotOptimize(out.data());
   }
   state.SetItemsProcessed(state.iterations() * state.range(0));
-  state.SetLabel(fmt == PostingFormat::kV1 ? "v1" : "v2");
 }
-BENCHMARK(BM_EncodeIdList)
-    ->Args({1000, 1})->Args({1000, 2})
-    ->Args({100000, 1})->Args({100000, 2});
+BENCHMARK(BM_EncodeIdList)->Arg(1000)->Arg(100000);
 
 // --- decode: full scan ---------------------------------------------------
 
 void BM_DecodeIdList(benchmark::State& state) {
   const auto docs = MakeDocs(state.range(0));
-  const PostingFormat fmt = Fmt(state.range(1));
   std::string buf;
-  EncodeIdList(docs, &buf, fmt);
+  EncodeIdList(docs, &buf);
   BlobFixture fx;
   auto ref = fx.Put(buf);
   CursorScratch scratch;
   for (auto _ : state) {
-    IdPostingCursor c(fx.blobs.NewReader(ref), /*with_ts=*/false, fmt,
+    IdPostingCursor c(fx.blobs.NewReader(ref), /*with_ts=*/false,
                       &scratch);
     (void)c.Init();
     uint64_t sum = 0;
@@ -82,49 +73,22 @@ void BM_DecodeIdList(benchmark::State& state) {
     benchmark::DoNotOptimize(sum);
   }
   state.SetItemsProcessed(state.iterations() * state.range(0));
-  state.SetLabel(fmt == PostingFormat::kV1 ? "v1" : "v2");
 }
-BENCHMARK(BM_DecodeIdList)
-    ->Args({1000, 1})->Args({1000, 2})
-    ->Args({100000, 1})->Args({100000, 2});
-
-// v1 baseline through the seed's per-posting reader, for an honest
-// old-pipeline reference point.
-void BM_DecodeIdListSeedReader(benchmark::State& state) {
-  const auto docs = MakeDocs(state.range(0));
-  std::string buf;
-  EncodeIdList(docs, &buf, PostingFormat::kV1);
-  BlobFixture fx;
-  auto ref = fx.Put(buf);
-  for (auto _ : state) {
-    IdListReader r(fx.blobs.NewReader(ref), /*with_ts=*/false);
-    (void)r.Init();
-    uint64_t sum = 0;
-    while (r.Valid()) {
-      sum += r.doc();
-      (void)r.Next();
-    }
-    benchmark::DoNotOptimize(sum);
-  }
-  state.SetItemsProcessed(state.iterations() * state.range(0));
-  state.SetLabel("v1-seed");
-}
-BENCHMARK(BM_DecodeIdListSeedReader)->Arg(1000)->Arg(100000);
+BENCHMARK(BM_DecodeIdList)->Arg(1000)->Arg(100000);
 
 // --- decode: galloping intersection (SeekTo) -----------------------------
 
 void BM_SeekIdList(benchmark::State& state) {
   const auto docs = MakeDocs(100000);
-  const PostingFormat fmt = Fmt(state.range(1));
   const DocId stride = static_cast<DocId>(state.range(0));
   std::string buf;
-  EncodeIdList(docs, &buf, fmt);
+  EncodeIdList(docs, &buf);
   BlobFixture fx;
   auto ref = fx.Put(buf);
   CursorScratch scratch;
   uint64_t seeks = 0;
   for (auto _ : state) {
-    IdPostingCursor c(fx.blobs.NewReader(ref), false, fmt, &scratch);
+    IdPostingCursor c(fx.blobs.NewReader(ref), false, &scratch);
     (void)c.Init();
     uint64_t sum = 0;
     seeks = 0;
@@ -138,11 +102,10 @@ void BM_SeekIdList(benchmark::State& state) {
     benchmark::DoNotOptimize(sum);
   }
   state.SetItemsProcessed(state.iterations() * seeks);
-  state.SetLabel(fmt == PostingFormat::kV1 ? "v1" : "v2");
 }
 BENCHMARK(BM_SeekIdList)
-    ->Args({500, 1})->Args({500, 2})      // sparse intersection
-    ->Args({5000, 1})->Args({5000, 2});   // very sparse
+    ->Arg(500)     // sparse intersection
+    ->Arg(5000);   // very sparse
 
 // --- decode: chunk lists -------------------------------------------------
 
@@ -162,16 +125,15 @@ std::vector<ChunkGroup> MakeGroups() {
 
 void BM_DecodeChunkList(benchmark::State& state) {
   const auto groups = MakeGroups();
-  const PostingFormat fmt = Fmt(state.range(0));
   std::string buf;
-  EncodeChunkList(groups, false, &buf, fmt);
+  EncodeChunkList(groups, false, &buf);
   BlobFixture fx;
   auto ref = fx.Put(buf);
   CursorScratch scratch;
   size_t total = 0;
   for (const auto& g : groups) total += g.postings.size();
   for (auto _ : state) {
-    ChunkPostingCursor c(fx.blobs.NewReader(ref), false, fmt, &scratch);
+    ChunkPostingCursor c(fx.blobs.NewReader(ref), false, &scratch);
     (void)c.Init();
     uint64_t sum = 0;
     while (c.HasGroup()) {
@@ -184,20 +146,18 @@ void BM_DecodeChunkList(benchmark::State& state) {
     benchmark::DoNotOptimize(sum);
   }
   state.SetItemsProcessed(state.iterations() * total);
-  state.SetLabel(fmt == PostingFormat::kV1 ? "v1" : "v2");
 }
-BENCHMARK(BM_DecodeChunkList)->Arg(1)->Arg(2);
+BENCHMARK(BM_DecodeChunkList);
 
 void BM_DecodeChunkListWithSkips(benchmark::State& state) {
   const auto groups = MakeGroups();
-  const PostingFormat fmt = Fmt(state.range(0));
   std::string buf;
-  EncodeChunkList(groups, false, &buf, fmt);
+  EncodeChunkList(groups, false, &buf);
   BlobFixture fx;
   auto ref = fx.Put(buf);
   CursorScratch scratch;
   for (auto _ : state) {
-    ChunkPostingCursor c(fx.blobs.NewReader(ref), false, fmt, &scratch);
+    ChunkPostingCursor c(fx.blobs.NewReader(ref), false, &scratch);
     (void)c.Init();
     uint64_t sum = 0;
     bool skip = false;
@@ -215,26 +175,24 @@ void BM_DecodeChunkListWithSkips(benchmark::State& state) {
     }
     benchmark::DoNotOptimize(sum);
   }
-  state.SetLabel(fmt == PostingFormat::kV1 ? "v1" : "v2");
 }
-BENCHMARK(BM_DecodeChunkListWithSkips)->Arg(1)->Arg(2);
+BENCHMARK(BM_DecodeChunkListWithSkips);
 
 // --- decode: score lists -------------------------------------------------
 
 void BM_DecodeScoreList(benchmark::State& state) {
   const size_t n = static_cast<size_t>(state.range(0));
-  const PostingFormat fmt = Fmt(state.range(1));
   std::vector<ScorePosting> ps;
   for (size_t i = 0; i < n; ++i) {
     ps.push_back({static_cast<double>(n - i), static_cast<DocId>(i * 3)});
   }
   std::string buf;
-  EncodeScoreList(ps, &buf, fmt);
+  EncodeScoreList(ps, &buf);
   BlobFixture fx;
   auto ref = fx.Put(buf);
   ScoreCursorScratch scratch;
   for (auto _ : state) {
-    ScorePostingCursor c(fx.blobs.NewReader(ref), fmt, &scratch);
+    ScorePostingCursor c(fx.blobs.NewReader(ref), &scratch);
     (void)c.Init();
     double sum = 0;
     while (c.Valid()) {
@@ -244,10 +202,8 @@ void BM_DecodeScoreList(benchmark::State& state) {
     benchmark::DoNotOptimize(sum);
   }
   state.SetItemsProcessed(state.iterations() * n);
-  state.SetLabel(fmt == PostingFormat::kV1 ? "v1" : "v2");
 }
-BENCHMARK(BM_DecodeScoreList)
-    ->Args({100000, 1})->Args({100000, 2});
+BENCHMARK(BM_DecodeScoreList)->Arg(100000);
 
 }  // namespace
 }  // namespace svr::index

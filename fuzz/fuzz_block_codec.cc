@@ -1,13 +1,13 @@
 // Fuzz target over the posting-list decode surface (docs/
-// posting_format.md): the v1 varint readers and the v2 block cursors
-// both consume blob bytes that queries read straight out of the buffer
-// pool, so every cursor must tolerate arbitrary / truncated / hostile
-// list bytes without crashing, over-reading its blob, or spinning.
+// posting_lists.md): the block cursors consume blob bytes that queries
+// read straight out of the buffer pool, so every cursor must tolerate
+// arbitrary / truncated / hostile list bytes without crashing,
+// over-reading its blob, or spinning.
 //
 // The harness writes the fuzz input as a blob and drives every cursor
-// kind (ID, ID+ts, chunk, score) in both formats over it, including the
-// SeekTo / SeekInGroup / SkipGroup skip paths, which exercise the v2
-// skip-header arithmetic against adversarial headers. Work is bounded:
+// kind (ID, ID+ts, chunk, score) over it, including the SeekTo /
+// SeekInGroup / SkipGroup skip paths, which exercise the skip-header
+// arithmetic against adversarial headers. Work is bounded:
 // a cursor that takes more successful steps than the input could
 // plausibly encode is an infinite-loop bug and trips FUZZ_CHECK.
 
@@ -28,7 +28,6 @@ namespace {
 
 using svr::ChunkId;
 using svr::DocId;
-using svr::PostingFormat;
 using svr::index::ChunkGroup;
 using svr::index::ChunkPostingCursor;
 using svr::index::CursorScratch;
@@ -45,7 +44,7 @@ using svr::index::ScorePostingCursor;
 
 /// Ceiling on successful cursor steps for an input of `size` bytes.
 /// Every decoded posting consumes at least one input byte somewhere
-/// (v1: its own varint; v2: its share of a block payload), so a cursor
+/// (its share of a block payload), so a cursor
 /// that keeps yielding postings past this bound is looping on the spot.
 size_t WorkBound(size_t size) { return 16 * size + 1024; }
 
@@ -65,11 +64,11 @@ struct Fixture {
   bool ok = false;
 };
 
-void DriveIdCursor(Fixture* fx, bool with_ts, PostingFormat format,
-                   size_t bound, DocId seek_target) {
+void DriveIdCursor(Fixture* fx, bool with_ts, size_t bound,
+                   DocId seek_target) {
   auto scratch = std::make_unique<CursorScratch>();
   {
-    IdPostingCursor cur(fx->blobs.NewReader(fx->ref), with_ts, format,
+    IdPostingCursor cur(fx->blobs.NewReader(fx->ref), with_ts,
                         scratch.get());
     if (cur.Init().ok()) {
       size_t steps = 0;
@@ -82,7 +81,7 @@ void DriveIdCursor(Fixture* fx, bool with_ts, PostingFormat format,
     }
   }
   // Fresh cursor: seek into the middle, then drain what is left.
-  IdPostingCursor cur(fx->blobs.NewReader(fx->ref), with_ts, format,
+  IdPostingCursor cur(fx->blobs.NewReader(fx->ref), with_ts,
                       scratch.get());
   if (!cur.Init().ok()) return;
   if (!cur.SeekTo(seek_target).ok()) return;
@@ -93,10 +92,10 @@ void DriveIdCursor(Fixture* fx, bool with_ts, PostingFormat format,
   }
 }
 
-void DriveChunkCursor(Fixture* fx, bool with_ts, PostingFormat format,
-                      size_t bound, DocId seek_target, uint32_t choices) {
+void DriveChunkCursor(Fixture* fx, bool with_ts, size_t bound,
+                      DocId seek_target, uint32_t choices) {
   auto scratch = std::make_unique<CursorScratch>();
-  ChunkPostingCursor cur(fx->blobs.NewReader(fx->ref), with_ts, format,
+  ChunkPostingCursor cur(fx->blobs.NewReader(fx->ref), with_ts,
                          scratch.get());
   if (!cur.Init().ok()) return;
   size_t steps = 0;
@@ -130,12 +129,11 @@ void DriveChunkCursor(Fixture* fx, bool with_ts, PostingFormat format,
   }
 }
 
-void DriveScoreCursor(Fixture* fx, PostingFormat format, size_t bound,
-                      double seek_score, DocId seek_doc) {
+void DriveScoreCursor(Fixture* fx, size_t bound, double seek_score,
+                      DocId seek_doc) {
   auto scratch = std::make_unique<ScoreCursorScratch>();
   {
-    ScorePostingCursor cur(fx->blobs.NewReader(fx->ref), format,
-                           scratch.get());
+    ScorePostingCursor cur(fx->blobs.NewReader(fx->ref), scratch.get());
     if (cur.Init().ok()) {
       size_t steps = 0;
       while (cur.Valid()) {
@@ -146,8 +144,7 @@ void DriveScoreCursor(Fixture* fx, PostingFormat format, size_t bound,
       }
     }
   }
-  ScorePostingCursor cur(fx->blobs.NewReader(fx->ref), format,
-                         scratch.get());
+  ScorePostingCursor cur(fx->blobs.NewReader(fx->ref), scratch.get());
   if (!cur.Init().ok()) return;
   if (!cur.SeekTo(seek_score, seek_doc).ok()) return;
   size_t steps = 0;
@@ -159,7 +156,7 @@ void DriveScoreCursor(Fixture* fx, PostingFormat format, size_t bound,
 
 std::vector<std::string> Seeds() {
   std::vector<std::string> seeds;
-  // 129 postings crosses the v2 128-posting block boundary, so the
+  // 129 postings crosses the 128-posting block boundary, so the
   // mutated corpus reaches multi-block headers from the first run.
   std::vector<DocId> docs;
   std::vector<IdPosting> id_ts;
@@ -176,22 +173,20 @@ std::vector<std::string> Seeds() {
   groups[0].postings.assign(id_ts.begin(), id_ts.begin() + 70);
   groups[1].cid = 3;
   groups[1].postings.assign(id_ts.begin() + 70, id_ts.end());
-  for (PostingFormat fmt : {PostingFormat::kV1, PostingFormat::kV2}) {
-    std::string out;
-    svr::index::EncodeIdList(docs, &out, fmt);
-    seeds.push_back(out);
-    out.clear();
-    svr::index::EncodeIdTsList(id_ts, /*with_ts=*/true, &out, fmt);
-    seeds.push_back(out);
-    out.clear();
-    svr::index::EncodeScoreList(scored, &out, fmt);
-    seeds.push_back(out);
-    out.clear();
-    svr::index::EncodeChunkList(groups, /*with_ts=*/true, &out, fmt);
-    seeds.push_back(out);
-  }
-  // A mid-block truncation of the v2 ID list, and the empty blob.
-  std::string cut = seeds[4];
+  std::string out;
+  svr::index::EncodeIdList(docs, &out);
+  seeds.push_back(out);
+  out.clear();
+  svr::index::EncodeIdTsList(id_ts, /*with_ts=*/true, &out);
+  seeds.push_back(out);
+  out.clear();
+  svr::index::EncodeScoreList(scored, &out);
+  seeds.push_back(out);
+  out.clear();
+  svr::index::EncodeChunkList(groups, /*with_ts=*/true, &out);
+  seeds.push_back(out);
+  // A mid-block truncation of the ID list, and the empty blob.
+  std::string cut = seeds[0];
   cut.resize(cut.size() / 2);
   seeds.push_back(cut);
   seeds.push_back(std::string());
@@ -215,13 +210,11 @@ extern "C" int LLVMFuzzerTestOneInput(const uint8_t* data, size_t size) {
   }
   const double seek_score = static_cast<double>(choices % 2048);
 
-  for (PostingFormat fmt : {PostingFormat::kV1, PostingFormat::kV2}) {
-    for (bool with_ts : {false, true}) {
-      DriveIdCursor(&fx, with_ts, fmt, bound, seek_target);
-      DriveChunkCursor(&fx, with_ts, fmt, bound, seek_target, choices);
-    }
-    DriveScoreCursor(&fx, fmt, bound, seek_score, seek_target);
+  for (bool with_ts : {false, true}) {
+    DriveIdCursor(&fx, with_ts, bound, seek_target);
+    DriveChunkCursor(&fx, with_ts, bound, seek_target, choices);
   }
+  DriveScoreCursor(&fx, bound, seek_score, seek_target);
   return 0;
 }
 

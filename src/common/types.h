@@ -18,15 +18,6 @@ using ChunkId = uint32_t;
 
 inline constexpr DocId kInvalidDocId = 0xFFFFFFFFu;
 
-/// On-disk layout of the long inverted lists.
-///  - kV1: one LEB128 varint per posting (the paper's layout, §4/§5.2).
-///  - kV2: 128-posting blocks with per-block skip headers and
-///    group-varint payloads (see docs/posting_format.md).
-enum class PostingFormat : uint8_t {
-  kV1 = 1,
-  kV2 = 2,
-};
-
 /// When and how aggressively short lists are folded back into the long
 /// lists by the incremental per-term merge (docs/merge_policy.md). The
 /// defaults are off: callers opt in per engine/experiment.

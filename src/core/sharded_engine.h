@@ -302,9 +302,9 @@ class ShardedSvrEngine {
   Status InsertJoinRouted(const std::string& table, const TableRoute& route,
                           const relational::Row& row, int64_t gid);
   /// Existing mapping of `gid`, or allocates one (owning shard's next
-  /// local id) for a first-seen key. `serialized` reports whether the
-  /// caller must keep holding the shard's insert mutex across the shard
-  /// write (true exactly for fresh allocations).
+  /// local id) for a first-seen key. `fresh` reports a new allocation,
+  /// which is only reserved: the caller keeps holding the shard's insert
+  /// mutex (`insert_lock`) across the shard write, then publishes it.
   Loc MapOrAllocate(int64_t gid, std::unique_lock<Mutex>* insert_lock,
                     bool* fresh) EXCLUDES(map_mu_);
 

@@ -207,7 +207,6 @@ Status SvrEngine::CreateTextIndex(
       ctx.list_pool = list_pool_.get();
       ctx.score_table = score_table_.get();
       ctx.corpus = &corpus_;
-      ctx.posting_format = options_.posting_format;
       ctx.merge_policy = options_.merge_policy;
       ctx.table_page_retirer = table_page_retirer_;
       ctx.list_page_retirer = list_page_retirer_;

@@ -67,8 +67,6 @@ struct SvrEngineOptions {
   uint64_t list_pool_pages = 8192;
   index::Method method = index::Method::kChunk;
   index::IndexOptions index_options;
-  /// Long-list layout; v2 is the blocked skip-header format.
-  PostingFormat posting_format = PostingFormat::kV2;
   /// Incremental short→long merge triggers (docs/merge_policy.md). When
   /// enabled, the engine evaluates them every `check_interval` writes to
   /// the scored corpus; triggered terms are merged in place (synchronous

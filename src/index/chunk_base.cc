@@ -206,7 +206,7 @@ Status ChunkIndexBase::BuildLongLists() {
       i = j;
     }
     buf.clear();
-    EncodeChunkList(groups, with_ts_, &buf, ctx_.posting_format);
+    EncodeChunkList(groups, with_ts_, &buf);
     SVR_ASSIGN_OR_RETURN(storage::BlobRef ref, blobs_->Write(buf));
     longs_.Set(t, ref);
     raw.clear();
@@ -383,8 +383,7 @@ Result<std::unique_ptr<TermMergePlan>> ChunkIndexBase::PrepareMergeTermAt(
     CursorScratch scratch;
     uint64_t scanned = 0;
     MergedChunkStream stream(
-        ChunkPostingCursor(blobs_->NewReader(old_ref), with_ts_,
-                           ctx_.posting_format, &scratch),
+        ChunkPostingCursor(blobs_->NewReader(old_ref), with_ts_, &scratch),
         shorts.Scan(term), &scanned);
     SVR_RETURN_NOT_OK(stream.Init());
     while (stream.Valid()) {
@@ -412,7 +411,7 @@ Result<std::unique_ptr<TermMergePlan>> ChunkIndexBase::PrepareMergeTermAt(
 
   if (!plan->groups.empty()) {
     std::string buf;
-    EncodeChunkList(plan->groups, with_ts_, &buf, ctx_.posting_format);
+    EncodeChunkList(plan->groups, with_ts_, &buf);
     SVR_ASSIGN_OR_RETURN(plan->new_ref, blobs_->Write(buf));
   }
   return std::unique_ptr<TermMergePlan>(std::move(plan));
@@ -554,8 +553,8 @@ Status ChunkIndexBase::MakeStreams(const IndexSnapshot& snap,
     const TermId t = query.terms[i];
     const storage::BlobRef ref = snap.longs.Get(t);
     streams->emplace_back(
-        ChunkPostingCursor(blobs_->NewReader(ref), with_ts_,
-                           ctx_.posting_format, &(*scratch)[i], qs),
+        ChunkPostingCursor(blobs_->NewReader(ref), with_ts_, &(*scratch)[i],
+                           qs),
         shorts.Scan(t), &qs->postings_scanned);
     SVR_RETURN_NOT_OK(streams->back().Init());
   }

@@ -42,7 +42,7 @@ Status ChunkTermScoreIndex::WriteFancyList(TermId term,
               return a.doc < b.doc;
             });
   std::string buf;
-  EncodeFancyList(postings, min_ts, &buf, ctx_.posting_format);
+  EncodeFancyList(postings, min_ts, &buf);
   SVR_ASSIGN_OR_RETURN(storage::BlobRef ref, blobs_->Write(buf));
   fancy_refs_.Set(term, ref);
   return Status::OK();
@@ -121,7 +121,7 @@ Status ChunkTermScoreIndex::TopKAt(const IndexSnapshot& snap,
     const TermId t = query.terms[i];
     const storage::BlobRef ref = snap.fancy.Get(t);
     SVR_RETURN_NOT_OK(DecodeFancyList(blobs_->NewReader(ref), &fancy[i],
-                                      &min_fancy[i], ctx_.posting_format));
+                                      &min_fancy[i]));
     qs.postings_scanned += fancy[i].size();
   }
 

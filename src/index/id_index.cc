@@ -136,7 +136,7 @@ Status IdIndex::BuildLongLists() {
       continue;
     }
     buf.clear();
-    EncodeIdTsList(postings[t], with_ts_, &buf, ctx_.posting_format);
+    EncodeIdTsList(postings[t], with_ts_, &buf);
     SVR_ASSIGN_OR_RETURN(storage::BlobRef ref, blobs_->Write(buf));
     longs_.Set(t, ref);
     long_counts_[t] = postings[t].size();
@@ -254,8 +254,7 @@ Result<std::unique_ptr<TermMergePlan>> IdIndex::PrepareMergeTermAt(
     CursorScratch scratch;
     uint64_t scanned = 0;
     TermStream stream(
-        IdPostingCursor(blobs_->NewReader(old_ref), with_ts_,
-                        ctx_.posting_format, &scratch),
+        IdPostingCursor(blobs_->NewReader(old_ref), with_ts_, &scratch),
         shorts.Scan(term), &scanned);
     SVR_RETURN_NOT_OK(stream.Init());
     while (stream.Valid()) {
@@ -268,7 +267,7 @@ Result<std::unique_ptr<TermMergePlan>> IdIndex::PrepareMergeTermAt(
 
   if (!merged.empty()) {
     std::string buf;
-    EncodeIdTsList(merged, with_ts_, &buf, ctx_.posting_format);
+    EncodeIdTsList(merged, with_ts_, &buf);
     SVR_ASSIGN_OR_RETURN(plan->new_ref, blobs_->Write(buf));
   }
   plan->n_postings = merged.size();
@@ -390,8 +389,7 @@ Status IdIndex::TopKAt(const IndexSnapshot& snap, const Query& query,
     const TermId t = query.terms[i];
     const storage::BlobRef ref = snap.longs.Get(t);
     streams.emplace_back(
-        IdPostingCursor(blobs_->NewReader(ref), with_ts_,
-                        ctx_.posting_format, &scratch[i], &qs),
+        IdPostingCursor(blobs_->NewReader(ref), with_ts_, &scratch[i], &qs),
         shorts.Scan(t), &qs.postings_scanned);
     SVR_RETURN_NOT_OK(streams.back().Init());
   }

@@ -18,15 +18,15 @@ void PutFloat(std::string* out, float f) {
   out->append(buf, 4);
 }
 
-/// Appends the v2 blocked encoding of `n` doc-ascending postings:
+/// Appends the blocked encoding of `n` doc-ascending postings:
 /// [varint last_doc][varint byte_len][group-varint deltas (+ f32 ts)*]
 /// per block of up to kPostingBlockSize postings. The delta base starts
 /// at 0 and chains across blocks; `payload` is caller-provided scratch
 /// so encoding a list reuses one buffer. `doc_at(i)` / `ts_at(i)` read
 /// posting `i`, so DocId arrays encode without materializing postings.
 template <typename DocAt, typename TsAt>
-void AppendDocBlocksV2(size_t n, bool with_ts, DocAt doc_at, TsAt ts_at,
-                       std::string* payload, std::string* out) {
+void AppendDocBlocks(size_t n, bool with_ts, DocAt doc_at, TsAt ts_at,
+                     std::string* payload, std::string* out) {
   uint32_t deltas[kPostingBlockSize];
   DocId prev = 0;
   for (size_t i = 0; i < n; i += kPostingBlockSize) {
@@ -50,9 +50,9 @@ void AppendDocBlocksV2(size_t n, bool with_ts, DocAt doc_at, TsAt ts_at,
   }
 }
 
-void AppendDocBlocksV2(const IdPosting* postings, size_t n, bool with_ts,
-                       std::string* payload, std::string* out) {
-  AppendDocBlocksV2(
+void AppendDocBlocks(const IdPosting* postings, size_t n, bool with_ts,
+                     std::string* payload, std::string* out) {
+  AppendDocBlocks(
       n, with_ts, [postings](size_t i) { return postings[i].doc; },
       [postings](size_t i) { return postings[i].term_score; }, payload,
       out);
@@ -60,86 +60,49 @@ void AppendDocBlocksV2(const IdPosting* postings, size_t n, bool with_ts,
 
 }  // namespace
 
-void EncodeIdList(const std::vector<DocId>& docs, std::string* out,
-                  PostingFormat format) {
+void EncodeIdList(const std::vector<DocId>& docs, std::string* out) {
   PutVarint32(out, static_cast<uint32_t>(docs.size()));
-  if (format == PostingFormat::kV2) {
-    std::string payload;
-    AppendDocBlocksV2(
-        docs.size(), /*with_ts=*/false,
-        [&docs](size_t i) { return docs[i]; }, [](size_t) { return 0.0f; },
-        &payload, out);
-    return;
-  }
-  DocId last = 0;
-  for (DocId d : docs) {
-    assert(d >= last);
-    PutVarint32(out, d - last);
-    last = d;
-  }
+  std::string payload;
+  AppendDocBlocks(
+      docs.size(), /*with_ts=*/false,
+      [&docs](size_t i) { return docs[i]; }, [](size_t) { return 0.0f; },
+      &payload, out);
 }
 
 void EncodeIdTsList(const std::vector<IdPosting>& postings, bool with_ts,
-                    std::string* out, PostingFormat format) {
+                    std::string* out) {
   PutVarint32(out, static_cast<uint32_t>(postings.size()));
-  if (format == PostingFormat::kV2) {
-    std::string payload;
-    AppendDocBlocksV2(postings.data(), postings.size(), with_ts, &payload,
-                      out);
-    return;
-  }
-  DocId last = 0;
-  for (const IdPosting& p : postings) {
-    assert(p.doc >= last);
-    PutVarint32(out, p.doc - last);
-    last = p.doc;
-    if (with_ts) PutFloat(out, p.term_score);
-  }
+  std::string payload;
+  AppendDocBlocks(postings.data(), postings.size(), with_ts, &payload,
+                    out);
 }
 
 void EncodeScoreList(const std::vector<ScorePosting>& postings,
-                     std::string* out, PostingFormat format) {
+                     std::string* out) {
   PutVarint32(out, static_cast<uint32_t>(postings.size()));
-  if (format == PostingFormat::kV2) {
-    const size_t n = postings.size();
-    for (size_t i = 0; i < n; i += kPostingBlockSize) {
-      const size_t cnt = std::min(kPostingBlockSize, n - i);
-      const ScorePosting& last = postings[i + cnt - 1];
-      PutFixedDouble(out, last.score);
-      PutFixed32(out, last.doc);
-      PutVarint32(out, static_cast<uint32_t>(cnt * 12));
-      for (size_t j = 0; j < cnt; ++j) {
-        PutFixedDouble(out, postings[i + j].score);
-        PutFixed32(out, postings[i + j].doc);
-      }
+  const size_t n = postings.size();
+  for (size_t i = 0; i < n; i += kPostingBlockSize) {
+    const size_t cnt = std::min(kPostingBlockSize, n - i);
+    const ScorePosting& last = postings[i + cnt - 1];
+    PutFixedDouble(out, last.score);
+    PutFixed32(out, last.doc);
+    PutVarint32(out, static_cast<uint32_t>(cnt * 12));
+    for (size_t j = 0; j < cnt; ++j) {
+      PutFixedDouble(out, postings[i + j].score);
+      PutFixed32(out, postings[i + j].doc);
     }
-    return;
-  }
-  for (const ScorePosting& p : postings) {
-    PutFixedDouble(out, p.score);
-    PutFixed32(out, p.doc);
   }
 }
 
 void EncodeChunkList(const std::vector<ChunkGroup>& groups, bool with_ts,
-                     std::string* out, PostingFormat format) {
+                     std::string* out) {
   PutVarint32(out, static_cast<uint32_t>(groups.size()));
   std::string body;
   std::string payload;
   for (const ChunkGroup& g : groups) {
     body.clear();
-    if (format == PostingFormat::kV2) {
-      AppendDocBlocksV2(g.postings.data(), g.postings.size(), with_ts,
-                        &payload, &body);
-    } else {
-      DocId last = 0;
-      for (const IdPosting& p : g.postings) {
-        assert(p.doc >= last);
-        PutVarint32(&body, p.doc - last);
-        last = p.doc;
-        if (with_ts) PutFloat(&body, p.term_score);
-      }
-    }
+    AppendDocBlocks(g.postings.data(), g.postings.size(), with_ts,
+                      &payload, &body);
     PutVarint32(out, g.cid);
     PutVarint32(out, static_cast<uint32_t>(g.postings.size()));
     PutVarint64(out, body.size());
@@ -148,214 +111,27 @@ void EncodeChunkList(const std::vector<ChunkGroup>& groups, bool with_ts,
 }
 
 void EncodeFancyList(const std::vector<IdPosting>& postings, float min_ts,
-                     std::string* out, PostingFormat format) {
+                     std::string* out) {
   PutFloat(out, min_ts);
   PutVarint32(out, static_cast<uint32_t>(postings.size()));
-  if (format == PostingFormat::kV2) {
-    std::string payload;
-    AppendDocBlocksV2(postings.data(), postings.size(), /*with_ts=*/true,
-                      &payload, out);
-    return;
-  }
-  DocId last = 0;
-  for (const IdPosting& p : postings) {
-    assert(p.doc >= last);
-    PutVarint32(out, p.doc - last);
-    last = p.doc;
-    PutFloat(out, p.term_score);
-  }
-}
-
-// --- IdListReader --------------------------------------------------------
-
-IdListReader::IdListReader(storage::BlobStore::Reader reader, bool with_ts)
-    : reader_(std::move(reader)), with_ts_(with_ts) {}
-
-Status IdListReader::Init() {
-  if (reader_.remaining() == 0) {
-    valid_ = false;
-    count_ = 0;
-    return Status::OK();
-  }
-  SVR_RETURN_NOT_OK(reader_.ReadVarint32(&count_));
-  // Overlong-count guard: every posting takes at least one delta byte
-  // (plus the term score), so a count the buffer cannot possibly hold is
-  // corruption — fail now instead of running off the end mid-scan.
-  const uint64_t min_bytes =
-      static_cast<uint64_t>(count_) * (with_ts_ ? 5 : 1);
-  if (min_bytes > reader_.remaining()) {
-    return Status::Corruption("ID list count exceeds payload");
-  }
-  return Next();
-}
-
-Status IdListReader::Next() {
-  if (consumed_ >= count_) {
-    valid_ = false;
-    return Status::OK();
-  }
-  uint32_t delta;
-  SVR_RETURN_NOT_OK(reader_.ReadVarint32(&delta));
-  last_doc_ = (consumed_ == 0) ? delta : last_doc_ + delta;
-  current_.doc = last_doc_;
-  if (with_ts_) {
-    SVR_RETURN_NOT_OK(reader_.ReadFloat(&current_.term_score));
-  }
-  ++consumed_;
-  valid_ = true;
-  return Status::OK();
-}
-
-// --- ScoreListReader -----------------------------------------------------
-
-ScoreListReader::ScoreListReader(storage::BlobStore::Reader reader)
-    : reader_(std::move(reader)) {}
-
-Status ScoreListReader::Init() {
-  if (reader_.remaining() == 0) {
-    valid_ = false;
-    return Status::OK();
-  }
-  SVR_RETURN_NOT_OK(reader_.ReadVarint32(&count_));
-  if (static_cast<uint64_t>(count_) * 12 > reader_.remaining()) {
-    return Status::Corruption("Score list count exceeds payload");
-  }
-  return Next();
-}
-
-Status ScoreListReader::Next() {
-  if (consumed_ >= count_) {
-    valid_ = false;
-    return Status::OK();
-  }
-  char buf[8];
-  SVR_RETURN_NOT_OK(reader_.ReadBytes(buf, 8));
-  current_.score = DecodeFixedDouble(buf);
-  SVR_RETURN_NOT_OK(reader_.ReadBytes(buf, 4));
-  current_.doc = DecodeFixed32(buf);
-  ++consumed_;
-  valid_ = true;
-  return Status::OK();
-}
-
-// --- ChunkListReader -----------------------------------------------------
-
-ChunkListReader::ChunkListReader(storage::BlobStore::Reader reader,
-                                 bool with_ts)
-    : reader_(std::move(reader)), with_ts_(with_ts) {}
-
-Status ChunkListReader::Init() {
-  if (reader_.remaining() == 0) {
-    n_groups_ = 0;
-    group_index_ = 0;
-    valid_ = false;
-    return Status::OK();
-  }
-  SVR_RETURN_NOT_OK(reader_.ReadVarint32(&n_groups_));
-  group_index_ = 0;
-  if (n_groups_ == 0) {
-    valid_ = false;
-    return Status::OK();
-  }
-  SVR_RETURN_NOT_OK(ReadGroupHeader());
-  return Next();
-}
-
-Status ChunkListReader::ReadGroupHeader() {
-  SVR_RETURN_NOT_OK(reader_.ReadVarint32(&cid_));
-  SVR_RETURN_NOT_OK(reader_.ReadVarint32(&group_count_));
-  uint64_t byte_len;
-  SVR_RETURN_NOT_OK(reader_.ReadVarint64(&byte_len));
-  // A group body that claims more bytes than the blob holds would make
-  // SkipGroup() jump past the end; reject it before using it.
-  if (byte_len > reader_.remaining()) {
-    return Status::Corruption("chunk group byte_len exceeds payload");
-  }
-  const uint64_t min_bytes =
-      static_cast<uint64_t>(group_count_) * (with_ts_ ? 5 : 1);
-  if (min_bytes > byte_len) {
-    return Status::Corruption("chunk group count exceeds byte_len");
-  }
-  group_end_offset_ = reader_.offset() + byte_len;
-  consumed_in_group_ = 0;
-  last_doc_ = 0;
-  valid_ = false;
-  return Status::OK();
-}
-
-Status ChunkListReader::Next() {
-  if (consumed_in_group_ >= group_count_) {
-    valid_ = false;
-    return Status::OK();
-  }
-  uint32_t delta;
-  SVR_RETURN_NOT_OK(reader_.ReadVarint32(&delta));
-  last_doc_ = (consumed_in_group_ == 0) ? delta : last_doc_ + delta;
-  current_.doc = last_doc_;
-  if (with_ts_) {
-    SVR_RETURN_NOT_OK(reader_.ReadFloat(&current_.term_score));
-  }
-  if (reader_.offset() > group_end_offset_) {
-    return Status::Corruption("chunk group postings overrun byte_len");
-  }
-  ++consumed_in_group_;
-  valid_ = true;
-  return Status::OK();
-}
-
-Status ChunkListReader::SkipGroup() {
-  const uint64_t off = reader_.offset();
-  if (off < group_end_offset_) {
-    SVR_RETURN_NOT_OK(reader_.Skip(group_end_offset_ - off));
-  }
-  consumed_in_group_ = group_count_;
-  valid_ = false;
-  return Status::OK();
-}
-
-Status ChunkListReader::NextGroup() {
-  ++group_index_;
-  if (group_index_ >= n_groups_) {
-    valid_ = false;
-    return Status::OK();
-  }
-  SVR_RETURN_NOT_OK(ReadGroupHeader());
-  return Next();
+  std::string payload;
+  AppendDocBlocks(postings.data(), postings.size(), /*with_ts=*/true,
+                    &payload, out);
 }
 
 Status DecodeFancyList(storage::BlobStore::Reader reader,
-                       std::vector<IdPosting>* postings, float* min_ts,
-                       PostingFormat format) {
+                       std::vector<IdPosting>* postings, float* min_ts) {
   postings->clear();
   *min_ts = 0.0f;
   if (reader.remaining() == 0) return Status::OK();
   SVR_RETURN_NOT_OK(reader.ReadFloat(min_ts));
-  if (format == PostingFormat::kV2) {
-    CursorScratch scratch;
-    IdPostingCursor cursor(std::move(reader), /*with_ts=*/true, format,
-                           &scratch);
-    SVR_RETURN_NOT_OK(cursor.Init());
-    postings->reserve(cursor.count());
-    while (cursor.Valid()) {
-      postings->push_back({cursor.doc(), cursor.term_score()});
-      SVR_RETURN_NOT_OK(cursor.Next());
-    }
-    return Status::OK();
-  }
-  uint32_t n;
-  SVR_RETURN_NOT_OK(reader.ReadVarint32(&n));
-  if (static_cast<uint64_t>(n) * 5 > reader.remaining()) {
-    return Status::Corruption("fancy list count exceeds payload");
-  }
-  postings->reserve(n);
-  DocId last = 0;
-  for (uint32_t i = 0; i < n; ++i) {
-    uint32_t delta;
-    SVR_RETURN_NOT_OK(reader.ReadVarint32(&delta));
-    last = (i == 0) ? delta : last + delta;
-    float ts;
-    SVR_RETURN_NOT_OK(reader.ReadFloat(&ts));
-    postings->push_back({last, ts});
+  CursorScratch scratch;
+  IdPostingCursor cursor(std::move(reader), /*with_ts=*/true, &scratch);
+  SVR_RETURN_NOT_OK(cursor.Init());
+  postings->reserve(cursor.count());
+  while (cursor.Valid()) {
+    postings->push_back({cursor.doc(), cursor.term_score()});
+    SVR_RETURN_NOT_OK(cursor.Next());
   }
   return Status::OK();
 }

@@ -21,13 +21,12 @@ inline bool ScorePosBefore(double sa, DocId da, double sb, DocId db) {
 // --- IdPostingCursor -----------------------------------------------------
 
 IdPostingCursor::IdPostingCursor(storage::BlobStore::Reader reader,
-                                 bool with_ts, PostingFormat format,
-                                 CursorScratch* scratch, QueryStats* qs)
+                                 bool with_ts, CursorScratch* scratch,
+                                 QueryStats* qs)
     : reader_(std::move(reader)),
       scratch_(scratch),
       qs_(qs),
-      with_ts_(with_ts),
-      format_(format) {}
+      with_ts_(with_ts) {}
 
 Status IdPostingCursor::Init() {
   if (!with_ts_) {
@@ -52,27 +51,6 @@ Status IdPostingCursor::LoadNextBlock(DocId skip_below) {
   if (consumed_ >= count_) return Status::OK();  // exhausted
   const uint32_t cnt = static_cast<uint32_t>(
       std::min<uint64_t>(kPostingBlockSize, count_ - consumed_));
-
-  if (format_ == PostingFormat::kV1) {
-    // v1 has no block structure: decode the next `cnt` postings into
-    // scratch (same wire cost as the per-posting reader, one refill's
-    // worth at a time).
-    DocId last = prev_last_;
-    for (uint32_t j = 0; j < cnt; ++j) {
-      uint32_t delta;
-      SVR_RETURN_NOT_OK(reader_.ReadVarint32(&delta));
-      last += delta;
-      scratch_->docs[j] = last;
-      if (with_ts_) {
-        SVR_RETURN_NOT_OK(reader_.ReadFloat(&scratch_->ts[j]));
-      }
-    }
-    prev_last_ = last;
-    consumed_ += cnt;
-    block_n_ = cnt;
-    if (qs_ != nullptr) ++qs_->blocks_decoded;
-    return Status::OK();
-  }
 
   uint32_t last_doc, byte_len;
   SVR_RETURN_NOT_OK(reader_.ReadVarint32(&last_doc));
@@ -131,13 +109,12 @@ Status IdPostingCursor::SeekTo(DocId target) {
 // --- ChunkPostingCursor --------------------------------------------------
 
 ChunkPostingCursor::ChunkPostingCursor(storage::BlobStore::Reader reader,
-                                       bool with_ts, PostingFormat format,
-                                       CursorScratch* scratch, QueryStats* qs)
+                                       bool with_ts, CursorScratch* scratch,
+                                       QueryStats* qs)
     : reader_(std::move(reader)),
       scratch_(scratch),
       qs_(qs),
-      with_ts_(with_ts),
-      format_(format) {}
+      with_ts_(with_ts) {}
 
 Status ChunkPostingCursor::Init() {
   if (!with_ts_) {
@@ -180,27 +157,6 @@ Status ChunkPostingCursor::LoadNextBlock(DocId skip_below) {
   if (consumed_in_group_ >= group_count_) return Status::OK();
   const uint32_t cnt = static_cast<uint32_t>(std::min<uint64_t>(
       kPostingBlockSize, group_count_ - consumed_in_group_));
-
-  if (format_ == PostingFormat::kV1) {
-    DocId last = prev_last_;
-    for (uint32_t j = 0; j < cnt; ++j) {
-      uint32_t delta;
-      SVR_RETURN_NOT_OK(reader_.ReadVarint32(&delta));
-      last += delta;
-      scratch_->docs[j] = last;
-      if (with_ts_) {
-        SVR_RETURN_NOT_OK(reader_.ReadFloat(&scratch_->ts[j]));
-      }
-    }
-    if (reader_.offset() > group_end_offset_) {
-      return Status::Corruption("chunk group postings overrun byte_len");
-    }
-    prev_last_ = last;
-    consumed_in_group_ += cnt;
-    block_n_ = cnt;
-    if (qs_ != nullptr) ++qs_->blocks_decoded;
-    return Status::OK();
-  }
 
   uint32_t last_doc, byte_len;
   SVR_RETURN_NOT_OK(reader_.ReadVarint32(&last_doc));
@@ -286,13 +242,9 @@ Status ChunkPostingCursor::NextGroup() {
 // --- ScorePostingCursor --------------------------------------------------
 
 ScorePostingCursor::ScorePostingCursor(storage::BlobStore::Reader reader,
-                                       PostingFormat format,
                                        ScoreCursorScratch* scratch,
                                        QueryStats* qs)
-    : reader_(std::move(reader)),
-      scratch_(scratch),
-      qs_(qs),
-      format_(format) {}
+    : reader_(std::move(reader)), scratch_(scratch), qs_(qs) {}
 
 Status ScorePostingCursor::Init() {
   if (reader_.remaining() == 0) {
@@ -315,25 +267,20 @@ Status ScorePostingCursor::LoadNextBlock(bool have_target, double tscore,
       std::min<uint64_t>(kPostingBlockSize, count_ - consumed_));
   const uint32_t payload_len = cnt * 12;
 
-  if (format_ == PostingFormat::kV2) {
-    char hdr[12];
-    SVR_RETURN_NOT_OK(reader_.ReadBytes(hdr, 12));
-    const double last_score = DecodeFixedDouble(hdr);
-    const DocId last_doc = DecodeFixed32(hdr + 8);
-    uint32_t byte_len;
-    SVR_RETURN_NOT_OK(reader_.ReadVarint32(&byte_len));
-    if (byte_len != payload_len || byte_len > reader_.remaining()) {
-      return Status::Corruption("score block byte_len mismatch");
-    }
-    if (have_target && ScorePosBefore(last_score, last_doc, tscore, tdoc)) {
-      SVR_RETURN_NOT_OK(reader_.Skip(byte_len));
-      consumed_ += cnt;
-      if (qs_ != nullptr) ++qs_->groups_galloped;
-      return Status::OK();  // block skipped; caller keeps scanning
-    }
+  char hdr[12];
+  SVR_RETURN_NOT_OK(reader_.ReadBytes(hdr, 12));
+  const double last_score = DecodeFixedDouble(hdr);
+  const DocId last_doc = DecodeFixed32(hdr + 8);
+  uint32_t byte_len;
+  SVR_RETURN_NOT_OK(reader_.ReadVarint32(&byte_len));
+  if (byte_len != payload_len || byte_len > reader_.remaining()) {
+    return Status::Corruption("score block byte_len mismatch");
   }
-  if (payload_len > reader_.remaining()) {
-    return Status::Corruption("score block payload truncated");
+  if (have_target && ScorePosBefore(last_score, last_doc, tscore, tdoc)) {
+    SVR_RETURN_NOT_OK(reader_.Skip(byte_len));
+    consumed_ += cnt;
+    if (qs_ != nullptr) ++qs_->groups_galloped;
+    return Status::OK();  // block skipped; caller keeps scanning
   }
   SVR_RETURN_NOT_OK(reader_.ReadBytes(scratch_->bytes, payload_len));
   for (uint32_t j = 0; j < cnt; ++j) {

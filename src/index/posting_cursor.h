@@ -16,17 +16,15 @@ struct QueryStats;
 ///
 /// Each cursor refills one block of postings at a time into caller-owned
 /// scratch buffers; Next() is an array increment, and SeekTo() skips
-/// whole v2 blocks by their headers without fetching or decoding their
-/// payload pages. The same cursors also decode the v1 per-posting varint
-/// layout (with linear SeekTo), so the two formats can be compared
-/// through an identical query pipeline.
+/// whole blocks by their headers without fetching or decoding their
+/// payload pages.
 ///
 /// The optional trailing `QueryStats*` counts decode/skip/seek events
 /// into the per-query trace (docs/observability.md). Query paths pass
 /// their per-query struct; merge/codec paths leave it null (unmetered —
 /// merge work is attributed through the merge histograms instead).
 
-/// Largest v2 doc-block payload: group-varint deltas plus 4-byte term
+/// Largest doc-block payload: group-varint deltas plus 4-byte term
 /// scores for a full block.
 inline constexpr size_t kMaxDocBlockPayload =
     GroupVarintMaxBytes(kPostingBlockSize) + kPostingBlockSize * 4;
@@ -52,8 +50,7 @@ struct ScoreCursorScratch {
 class IdPostingCursor {
  public:
   IdPostingCursor(storage::BlobStore::Reader reader, bool with_ts,
-                  PostingFormat format, CursorScratch* scratch,
-                  QueryStats* qs = nullptr);
+                  CursorScratch* scratch, QueryStats* qs = nullptr);
 
   Status Init();  // reads the count header, loads the first block
   bool Valid() const { return pos_ < block_n_; }
@@ -70,13 +67,13 @@ class IdPostingCursor {
   }
 
   /// Positions the cursor on the first posting with doc >= target (or
-  /// exhausts it). v2 skips blocks whose header last_doc < target
-  /// without reading their payload; v1 decodes linearly.
+  /// exhausts it). Blocks whose header last_doc < target are skipped
+  /// without reading their payload.
   Status SeekTo(DocId target);
 
  private:
-  // Loads the next block into scratch. In v2, a block whose last_doc is
-  // below `skip_below` has its payload skipped instead of decoded
+  // Loads the next block into scratch. A block whose last_doc is below
+  // `skip_below` has its payload skipped instead of decoded
   // (block_n_ stays 0; the caller loops). skip_below == 0 always decodes.
   Status LoadNextBlock(DocId skip_below);
 
@@ -84,7 +81,6 @@ class IdPostingCursor {
   CursorScratch* scratch_;
   QueryStats* qs_;  // null = unmetered
   bool with_ts_;
-  PostingFormat format_;
   uint32_t count_ = 0;
   uint32_t consumed_ = 0;  // postings decoded or skipped so far
   DocId prev_last_ = 0;    // delta base chaining across blocks
@@ -93,13 +89,16 @@ class IdPostingCursor {
 };
 
 /// Group-structured cursor over a chunk list: (cid desc) groups, doc-
-/// ascending postings within each group. Usage mirrors ChunkListReader:
-///   while (c.HasGroup()) { ... iterate / SkipGroup(); c.NextGroup(); }
+/// ascending postings within each group. Usage:
+///   while (c.HasGroup()) {
+///     cid = c.cid();
+///     (iterate postings with Valid/doc/term_score/Next)  or  SkipGroup();
+///     c.NextGroup();
+///   }
 class ChunkPostingCursor {
  public:
   ChunkPostingCursor(storage::BlobStore::Reader reader, bool with_ts,
-                     PostingFormat format, CursorScratch* scratch,
-                     QueryStats* qs = nullptr);
+                     CursorScratch* scratch, QueryStats* qs = nullptr);
 
   Status Init();
   bool HasGroup() const { return group_index_ < n_groups_; }
@@ -134,7 +133,6 @@ class ChunkPostingCursor {
   CursorScratch* scratch_;
   QueryStats* qs_;  // null = unmetered
   bool with_ts_;
-  PostingFormat format_;
   uint32_t n_groups_ = 0;
   uint32_t group_index_ = 0;
   ChunkId cid_ = 0;
@@ -150,8 +148,7 @@ class ChunkPostingCursor {
 class ScorePostingCursor {
  public:
   ScorePostingCursor(storage::BlobStore::Reader reader,
-                     PostingFormat format, ScoreCursorScratch* scratch,
-                     QueryStats* qs = nullptr);
+                     ScoreCursorScratch* scratch, QueryStats* qs = nullptr);
 
   Status Init();
   bool Valid() const { return pos_ < block_n_; }
@@ -168,8 +165,8 @@ class ScorePostingCursor {
 
   /// Positions the cursor on the first posting at or after the
   /// (score, doc) position in scan order — the galloping primitive of
-  /// the Score-Threshold conjunctive alignment. v2 skips whole blocks by
-  /// their (last_score, last_doc) headers without decoding them.
+  /// the Score-Threshold conjunctive alignment. Whole blocks are skipped
+  /// by their (last_score, last_doc) headers without decoding them.
   Status SeekTo(double score, DocId doc);
 
  private:
@@ -178,7 +175,6 @@ class ScorePostingCursor {
   storage::BlobStore::Reader reader_;
   ScoreCursorScratch* scratch_;
   QueryStats* qs_;  // null = unmetered
-  PostingFormat format_;
   uint32_t count_ = 0;
   uint32_t consumed_ = 0;
   uint32_t block_n_ = 0;

@@ -160,7 +160,7 @@ Status ScoreThresholdIndex::BuildLongLists() {
                 return a.doc < b.doc;
               });
     buf.clear();
-    EncodeScoreList(postings[t], &buf, ctx_.posting_format);
+    EncodeScoreList(postings[t], &buf);
     SVR_ASSIGN_OR_RETURN(storage::BlobRef ref, blobs_->Write(buf));
     longs_.Set(t, ref);
   }
@@ -330,8 +330,7 @@ ScoreThresholdIndex::PrepareMergeTermAt(const IndexSnapshot& snap,
     ScoreCursorScratch scratch;
     uint64_t scanned = 0;
     TermStream stream(
-        ScorePostingCursor(blobs_->NewReader(old_ref),
-                           ctx_.posting_format, &scratch),
+        ScorePostingCursor(blobs_->NewReader(old_ref), &scratch),
         shorts.Scan(term), &scanned);
     SVR_RETURN_NOT_OK(stream.Init());
     while (stream.Valid()) {
@@ -354,7 +353,7 @@ ScoreThresholdIndex::PrepareMergeTermAt(const IndexSnapshot& snap,
 
   if (!merged.empty()) {
     std::string buf;
-    EncodeScoreList(merged, &buf, ctx_.posting_format);
+    EncodeScoreList(merged, &buf);
     SVR_ASSIGN_OR_RETURN(plan->new_ref, blobs_->Write(buf));
   }
   plan->n_postings = merged.size();
@@ -500,8 +499,7 @@ Status ScoreThresholdIndex::TopKAt(const IndexSnapshot& snap,
     const TermId t = query.terms[i];
     const storage::BlobRef ref = snap.longs.Get(t);
     streams.emplace_back(
-        ScorePostingCursor(blobs_->NewReader(ref), ctx_.posting_format,
-                           &scratch[i], &qs),
+        ScorePostingCursor(blobs_->NewReader(ref), &scratch[i], &qs),
         shorts.Scan(t), &qs.postings_scanned);
     SVR_RETURN_NOT_OK(streams.back().Init());
   }

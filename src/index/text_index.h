@@ -142,10 +142,6 @@ struct IndexContext {
   /// Document contents; Algorithm 1 needs Content(id) when pushing
   /// postings into short lists. The caller keeps it current.
   const text::Corpus* corpus = nullptr;
-  /// On-disk layout of the long lists. v2 (blocked, group-varint, skip
-  /// headers) is the default; v1 is the paper-faithful per-posting
-  /// varint baseline, kept for comparison benchmarks.
-  PostingFormat posting_format = PostingFormat::kV2;
   /// Auto-merge triggers for the incremental short→long merge; evaluated
   /// by MaybeAutoMerge() (docs/merge_policy.md). Disabled by default.
   MergePolicy merge_policy;

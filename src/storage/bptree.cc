@@ -281,11 +281,6 @@ Result<std::unique_ptr<BPlusTree>> BPlusTree::CreateCow(BufferPool* pool,
   return tree;
 }
 
-std::unique_ptr<BPlusTree> BPlusTree::Open(BufferPool* pool, PageId root,
-                                           uint64_t size) {
-  return std::unique_ptr<BPlusTree>(new BPlusTree(pool, root, size, 0));
-}
-
 TreeSnapshot BPlusTree::Seal() {
   if (cow_) private_pages_.clear();
   return TreeSnapshot{root_, size_};

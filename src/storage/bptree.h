@@ -36,9 +36,10 @@ struct TreeSnapshot {
 
 /// \brief A paged B+-tree with variable-length keys and values,
 /// equivalent in role to the BerkeleyDB BTREE access method used by the
-/// paper (§5.2): short inverted lists, the ListScore/ListChunk tables,
-/// the Score table and the relational tables all live in instances of
-/// this structure.
+/// paper (§5.2): short inverted lists, the Score method's clustered
+/// long lists and the relational tables all live in instances of this
+/// structure. (The Score table and the ListScore/ListChunk state are
+/// dense VersionedArray columns instead, common/versioned_array.h.)
 ///
 /// Keys are compared as raw bytes (memcmp); callers encode composite /
 /// descending orders with svr::PutKey* (see common/key_codec.h).
@@ -75,12 +76,6 @@ class BPlusTree {
   /// retirer frees such pages immediately (single-threaded COW use).
   static Result<std::unique_ptr<BPlusTree>> CreateCow(BufferPool* pool,
                                                       PageRetirer retire);
-
-  /// Re-opens an in-place tree previously created in `pool` with root
-  /// `root`. `size` must be the entry count at close (or 0 to trust
-  /// callers who never use size()).
-  static std::unique_ptr<BPlusTree> Open(BufferPool* pool, PageId root,
-                                         uint64_t size);
 
   BPlusTree(const BPlusTree&) = delete;
   BPlusTree& operator=(const BPlusTree&) = delete;

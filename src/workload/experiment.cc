@@ -43,7 +43,6 @@ Result<std::unique_ptr<Experiment>> Experiment::Setup(
   ctx.list_pool = exp->list_pool_.get();
   ctx.score_table = exp->score_table_.get();
   ctx.corpus = &exp->corpus_;
-  ctx.posting_format = config.posting_format;
   ctx.merge_policy = config.merge_policy;
   SVR_ASSIGN_OR_RETURN(exp->index_,
                        index::CreateIndex(method, ctx, options));

@@ -95,10 +95,6 @@ struct ExperimentConfig {
   /// cache overflow honestly (table_page_ms flag).
   double table_page_ms = 0.05;
 
-  /// Long-list layout (format=1|2 on the bench command lines): v1 is the
-  /// paper's per-posting varints, v2 the blocked skip-header codec.
-  PostingFormat posting_format = PostingFormat::kV2;
-
   /// Incremental short→long auto-merge triggers (docs/merge_policy.md).
   /// Off by default so the paper's figures keep their original
   /// accumulate-only update path; bench_merge_policy switches it on

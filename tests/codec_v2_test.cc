@@ -1,10 +1,10 @@
-// Posting format v2: group-varint block codec, skip headers, cursors.
+// Posting lists: group-varint block codec, skip headers, cursors.
 //
-// Covers: raw group-varint round trips, every list format at the
-// 127/128/129 block boundaries, SeekTo against a naive reference,
-// truncated-input fuzzing (every decode must fail cleanly, never read
-// past the buffer), and v1-vs-v2 TopK equivalence for every method that
-// owns blob lists.
+// Covers: raw group-varint round trips, every list kind at the
+// 127/128/129 block boundaries, empty and absent lists, SeekTo against a
+// naive reference, truncated-input fuzzing (every decode must fail
+// cleanly, never read past the buffer), and TopK against the brute-force
+// oracle for every method that owns blob lists.
 
 #include <gtest/gtest.h>
 
@@ -126,11 +126,10 @@ TEST_F(CodecV2Test, IdListRoundTrip) {
     std::vector<DocId> docs;
     for (const auto& p : ps) docs.push_back(p.doc);
     std::string buf;
-    EncodeIdList(docs, &buf, PostingFormat::kV2);
+    EncodeIdList(docs, &buf);
     auto ref = Put(buf);
     CursorScratch scratch;
-    IdPostingCursor c(blobs_.NewReader(ref), /*with_ts=*/false,
-                      PostingFormat::kV2, &scratch);
+    IdPostingCursor c(blobs_.NewReader(ref), /*with_ts=*/false, &scratch);
     ASSERT_TRUE(c.Init().ok()) << n;
     EXPECT_EQ(c.count(), n);
     for (size_t i = 0; i < n; ++i) {
@@ -143,25 +142,22 @@ TEST_F(CodecV2Test, IdListRoundTrip) {
   }
 }
 
-TEST_F(CodecV2Test, IdTsListRoundTripBothFormats) {
-  for (PostingFormat fmt : {PostingFormat::kV1, PostingFormat::kV2}) {
-    for (size_t n : kSizes) {
-      auto ps = MakePostings(n, 13 + n);
-      std::string buf;
-      EncodeIdTsList(ps, /*with_ts=*/true, &buf, fmt);
-      auto ref = Put(buf);
-      CursorScratch scratch;
-      IdPostingCursor c(blobs_.NewReader(ref), /*with_ts=*/true, fmt,
-                        &scratch);
-      ASSERT_TRUE(c.Init().ok());
-      for (size_t i = 0; i < n; ++i) {
-        ASSERT_TRUE(c.Valid());
-        EXPECT_EQ(c.doc(), ps[i].doc);
-        EXPECT_EQ(c.term_score(), ps[i].term_score);
-        ASSERT_TRUE(c.Next().ok());
-      }
-      EXPECT_FALSE(c.Valid());
+TEST_F(CodecV2Test, IdTsListRoundTrip) {
+  for (size_t n : kSizes) {
+    auto ps = MakePostings(n, 13 + n);
+    std::string buf;
+    EncodeIdTsList(ps, /*with_ts=*/true, &buf);
+    auto ref = Put(buf);
+    CursorScratch scratch;
+    IdPostingCursor c(blobs_.NewReader(ref), /*with_ts=*/true, &scratch);
+    ASSERT_TRUE(c.Init().ok());
+    for (size_t i = 0; i < n; ++i) {
+      ASSERT_TRUE(c.Valid());
+      EXPECT_EQ(c.doc(), ps[i].doc);
+      EXPECT_EQ(c.term_score(), ps[i].term_score);
+      ASSERT_TRUE(c.Next().ok());
     }
+    EXPECT_FALSE(c.Valid());
   }
 }
 
@@ -169,11 +165,10 @@ TEST_F(CodecV2Test, MaximalDeltas) {
   // Two postings spanning the full 32-bit doc space.
   std::vector<DocId> docs = {0, 0xFFFFFFFEu};
   std::string buf;
-  EncodeIdList(docs, &buf, PostingFormat::kV2);
+  EncodeIdList(docs, &buf);
   auto ref = Put(buf);
   CursorScratch scratch;
-  IdPostingCursor c(blobs_.NewReader(ref), false, PostingFormat::kV2,
-                    &scratch);
+  IdPostingCursor c(blobs_.NewReader(ref), false, &scratch);
   ASSERT_TRUE(c.Init().ok());
   EXPECT_EQ(c.doc(), 0u);
   ASSERT_TRUE(c.Next().ok());
@@ -186,7 +181,7 @@ TEST_F(CodecV2Test, IdSeekToMatchesNaiveReference) {
   std::vector<DocId> docs;
   for (const auto& p : ps) docs.push_back(p.doc);
   std::string buf;
-  EncodeIdList(docs, &buf, PostingFormat::kV2);
+  EncodeIdList(docs, &buf);
   auto ref = Put(buf);
 
   Random rng(5);
@@ -198,8 +193,7 @@ TEST_F(CodecV2Test, IdSeekToMatchesNaiveReference) {
     targets.push_back(t);
   }
   CursorScratch scratch;
-  IdPostingCursor c(blobs_.NewReader(ref), false, PostingFormat::kV2,
-                    &scratch);
+  IdPostingCursor c(blobs_.NewReader(ref), false, &scratch);
   ASSERT_TRUE(c.Init().ok());
   for (DocId target : targets) {
     ASSERT_TRUE(c.SeekTo(target).ok());
@@ -215,59 +209,57 @@ TEST_F(CodecV2Test, IdSeekToMatchesNaiveReference) {
 }
 
 TEST_F(CodecV2Test, ScoreListRoundTripAndSeek) {
-  for (PostingFormat fmt : {PostingFormat::kV1, PostingFormat::kV2}) {
-    for (size_t n : kSizes) {
-      std::vector<ScorePosting> ps;
-      Random rng(17 + n);
-      for (size_t i = 0; i < n; ++i) {
-        ps.push_back({static_cast<double>(rng.Uniform(1000)),
-                      static_cast<DocId>(rng.Uniform(100000))});
-      }
-      std::sort(ps.begin(), ps.end(),
-                [](const ScorePosting& a, const ScorePosting& b) {
-                  if (a.score != b.score) return a.score > b.score;
-                  return a.doc < b.doc;
-                });
-      ps.erase(std::unique(ps.begin(), ps.end(),
-                           [](const ScorePosting& a, const ScorePosting& b) {
-                             return a.score == b.score && a.doc == b.doc;
-                           }),
-               ps.end());
-      std::string buf;
-      EncodeScoreList(ps, &buf, fmt);
-      auto ref = Put(buf);
-      ScoreCursorScratch scratch;
-      ScorePostingCursor c(blobs_.NewReader(ref), fmt, &scratch);
-      ASSERT_TRUE(c.Init().ok());
-      for (size_t i = 0; i < ps.size(); ++i) {
-        ASSERT_TRUE(c.Valid());
-        EXPECT_EQ(c.score(), ps[i].score);
-        EXPECT_EQ(c.doc(), ps[i].doc);
-        ASSERT_TRUE(c.Next().ok());
-      }
-      EXPECT_FALSE(c.Valid());
+  for (size_t n : kSizes) {
+    std::vector<ScorePosting> ps;
+    Random rng(17 + n);
+    for (size_t i = 0; i < n; ++i) {
+      ps.push_back({static_cast<double>(rng.Uniform(1000)),
+                    static_cast<DocId>(rng.Uniform(100000))});
+    }
+    std::sort(ps.begin(), ps.end(),
+              [](const ScorePosting& a, const ScorePosting& b) {
+                if (a.score != b.score) return a.score > b.score;
+                return a.doc < b.doc;
+              });
+    ps.erase(std::unique(ps.begin(), ps.end(),
+                         [](const ScorePosting& a, const ScorePosting& b) {
+                           return a.score == b.score && a.doc == b.doc;
+                         }),
+             ps.end());
+    std::string buf;
+    EncodeScoreList(ps, &buf);
+    auto ref = Put(buf);
+    ScoreCursorScratch scratch;
+    ScorePostingCursor c(blobs_.NewReader(ref), &scratch);
+    ASSERT_TRUE(c.Init().ok());
+    for (size_t i = 0; i < ps.size(); ++i) {
+      ASSERT_TRUE(c.Valid());
+      EXPECT_EQ(c.score(), ps[i].score);
+      EXPECT_EQ(c.doc(), ps[i].doc);
+      ASSERT_TRUE(c.Next().ok());
+    }
+    EXPECT_FALSE(c.Valid());
 
-      // Forward seeks against the naive reference.
-      if (ps.empty()) continue;
-      ScorePostingCursor s(blobs_.NewReader(ref), fmt, &scratch);
-      ASSERT_TRUE(s.Init().ok());
-      auto before = [](const ScorePosting& a, double sc, DocId d) {
-        if (a.score != sc) return a.score > sc;
-        return a.doc < d;
-      };
-      size_t naive = 0;
-      for (size_t step = 0; step < ps.size(); step += 1 + step / 3) {
-        const double tsc = ps[step].score;
-        const DocId tdoc = ps[step].doc;
-        ASSERT_TRUE(s.SeekTo(tsc, tdoc).ok());
-        while (naive < ps.size() && before(ps[naive], tsc, tdoc)) ++naive;
-        if (naive == ps.size()) {
-          EXPECT_FALSE(s.Valid());
-        } else {
-          ASSERT_TRUE(s.Valid());
-          EXPECT_EQ(s.score(), ps[naive].score);
-          EXPECT_EQ(s.doc(), ps[naive].doc);
-        }
+    // Forward seeks against the naive reference.
+    if (ps.empty()) continue;
+    ScorePostingCursor s(blobs_.NewReader(ref), &scratch);
+    ASSERT_TRUE(s.Init().ok());
+    auto before = [](const ScorePosting& a, double sc, DocId d) {
+      if (a.score != sc) return a.score > sc;
+      return a.doc < d;
+    };
+    size_t naive = 0;
+    for (size_t step = 0; step < ps.size(); step += 1 + step / 3) {
+      const double tsc = ps[step].score;
+      const DocId tdoc = ps[step].doc;
+      ASSERT_TRUE(s.SeekTo(tsc, tdoc).ok());
+      while (naive < ps.size() && before(ps[naive], tsc, tdoc)) ++naive;
+      if (naive == ps.size()) {
+        EXPECT_FALSE(s.Valid());
+      } else {
+        ASSERT_TRUE(s.Valid());
+        EXPECT_EQ(s.score(), ps[naive].score);
+        EXPECT_EQ(s.doc(), ps[naive].doc);
       }
     }
   }
@@ -291,33 +283,31 @@ std::vector<ChunkGroup> MakeChunkGroups(size_t n_groups, size_t per_group,
   return groups;
 }
 
-TEST_F(CodecV2Test, ChunkListRoundTripBothFormats) {
-  for (PostingFormat fmt : {PostingFormat::kV1, PostingFormat::kV2}) {
-    for (bool with_ts : {false, true}) {
-      for (size_t per_group : {1u, 127u, 128u, 129u, 300u}) {
-        auto groups = MakeChunkGroups(5, per_group, 31 + per_group);
-        std::string buf;
-        EncodeChunkList(groups, with_ts, &buf, fmt);
-        auto ref = Put(buf);
-        CursorScratch scratch;
-        ChunkPostingCursor c(blobs_.NewReader(ref), with_ts, fmt, &scratch);
-        ASSERT_TRUE(c.Init().ok());
-        for (const auto& g : groups) {
-          ASSERT_TRUE(c.HasGroup());
-          EXPECT_EQ(c.cid(), g.cid);
-          for (const auto& p : g.postings) {
-            ASSERT_TRUE(c.Valid());
-            EXPECT_EQ(c.doc(), p.doc);
-            if (with_ts) {
-              EXPECT_EQ(c.term_score(), p.term_score);
-            }
-            ASSERT_TRUE(c.Next().ok());
+TEST_F(CodecV2Test, ChunkListRoundTrip) {
+  for (bool with_ts : {false, true}) {
+    for (size_t per_group : {1u, 127u, 128u, 129u, 300u}) {
+      auto groups = MakeChunkGroups(5, per_group, 31 + per_group);
+      std::string buf;
+      EncodeChunkList(groups, with_ts, &buf);
+      auto ref = Put(buf);
+      CursorScratch scratch;
+      ChunkPostingCursor c(blobs_.NewReader(ref), with_ts, &scratch);
+      ASSERT_TRUE(c.Init().ok());
+      for (const auto& g : groups) {
+        ASSERT_TRUE(c.HasGroup());
+        EXPECT_EQ(c.cid(), g.cid);
+        for (const auto& p : g.postings) {
+          ASSERT_TRUE(c.Valid());
+          EXPECT_EQ(c.doc(), p.doc);
+          if (with_ts) {
+            EXPECT_EQ(c.term_score(), p.term_score);
           }
-          EXPECT_FALSE(c.Valid());
-          ASSERT_TRUE(c.NextGroup().ok());
+          ASSERT_TRUE(c.Next().ok());
         }
-        EXPECT_FALSE(c.HasGroup());
+        EXPECT_FALSE(c.Valid());
+        ASSERT_TRUE(c.NextGroup().ok());
       }
+      EXPECT_FALSE(c.HasGroup());
     }
   }
 }
@@ -325,11 +315,10 @@ TEST_F(CodecV2Test, ChunkListRoundTripBothFormats) {
 TEST_F(CodecV2Test, ChunkSkipGroupAndSeekInGroup) {
   auto groups = MakeChunkGroups(8, 400, 77);
   std::string buf;
-  EncodeChunkList(groups, /*with_ts=*/false, &buf, PostingFormat::kV2);
+  EncodeChunkList(groups, /*with_ts=*/false, &buf);
   auto ref = Put(buf);
   CursorScratch scratch;
-  ChunkPostingCursor c(blobs_.NewReader(ref), false, PostingFormat::kV2,
-                       &scratch);
+  ChunkPostingCursor c(blobs_.NewReader(ref), false, &scratch);
   ASSERT_TRUE(c.Init().ok());
   const uint64_t misses_before = pool_.stats().misses;
   size_t g_idx = 0;
@@ -362,24 +351,61 @@ TEST_F(CodecV2Test, ChunkSkipGroupAndSeekInGroup) {
   EXPECT_LT(pool_.stats().misses - misses_before, ref.num_pages);
 }
 
-TEST_F(CodecV2Test, FancyListRoundTripBothFormats) {
-  for (PostingFormat fmt : {PostingFormat::kV1, PostingFormat::kV2}) {
-    for (size_t n : kSizes) {
-      auto ps = MakePostings(n, 53 + n);
-      std::string buf;
-      EncodeFancyList(ps, 0.25f, &buf, fmt);
-      auto ref = Put(buf);
-      std::vector<IdPosting> out;
-      float min_ts = -1.0f;
-      ASSERT_TRUE(
-          DecodeFancyList(blobs_.NewReader(ref), &out, &min_ts, fmt).ok());
-      EXPECT_EQ(min_ts, 0.25f);
-      ASSERT_EQ(out.size(), n);
-      for (size_t i = 0; i < n; ++i) {
-        EXPECT_EQ(out[i].doc, ps[i].doc);
-        EXPECT_EQ(out[i].term_score, ps[i].term_score);
-      }
+TEST_F(CodecV2Test, FancyListRoundTrip) {
+  for (size_t n : kSizes) {
+    auto ps = MakePostings(n, 53 + n);
+    std::string buf;
+    EncodeFancyList(ps, 0.25f, &buf);
+    auto ref = Put(buf);
+    std::vector<IdPosting> out;
+    float min_ts = -1.0f;
+    ASSERT_TRUE(DecodeFancyList(blobs_.NewReader(ref), &out, &min_ts).ok());
+    EXPECT_EQ(min_ts, 0.25f);
+    ASSERT_EQ(out.size(), n);
+    for (size_t i = 0; i < n; ++i) {
+      EXPECT_EQ(out[i].doc, ps[i].doc);
+      EXPECT_EQ(out[i].term_score, ps[i].term_score);
     }
+  }
+}
+
+// An encoded empty list and an absent list (a default BlobRef, which is
+// what a term without long postings has) both read as empty.
+TEST_F(CodecV2Test, EmptyListsAreValid) {
+  std::string id_buf, chunk_buf, score_buf, fancy_buf;
+  EncodeIdList({}, &id_buf);
+  EncodeChunkList({}, /*with_ts=*/false, &chunk_buf);
+  EncodeScoreList({}, &score_buf);
+  EncodeFancyList({}, 0.0f, &fancy_buf);
+  const storage::BlobRef absent;
+  struct Lists {
+    storage::BlobRef id, chunk, score, fancy;
+  };
+  for (const Lists& l : {Lists{Put(id_buf), Put(chunk_buf), Put(score_buf),
+                               Put(fancy_buf)},
+                         Lists{absent, absent, absent, absent}}) {
+    CursorScratch scratch;
+    IdPostingCursor id(blobs_.NewReader(l.id), /*with_ts=*/false, &scratch);
+    ASSERT_TRUE(id.Init().ok());
+    EXPECT_FALSE(id.Valid());
+    EXPECT_EQ(id.count(), 0u);
+
+    ChunkPostingCursor chunk(blobs_.NewReader(l.chunk), /*with_ts=*/false,
+                             &scratch);
+    ASSERT_TRUE(chunk.Init().ok());
+    EXPECT_FALSE(chunk.HasGroup());
+    EXPECT_FALSE(chunk.Valid());
+
+    ScoreCursorScratch sscratch;
+    ScorePostingCursor score(blobs_.NewReader(l.score), &sscratch);
+    ASSERT_TRUE(score.Init().ok());
+    EXPECT_FALSE(score.Valid());
+
+    std::vector<IdPosting> out = {{1, 1.0f}};
+    float min_ts = -1.0f;
+    ASSERT_TRUE(DecodeFancyList(blobs_.NewReader(l.fancy), &out, &min_ts).ok());
+    EXPECT_TRUE(out.empty());
+    EXPECT_EQ(min_ts, 0.0f);
   }
 }
 
@@ -387,7 +413,7 @@ TEST_F(CodecV2Test, FancyListRoundTripBothFormats) {
 //
 // Every prefix of a valid encoding must decode to an error (or a clean
 // early end), never crash or read out of bounds. Exhaustive over every
-// cut point of moderately sized lists, both formats.
+// cut point of moderately sized lists.
 
 template <typename DecodeAll>
 void FuzzTruncations(storage::BlobStore* blobs, const std::string& buf,
@@ -402,104 +428,82 @@ void FuzzTruncations(storage::BlobStore* blobs, const std::string& buf,
 }
 
 TEST_F(CodecV2Test, TruncatedIdListFuzz) {
-  for (PostingFormat fmt : {PostingFormat::kV1, PostingFormat::kV2}) {
-    auto ps = MakePostings(300, 3);
-    std::string buf;
-    EncodeIdTsList(ps, true, &buf, fmt);
-    FuzzTruncations(&blobs_, buf, [&](storage::BlobRef ref) {
-      CursorScratch scratch;
-      IdPostingCursor c(blobs_.NewReader(ref), true, fmt, &scratch);
-      Status st = c.Init();
-      size_t decoded = 0;
-      while (st.ok() && c.Valid() && decoded <= ps.size()) {
-        ++decoded;
-        st = c.Next();
-      }
-      EXPECT_LE(decoded, ps.size());
-    });
-  }
+  auto ps = MakePostings(300, 3);
+  std::string buf;
+  EncodeIdTsList(ps, true, &buf);
+  FuzzTruncations(&blobs_, buf, [&](storage::BlobRef ref) {
+    CursorScratch scratch;
+    IdPostingCursor c(blobs_.NewReader(ref), true, &scratch);
+    Status st = c.Init();
+    size_t decoded = 0;
+    while (st.ok() && c.Valid() && decoded <= ps.size()) {
+      ++decoded;
+      st = c.Next();
+    }
+    EXPECT_LE(decoded, ps.size());
+  });
 }
 
 TEST_F(CodecV2Test, TruncatedChunkListFuzz) {
-  for (PostingFormat fmt : {PostingFormat::kV1, PostingFormat::kV2}) {
-    auto groups = MakeChunkGroups(4, 150, 11);
-    std::string buf;
-    EncodeChunkList(groups, false, &buf, fmt);
-    FuzzTruncations(&blobs_, buf, [&](storage::BlobRef ref) {
-      CursorScratch scratch;
-      ChunkPostingCursor c(blobs_.NewReader(ref), false, fmt, &scratch);
-      Status st = c.Init();
-      size_t decoded = 0;
-      while (st.ok() && c.HasGroup() && decoded < 10000) {
-        if (c.Valid()) {
-          ++decoded;
-          st = c.Next();
-        } else {
-          st = c.NextGroup();
-        }
+  auto groups = MakeChunkGroups(4, 150, 11);
+  std::string buf;
+  EncodeChunkList(groups, false, &buf);
+  FuzzTruncations(&blobs_, buf, [&](storage::BlobRef ref) {
+    CursorScratch scratch;
+    ChunkPostingCursor c(blobs_.NewReader(ref), false, &scratch);
+    Status st = c.Init();
+    size_t decoded = 0;
+    while (st.ok() && c.HasGroup() && decoded < 10000) {
+      if (c.Valid()) {
+        ++decoded;
+        st = c.Next();
+      } else {
+        st = c.NextGroup();
       }
-    });
-    // The v1 reader path must survive the same truncations.
-    FuzzTruncations(&blobs_, buf, [&](storage::BlobRef ref) {
-      if (fmt != PostingFormat::kV1) return;
-      ChunkListReader r(blobs_.NewReader(ref), false);
-      Status st = r.Init();
-      size_t decoded = 0;
-      while (st.ok() && r.HasGroup() && decoded < 10000) {
-        if (r.Valid()) {
-          ++decoded;
-          st = r.Next();
-        } else {
-          st = r.NextGroup();
-        }
-      }
-    });
-  }
+    }
+  });
 }
 
 TEST_F(CodecV2Test, TruncatedScoreListFuzz) {
-  for (PostingFormat fmt : {PostingFormat::kV1, PostingFormat::kV2}) {
-    std::vector<ScorePosting> ps;
-    for (size_t i = 0; i < 300; ++i) {
-      ps.push_back({3000.0 - static_cast<double>(i), static_cast<DocId>(i)});
-    }
-    std::string buf;
-    EncodeScoreList(ps, &buf, fmt);
-    FuzzTruncations(&blobs_, buf, [&](storage::BlobRef ref) {
-      ScoreCursorScratch scratch;
-      ScorePostingCursor c(blobs_.NewReader(ref), fmt, &scratch);
-      Status st = c.Init();
-      size_t decoded = 0;
-      while (st.ok() && c.Valid() && decoded <= ps.size()) {
-        ++decoded;
-        st = c.Next();
-      }
-      EXPECT_LE(decoded, ps.size());
-    });
+  std::vector<ScorePosting> ps;
+  for (size_t i = 0; i < 300; ++i) {
+    ps.push_back({3000.0 - static_cast<double>(i), static_cast<DocId>(i)});
   }
+  std::string buf;
+  EncodeScoreList(ps, &buf);
+  FuzzTruncations(&blobs_, buf, [&](storage::BlobRef ref) {
+    ScoreCursorScratch scratch;
+    ScorePostingCursor c(blobs_.NewReader(ref), &scratch);
+    Status st = c.Init();
+    size_t decoded = 0;
+    while (st.ok() && c.Valid() && decoded <= ps.size()) {
+      ++decoded;
+      st = c.Next();
+    }
+    EXPECT_LE(decoded, ps.size());
+  });
 }
 
 TEST_F(CodecV2Test, TruncatedFancyListFuzz) {
-  for (PostingFormat fmt : {PostingFormat::kV1, PostingFormat::kV2}) {
-    auto ps = MakePostings(200, 29);
-    std::string buf;
-    EncodeFancyList(ps, 0.5f, &buf, fmt);
-    FuzzTruncations(&blobs_, buf, [&](storage::BlobRef ref) {
-      std::vector<IdPosting> out;
-      float min_ts;
-      Status st = DecodeFancyList(blobs_.NewReader(ref), &out, &min_ts, fmt);
-      EXPECT_LE(out.size(), ps.size());
-      (void)st;
-    });
-  }
+  auto ps = MakePostings(200, 29);
+  std::string buf;
+  EncodeFancyList(ps, 0.5f, &buf);
+  FuzzTruncations(&blobs_, buf, [&](storage::BlobRef ref) {
+    std::vector<IdPosting> out;
+    float min_ts;
+    Status st = DecodeFancyList(blobs_.NewReader(ref), &out, &min_ts);
+    EXPECT_LE(out.size(), ps.size());
+    (void)st;
+  });
 }
 
-// --- v1 vs v2 end-to-end equivalence ------------------------------------
+// --- end-to-end: TopK against the brute-force oracle --------------------
 
 using test::IndexWorld;
+using test::IsTermScoreMethod;
 using test::MakeScores;
 
-TEST(FormatEquivalenceTest, TopKIdenticalAcrossFormats) {
+TEST(OracleEquivalenceTest, TopKMatchesOracleAfterScoreUpdates) {
   // Every method that owns blob long lists; kScore has no blobs and
   // kScoreThreshold/kChunk families cover both posting kinds.
   const Method methods[] = {Method::kId, Method::kIdTermScore,
@@ -514,19 +518,15 @@ TEST(FormatEquivalenceTest, TopKIdenticalAcrossFormats) {
   auto scores = MakeScores(cp.num_docs, 10000.0, 0.7, 99);
 
   for (Method m : methods) {
-    auto options = IndexWorld::DefaultOptions();
-    auto w1 = IndexWorld::Make(m, cp, scores, options, PostingFormat::kV1);
-    auto w2 = IndexWorld::Make(m, cp, scores, options, PostingFormat::kV2);
-    ASSERT_NE(w1, nullptr);
-    ASSERT_NE(w2, nullptr);
+    auto w = IndexWorld::Make(m, cp, scores);
+    ASSERT_NE(w, nullptr);
 
-    // A few score updates + doc churn so short lists participate.
+    // A few score updates so short lists participate.
     Random rng(7);
     for (int i = 0; i < 200; ++i) {
       const DocId d = rng.Uniform(cp.num_docs);
       const double ns = scores[d] + rng.Uniform(2000);
-      ASSERT_TRUE(w1->idx->OnScoreUpdate(d, ns).ok());
-      ASSERT_TRUE(w2->idx->OnScoreUpdate(d, ns).ok());
+      ASSERT_TRUE(w->idx->OnScoreUpdate(d, ns).ok());
     }
 
     for (bool conjunctive : {true, false}) {
@@ -537,14 +537,16 @@ TEST(FormatEquivalenceTest, TopKIdenticalAcrossFormats) {
         q.terms.push_back(qr.Uniform(cp.vocab_size));
         q.terms.push_back(qr.Uniform(cp.vocab_size));
         if (q.terms[0] == q.terms[1]) q.terms.pop_back();
-        std::vector<SearchResult> r1, r2;
-        ASSERT_TRUE(w1->idx->TopK(q, 10, &r1).ok());
-        ASSERT_TRUE(w2->idx->TopK(q, 10, &r2).ok());
-        ASSERT_EQ(r1.size(), r2.size())
+        std::vector<SearchResult> got, want;
+        ASSERT_TRUE(w->idx->TopK(q, 10, &got).ok());
+        ASSERT_TRUE(
+            w->oracle->TopK(q, 10, IsTermScoreMethod(m), &want).ok());
+        ASSERT_EQ(got.size(), want.size())
             << MethodName(m) << " conj=" << conjunctive << " q=" << qseed;
-        for (size_t i = 0; i < r1.size(); ++i) {
-          EXPECT_EQ(r1[i].doc, r2[i].doc) << MethodName(m) << " @" << i;
-          EXPECT_EQ(r1[i].score, r2[i].score) << MethodName(m) << " @" << i;
+        for (size_t i = 0; i < got.size(); ++i) {
+          EXPECT_EQ(got[i].doc, want[i].doc) << MethodName(m) << " @" << i;
+          EXPECT_NEAR(got[i].score, want[i].score, 1e-9)
+              << MethodName(m) << " @" << i;
         }
       }
     }
@@ -556,7 +558,7 @@ TEST(FormatEquivalenceTest, TopKIdenticalAcrossFormats) {
 // The block-codec fuzz harness traps when a cursor yields more postings
 // than its input bytes could encode; this test pins the same bounded-
 // termination contract in the regular suite using the harness's
-// deterministic mutator over every list kind in both formats.
+// deterministic mutator over every list kind.
 
 TEST_F(CodecV2Test, MutatedListsNeverOverrunTheirByteBudget) {
   auto id_ts = MakePostings(129, 77);
@@ -573,20 +575,18 @@ TEST_F(CodecV2Test, MutatedListsNeverOverrunTheirByteBudget) {
   groups[1].postings.assign(id_ts.begin() + 70, id_ts.end());
 
   std::vector<std::pair<std::string, int>> lists;  // (bytes, kind)
-  for (PostingFormat fmt : {PostingFormat::kV1, PostingFormat::kV2}) {
-    std::string out;
-    EncodeIdList(docs, &out, fmt);
-    lists.emplace_back(out, 0);
-    out.clear();
-    EncodeIdTsList(id_ts, /*with_ts=*/true, &out, fmt);
-    lists.emplace_back(out, 1);
-    out.clear();
-    EncodeChunkList(groups, /*with_ts=*/true, &out, fmt);
-    lists.emplace_back(out, 2);
-    out.clear();
-    EncodeScoreList(scored, &out, fmt);
-    lists.emplace_back(out, 3);
-  }
+  std::string out;
+  EncodeIdList(docs, &out);
+  lists.emplace_back(out, 0);
+  out.clear();
+  EncodeIdTsList(id_ts, /*with_ts=*/true, &out);
+  lists.emplace_back(out, 1);
+  out.clear();
+  EncodeChunkList(groups, /*with_ts=*/true, &out);
+  lists.emplace_back(out, 2);
+  out.clear();
+  EncodeScoreList(scored, &out);
+  lists.emplace_back(out, 3);
 
   auto scratch = std::make_unique<CursorScratch>();
   auto sscratch = std::make_unique<ScoreCursorScratch>();
@@ -601,36 +601,34 @@ TEST_F(CodecV2Test, MutatedListsNeverOverrunTheirByteBudget) {
       // so a cursor still yielding past this bound is looping.
       const size_t bound = 16 * bytes.size() + 1024;
       size_t steps = 0;
-      for (PostingFormat fmt : {PostingFormat::kV1, PostingFormat::kV2}) {
-        if (kind == 3) {
-          ScorePostingCursor cur(blobs_.NewReader(ref.value()), fmt,
-                                 sscratch.get());
-          if (!cur.Init().ok()) continue;
+      if (kind == 3) {
+        ScorePostingCursor cur(blobs_.NewReader(ref.value()),
+                               sscratch.get());
+        if (!cur.Init().ok()) continue;
+        while (cur.Valid()) {
+          if (!cur.Next().ok()) break;
+          ASSERT_LE(++steps, bound);
+        }
+      } else if (kind == 2) {
+        ChunkPostingCursor cur(blobs_.NewReader(ref.value()),
+                               /*with_ts=*/true, scratch.get());
+        if (!cur.Init().ok()) continue;
+        bool bail = false;
+        while (cur.HasGroup() && !bail) {
           while (cur.Valid()) {
-            if (!cur.Next().ok()) break;
+            if (!cur.Next().ok()) { bail = true; break; }
             ASSERT_LE(++steps, bound);
           }
-        } else if (kind == 2) {
-          ChunkPostingCursor cur(blobs_.NewReader(ref.value()),
-                                 /*with_ts=*/true, fmt, scratch.get());
-          if (!cur.Init().ok()) continue;
-          bool bail = false;
-          while (cur.HasGroup() && !bail) {
-            while (cur.Valid()) {
-              if (!cur.Next().ok()) { bail = true; break; }
-              ASSERT_LE(++steps, bound);
-            }
-            if (bail || !cur.NextGroup().ok()) break;
-            ASSERT_LE(++steps, bound);
-          }
-        } else {
-          IdPostingCursor cur(blobs_.NewReader(ref.value()),
-                              /*with_ts=*/kind == 1, fmt, scratch.get());
-          if (!cur.Init().ok()) continue;
-          while (cur.Valid()) {
-            if (!cur.Next().ok()) break;
-            ASSERT_LE(++steps, bound);
-          }
+          if (bail || !cur.NextGroup().ok()) break;
+          ASSERT_LE(++steps, bound);
+        }
+      } else {
+        IdPostingCursor cur(blobs_.NewReader(ref.value()),
+                            /*with_ts=*/kind == 1, scratch.get());
+        if (!cur.Init().ok()) continue;
+        while (cur.Valid()) {
+          if (!cur.Next().ok()) break;
+          ASSERT_LE(++steps, bound);
         }
       }
     }

@@ -303,8 +303,7 @@ TEST_P(MergeEquivalenceTest, PolicySweepPreservesResults) {
   policy.min_short_postings = 4;
   policy.max_terms_per_sweep = 16;
   merged_ = IndexWorld::Make(GetParam(), params_, scores_,
-                             IndexWorld::DefaultOptions(),
-                             PostingFormat::kV2, policy);
+                             IndexWorld::DefaultOptions(), policy);
   ASSERT_NE(merged_, nullptr);
 
   Random rng(31);
@@ -386,8 +385,7 @@ TEST(MergeBudgetTest, ByteBudgetForcesMerges) {
   policy.min_short_postings = 1u << 30;
   policy.short_bytes_budget = 1;  // any short structure is over budget
   auto world = IndexWorld::Make(Method::kChunk, params, scores,
-                                IndexWorld::DefaultOptions(),
-                                PostingFormat::kV2, policy);
+                                IndexWorld::DefaultOptions(), policy);
   ASSERT_NE(world, nullptr);
 
   Random rng(1);

@@ -5,10 +5,8 @@
 
 #include "index/chunker.h"
 #include "index/list_state.h"
-#include "index/posting_codec.h"
 #include "index/result_heap.h"
 #include "index/short_list.h"
-#include "storage/blob_store.h"
 #include "storage/buffer_pool.h"
 #include "storage/page_store.h"
 
@@ -182,149 +180,6 @@ TEST(ChunkerTest, EmptyCollectionGetsDegenerateChunker) {
   const ChunkId high = c.value().ChunkOf(1e6);
   EXPECT_GT(high, 0u);
   EXPECT_LE(c.value().LowerBound(high), 1e6);
-}
-
-// --- posting codecs --------------------------------------------------------
-
-class CodecTest : public ::testing::Test {
- protected:
-  void SetUp() override {
-    store_ = std::make_unique<storage::InMemoryPageStore>(256);
-    pool_ = std::make_unique<storage::BufferPool>(store_.get(), 32);
-    blobs_ = std::make_unique<storage::BlobStore>(pool_.get());
-  }
-  std::unique_ptr<storage::InMemoryPageStore> store_;
-  std::unique_ptr<storage::BufferPool> pool_;
-  std::unique_ptr<storage::BlobStore> blobs_;
-};
-
-TEST_F(CodecTest, IdListRoundTrip) {
-  std::vector<DocId> docs = {0, 1, 5, 6, 7, 100, 10000, 2000000};
-  std::string buf;
-  EncodeIdList(docs, &buf);
-  auto ref = blobs_->Write(buf);
-  ASSERT_TRUE(ref.ok());
-  IdListReader r(blobs_->NewReader(ref.value()), /*with_ts=*/false);
-  ASSERT_TRUE(r.Init().ok());
-  for (DocId d : docs) {
-    ASSERT_TRUE(r.Valid());
-    EXPECT_EQ(r.doc(), d);
-    ASSERT_TRUE(r.Next().ok());
-  }
-  EXPECT_FALSE(r.Valid());
-}
-
-TEST_F(CodecTest, IdTsListRoundTrip) {
-  std::vector<IdPosting> ps = {{3, 0.5f}, {9, 0.25f}, {700, 0.125f}};
-  std::string buf;
-  EncodeIdTsList(ps, /*with_ts=*/true, &buf);
-  auto ref = blobs_->Write(buf);
-  ASSERT_TRUE(ref.ok());
-  IdListReader r(blobs_->NewReader(ref.value()), /*with_ts=*/true);
-  ASSERT_TRUE(r.Init().ok());
-  for (const auto& p : ps) {
-    ASSERT_TRUE(r.Valid());
-    EXPECT_EQ(r.doc(), p.doc);
-    EXPECT_EQ(r.term_score(), p.term_score);
-    ASSERT_TRUE(r.Next().ok());
-  }
-  EXPECT_FALSE(r.Valid());
-}
-
-TEST_F(CodecTest, ScoreListRoundTrip) {
-  std::vector<ScorePosting> ps = {
-      {900.5, 4}, {900.5, 9}, {40.25, 2}, {0.0, 77}};
-  std::string buf;
-  EncodeScoreList(ps, &buf);
-  auto ref = blobs_->Write(buf);
-  ASSERT_TRUE(ref.ok());
-  ScoreListReader r(blobs_->NewReader(ref.value()));
-  ASSERT_TRUE(r.Init().ok());
-  for (const auto& p : ps) {
-    ASSERT_TRUE(r.Valid());
-    EXPECT_EQ(r.score(), p.score);
-    EXPECT_EQ(r.doc(), p.doc);
-    ASSERT_TRUE(r.Next().ok());
-  }
-  EXPECT_FALSE(r.Valid());
-}
-
-TEST_F(CodecTest, ChunkListRoundTripAndSkip) {
-  std::vector<ChunkGroup> groups(3);
-  groups[0].cid = 9;
-  groups[0].postings = {{1, 0}, {4, 0}, {9, 0}};
-  groups[1].cid = 5;
-  for (DocId d = 0; d < 500; ++d) groups[1].postings.push_back({d * 3, 0});
-  groups[2].cid = 1;
-  groups[2].postings = {{2, 0}, {3, 0}};
-  std::string buf;
-  EncodeChunkList(groups, /*with_ts=*/false, &buf);
-  auto ref = blobs_->Write(buf);
-  ASSERT_TRUE(ref.ok());
-
-  // Full scan.
-  {
-    ChunkListReader r(blobs_->NewReader(ref.value()), false);
-    ASSERT_TRUE(r.Init().ok());
-    for (const auto& g : groups) {
-      ASSERT_TRUE(r.HasGroup());
-      EXPECT_EQ(r.cid(), g.cid);
-      for (const auto& p : g.postings) {
-        ASSERT_TRUE(r.Valid());
-        EXPECT_EQ(r.doc(), p.doc);
-        ASSERT_TRUE(r.Next().ok());
-      }
-      EXPECT_FALSE(r.Valid());
-      ASSERT_TRUE(r.NextGroup().ok());
-    }
-    EXPECT_FALSE(r.HasGroup());
-  }
-
-  // Skip the large middle group without reading its pages.
-  {
-    ChunkListReader r(blobs_->NewReader(ref.value()), false);
-    ASSERT_TRUE(r.Init().ok());
-    EXPECT_EQ(r.cid(), 9u);
-    ASSERT_TRUE(r.SkipGroup().ok());
-    ASSERT_TRUE(r.NextGroup().ok());
-    EXPECT_EQ(r.cid(), 5u);
-    ASSERT_TRUE(r.SkipGroup().ok());
-    ASSERT_TRUE(r.NextGroup().ok());
-    EXPECT_EQ(r.cid(), 1u);
-    ASSERT_TRUE(r.Valid());
-    EXPECT_EQ(r.doc(), 2u);
-  }
-}
-
-TEST_F(CodecTest, FancyListRoundTrip) {
-  std::vector<IdPosting> ps = {{10, 0.9f}, {20, 0.8f}, {30, 0.7f}};
-  std::string buf;
-  EncodeFancyList(ps, 0.7f, &buf);
-  auto ref = blobs_->Write(buf);
-  ASSERT_TRUE(ref.ok());
-  std::vector<IdPosting> out;
-  float min_ts;
-  ASSERT_TRUE(
-      DecodeFancyList(blobs_->NewReader(ref.value()), &out, &min_ts).ok());
-  EXPECT_EQ(min_ts, 0.7f);
-  ASSERT_EQ(out.size(), 3u);
-  EXPECT_EQ(out[1].doc, 20u);
-  EXPECT_EQ(out[1].term_score, 0.8f);
-}
-
-TEST_F(CodecTest, EmptyListsAreValid) {
-  std::string buf;
-  EncodeIdList({}, &buf);
-  auto ref = blobs_->Write(buf);
-  ASSERT_TRUE(ref.ok());
-  IdListReader r(blobs_->NewReader(ref.value()), false);
-  ASSERT_TRUE(r.Init().ok());
-  EXPECT_FALSE(r.Valid());
-
-  // Completely absent list (invalid ref) also reads as empty.
-  IdListReader r2(blobs_->NewReader(storage::BlobRef()), false);
-  ASSERT_TRUE(r2.Init().ok());
-  EXPECT_FALSE(r2.Valid());
 }
 
 // --- short list / list state -----------------------------------------------

@@ -34,7 +34,6 @@ struct IndexWorld {
       index::Method method, const text::CorpusParams& corpus_params,
       const std::vector<double>& scores,
       index::IndexOptions options = DefaultOptions(),
-      PostingFormat posting_format = PostingFormat::kV2,
       MergePolicy merge_policy = {}) {
     auto w = std::make_unique<IndexWorld>();
     w->table_store = std::make_unique<storage::InMemoryPageStore>(4096);
@@ -54,7 +53,6 @@ struct IndexWorld {
     ctx.list_pool = w->list_pool.get();
     ctx.score_table = w->score_table.get();
     ctx.corpus = &w->corpus;
-    ctx.posting_format = posting_format;
     ctx.merge_policy = merge_policy;
     auto idx = index::CreateIndex(method, ctx, options);
     if (!idx.ok()) return nullptr;
