@@ -62,8 +62,7 @@ void BM_DecodeIdList(benchmark::State& state) {
   auto ref = fx.Put(buf);
   CursorScratch scratch;
   for (auto _ : state) {
-    IdPostingCursor c(fx.blobs.NewReader(ref), /*with_ts=*/false,
-                      &scratch);
+    IdPostingCursor c(fx.blobs.NewReader(ref), /*with_ts=*/false, &scratch);
     (void)c.Init();
     uint64_t sum = 0;
     while (c.Valid()) {

@@ -11,7 +11,7 @@
 
 namespace svr::index {
 
-/// Serialized long-inverted-list layouts (§4 + §5.2, see
+/// Serialized long inverted lists (§4 + §5.2, see
 /// docs/posting_lists.md and common/block_codec.h). Postings are grouped
 /// into kPostingBlockSize-posting blocks, each preceded by a skip header,
 /// with doc deltas group-varint coded:
@@ -43,8 +43,6 @@ namespace svr::index {
 ///                       the block's scan-order-final (lowest) position,
 ///                       enabling block skips toward a score threshold.
 ///
-/// The paper's own layout (one LEB128 varint per posting) is not
-/// written any more; its sizes are kept in BENCH_paper_table1.json.
 /// The lists are read through the zero-allocation cursors in
 /// index/posting_cursor.h.
 
