@@ -7,6 +7,11 @@
 // lengthen; insertion cost jumps once the short lists outgrow memory
 // (~12 ms -> ~0.5-0.7 s past 4k docs) and then plateaus. An offline
 // merge (§A.3) resets both.
+//
+// `out=BENCH_paper_table3.json` also writes the short-list size after
+// each batch (layout, inserted, short_bytes, short_postings,
+// bytes_per_inserted_doc); tools/check_bench_json.py gates its shape.
+// Sizes are deterministic; the timings are printed, not recorded.
 
 #include <cstdio>
 
@@ -19,6 +24,7 @@ int main(int argc, char** argv) {
   Flags flags(argc, argv);
   workload::ExperimentConfig config = DefaultConfig(flags);
   const bool validate = flags.GetBool("validate", false);
+  const std::string out_path = flags.GetString("out", "");
 
   // Paper inserts 1k..10k into its full-size collection; defaults here
   // scale to the smaller corpus (12.5% of base size at each step, like
@@ -41,6 +47,15 @@ int main(int argc, char** argv) {
 
   TablePrinter table({"inserted", "insert ms", "upd ms", "qry ms",
                       "sim qry ms", "short MB"});
+  JsonRows json({"layout", "inserted", "short_bytes", "short_postings",
+                 "bytes_per_inserted_doc"});
+  // Short bytes include the list-state column (ShortListBytes()).
+  auto json_row = [&](const std::string& inserted, uint32_t docs) {
+    const uint64_t bytes = exp->ShortListBytes();
+    json.Row({"btree", inserted, std::to_string(bytes),
+              std::to_string(exp->index()->ShortPostingCount()),
+              Num(static_cast<double>(bytes) / docs)});
+  };
   uint32_t total = 0;
   for (uint32_t batch : batches) {
     auto ins = CheckResult(exp->InsertDocuments(batch), "insert");
@@ -52,6 +67,7 @@ int main(int argc, char** argv) {
     table.Row({std::to_string(total), Ms(ins.avg_ms()), Ms(upd.avg_ms()),
                Ms(qry.avg_ms()), Ms(qry.sim_avg_ms(config.page_ms)),
                Mb(exp->ShortListBytes())});
+    json_row(std::to_string(total), total);
   }
 
   // The paper notes short lists are periodically merged offline,
@@ -64,6 +80,12 @@ int main(int argc, char** argv) {
   table.Row({"merge+" + std::to_string(100), Ms(ins.avg_ms()), "-",
              Ms(qry.avg_ms()), Ms(qry.sim_avg_ms(config.page_ms)),
              Mb(exp->ShortListBytes())});
+  json_row("merge+100", 100);
+  if (!out_path.empty()) {
+    json.Write(out_path, "paper",
+               {{"figure", "table3"},
+                {"docs", std::to_string(config.corpus.num_docs)}});
+  }
 
   std::printf(
       "\n# paper: query flat ~28ms; score updates 0.25 -> 17ms; insert "

@@ -120,11 +120,25 @@ if [ "$SANITIZERS_ONLY" != "1" ]; then
   "$BUILD_DIR/bench_table1_index_sizes" docs=3000 terms=60 vocab=5000 \
     out="$SMOKE/BENCH_paper_table1.json"
 
+  # Paper smoke run (Table 3): short-list bytes per inserted doc, at
+  # the committed artifact's size (about 2 s). The JSON check gates the
+  # deterministic shape: bytes rise with the inserts and fall after the
+  # offline merge.
+  "$BUILD_DIR/bench_table3_insertions" docs=10000 \
+    out="$SMOKE/BENCH_paper_table3.json"
+
+  # Same-work run: all six methods' query counters (postings, score
+  # lookups, candidates, blocks, gallops, seeks, list-pool misses) at
+  # the committed parameters, oracle-validated. The JSON check requires
+  # the rows to equal the committed BENCH_work.json exactly.
+  "$BUILD_DIR/bench_query_work" out="$SMOKE/BENCH_work.json"
+
   # The committed artifacts (BENCH_mvcc.json is frozen history: its
   # bench is retired) and this run's smoke outputs pass the same gates.
   COMMITTED="BENCH_merge.json BENCH_concurrency.json BENCH_sharding.json
     BENCH_mvcc.json BENCH_durability.json BENCH_telemetry.json
-    BENCH_server.json BENCH_paper.json BENCH_paper_table1.json"
+    BENCH_server.json BENCH_paper.json BENCH_paper_table1.json
+    BENCH_paper_table3.json BENCH_work.json"
   if command -v python3 > /dev/null; then
     python3 tools/check_bench_json.py --self-test
     # shellcheck disable=SC2086

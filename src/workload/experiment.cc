@@ -94,6 +94,12 @@ Result<OpStats> Experiment::RunDisjunctiveQueries(QueryClass cls,
                         validate);
 }
 
+Result<OpStats> Experiment::RunDisjunctiveQueriesWithK(QueryClass cls,
+                                                       uint32_t k,
+                                                       bool validate) {
+  return RunQueriesImpl(cls, k, /*conjunctive=*/false, validate);
+}
+
 Result<OpStats> Experiment::RunQueriesImpl(QueryClass cls, uint32_t k,
                                            bool conjunctive,
                                            bool validate) {

@@ -81,6 +81,8 @@ class Experiment {
   /// Same, forcing disjunctive semantics (Figure 10).
   Result<OpStats> RunDisjunctiveQueries(QueryClass cls,
                                         bool validate = false);
+  Result<OpStats> RunDisjunctiveQueriesWithK(QueryClass cls, uint32_t k,
+                                             bool validate = false);
 
   /// Appendix-A insertion workload: inserts `n` fresh documents with
   /// `terms_per_doc` terms and Zipf scores, timed.

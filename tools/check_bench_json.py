@@ -12,9 +12,15 @@ Exit status is non-zero on the first failed assertion; every passing
 file prints a one-line summary.
 """
 
+import functools
 import json
+import os
 import statistics
 import sys
+
+# The committed same-work artifact that check_work compares reruns to.
+WORK_REFERENCE = os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                              os.pardir, "BENCH_work.json")
 
 
 def require_context(d):
@@ -289,9 +295,59 @@ def check_paper_table1(d, ctx):
         "%d CPUs" % (", ".join(ratios), ctx["hardware_concurrency"])
 
 
+def check_paper_table3(d, ctx):
+    """Table 3: short-list bytes (list-state column included) after each
+    insertion batch, one group of rows per short-list layout. Sizes are
+    deterministic. Within a layout they rise with the inserted count and
+    fall after the offline merge ("merge+N" row). The btree rows are
+    frozen history of the B+-tree layout; when both layouts are present
+    the run layout may not be larger at any row, and at 2,500 inserted
+    docs it must be at least 5x smaller."""
+    by_layout = {}
+    for r in d["rows"]:
+        group = by_layout.setdefault(r["layout"], {})
+        assert r["inserted"] not in group, \
+            "table3 repeats %s/%s" % (r["layout"], r["inserted"])
+        group[r["inserted"]] = r
+    assert by_layout, "table3 has no rows"
+    for layout, rows in sorted(by_layout.items()):
+        counts = sorted(k for k in rows if isinstance(k, int))
+        merged = [k for k in rows if isinstance(k, str)]
+        assert counts, "table3 %s has no insertion rows" % layout
+        assert len(merged) == 1 and merged[0].startswith("merge+"), \
+            "table3 %s needs exactly one merge+N row" % layout
+        sizes = [rows[k]["short_bytes"] for k in counts]
+        for lo, hi, n in zip(sizes, sizes[1:], counts[1:]):
+            assert hi > lo, \
+                "table3 %s: short bytes did not rise at %d inserted " \
+                "(%d -> %d)" % (layout, n, lo, hi)
+        after = rows[merged[0]]["short_bytes"]
+        assert after < sizes[-1], \
+            "table3 %s: offline merge left %d short bytes, not below %d" % (
+                layout, after, sizes[-1])
+    summary = ""
+    if {"btree", "run"} <= set(by_layout):
+        btree, run = by_layout["btree"], by_layout["run"]
+        assert set(run) == set(btree), "table3 layouts ran different batches"
+        for n, r in run.items():
+            assert r["short_bytes"] <= btree[n]["short_bytes"], \
+                "table3: run layout %d bytes > btree %d at %s" % (
+                    r["short_bytes"], btree[n]["short_bytes"], n)
+        assert 2500 in run, "table3 lacks the 2,500-doc row"
+        shrink = btree[2500]["short_bytes"] / run[2500]["short_bytes"]
+        assert shrink >= 5.0, \
+            "table3: run layout only %.2fx smaller than btree at 2,500 " \
+            "docs (gate 5x)" % shrink
+        summary = ", run %.1fx smaller than btree at 2,500 docs" % shrink
+    return "table3: short bytes rise with inserts and fall after the " \
+        "merge in %s%s; %d CPUs" % ("/".join(sorted(by_layout)), summary,
+                                    ctx["hardware_concurrency"])
+
+
 PAPER_FIGURES = {
     "fig8": check_paper_fig8,
     "table1": check_paper_table1,
+    "table3": check_paper_table3,
 }
 
 
@@ -304,6 +360,50 @@ def check_paper(d):
     return checker(d, ctx)
 
 
+WORK_PARAMS = ("docs", "vocab", "terms", "updates", "inserts", "queries")
+WORK_COUNTERS = ("postings_scanned", "score_lookups", "candidates_considered",
+                 "blocks_decoded", "groups_galloped", "cursor_seeks",
+                 "list_misses")
+
+
+def check_work(d, reference=None):
+    """BENCH_work.json: the query work of all six methods as exact
+    counter totals. A rerun at the committed parameters must reproduce
+    the committed rows exactly (the context block is ignored); a change
+    that alters the work regenerates the artifact and says why."""
+    ctx = require_context(d)
+    assert d.get("validated") is True, "work bench ran without validation"
+    keys = set()
+    for r in d["rows"]:
+        key = (r["method"], r["k"], r["semantics"])
+        assert key not in keys, "work repeats %s/%s/%s" % key
+        keys.add(key)
+        for c in WORK_COUNTERS:
+            assert isinstance(r[c], int) and r[c] >= 0, \
+                "work %s/%s/%s: bad %s" % (key + (c,))
+    methods = {k[0] for k in keys}
+    assert methods == set(TABLE1_METHODS), \
+        "work bench covers %s, not the six methods" % sorted(methods)
+    if reference is None:
+        with open(WORK_REFERENCE) as f:
+            reference = json.load(f)
+    for p in WORK_PARAMS:
+        assert d[p] == reference[p], \
+            "work bench ran %s=%s, the committed artifact %s" % (
+                p, d[p], reference[p])
+    ref_rows = {(r["method"], r["k"], r["semantics"]): r
+                for r in reference["rows"]}
+    assert keys == set(ref_rows), "work rows differ from the committed set"
+    for r in d["rows"]:
+        key = (r["method"], r["k"], r["semantics"])
+        for c in WORK_COUNTERS:
+            assert r[c] == ref_rows[key][c], \
+                "work %s/%s/%s: %s %d, committed %d" % (
+                    key + (c, r[c], ref_rows[key][c]))
+    return "work: %d rows equal the committed counters; %d CPUs" % (
+        len(keys), ctx["hardware_concurrency"])
+
+
 CHECKERS = {
     "merge_policy": check_merge_policy,
     "concurrent_churn": check_concurrent_churn,
@@ -313,6 +413,7 @@ CHECKERS = {
     "telemetry": check_telemetry,
     "server": check_server,
     "paper": check_paper,
+    "work": check_work,
 }
 
 
@@ -391,6 +492,34 @@ def _self_test_fixtures():
                  "rows": [{"method": m, "format": f, "long_bytes": b}
                           for f in ("v1", "v2")
                           for m, b in table1_bytes.items()]}
+    table3_rows = []
+    for layout, scale in (("btree", 4000), ("run", 500)):
+        for n in (250, 500, 1000, 2000, 2500):
+            table3_rows.append({"layout": layout, "inserted": n,
+                                "short_bytes": scale * n,
+                                "short_postings": 110 * n,
+                                "bytes_per_inserted_doc": float(scale)})
+        table3_rows.append({"layout": layout, "inserted": "merge+100",
+                            "short_bytes": scale * 90,
+                            "short_postings": 11000,
+                            "bytes_per_inserted_doc": 0.9 * scale})
+    table3_ok = {"figure": "table3", "docs": 10000, "context": context,
+                 "rows": table3_rows}
+    table3_btree_only = json.loads(json.dumps(table3_ok))
+    table3_btree_only["rows"] = [r for r in table3_rows
+                                 if r["layout"] == "btree"]
+    work_rows = [{"method": m, "k": k, "semantics": sem,
+                  "postings_scanned": 100 * k, "score_lookups": 40 * k,
+                  "candidates_considered": 40 * k, "blocks_decoded": k,
+                  "groups_galloped": 0, "cursor_seeks": 7 * k,
+                  "list_misses": 3 * k}
+                 for m in TABLE1_METHODS for k in (1, 10)
+                 for sem in ("and", "or")]
+    work_ok = {"bench": "work", "docs": 100, "vocab": 100, "terms": 10,
+               "updates": 50, "inserts": 5, "queries": 2, "validated": True,
+               "context": context, "rows": work_rows}
+    work_other_host = json.loads(json.dumps(work_ok))
+    work_other_host["context"]["hardware_concurrency"] = 64
     passing = {
         "merge_policy": merge_ok,
         "concurrent_churn": churn_ok,
@@ -399,7 +528,8 @@ def _self_test_fixtures():
         "durability": dur_ok,
         "telemetry": telemetry_ok,
         "server": server_ok,
-        "paper": [paper_ok, table1_ok],
+        "paper": [paper_ok, table1_ok, table3_ok, table3_btree_only],
+        "work": [work_ok, work_other_host],
     }
     # Seeded failures: each flips exactly one property its checker gates.
     def without_context(payload):
@@ -441,6 +571,24 @@ def _self_test_fixtures():
     table1_no_chunk = json.loads(json.dumps(table1_ok))
     table1_no_chunk["rows"] = [r for r in table1_no_chunk["rows"]
                                if r["method"] != "Chunk"]
+    def table3_with(layout, inserted, short_bytes):
+        bad = json.loads(json.dumps(table3_ok))
+        for r in bad["rows"]:
+            if r["layout"] == layout and r["inserted"] == inserted:
+                r["short_bytes"] = short_bytes
+        return bad
+
+    def work_with(**changes):
+        bad = json.loads(json.dumps(work_ok))
+        for key, value in changes.items():
+            if key in WORK_COUNTERS:
+                bad["rows"][3][key] = value
+            else:
+                bad[key] = value
+        return bad
+
+    work_missing_row = json.loads(json.dumps(work_ok))
+    del work_missing_row["rows"][5]
     failing = {
         "merge_policy": [merge_bad],
         "concurrent_churn": [churn_bad, without_context(churn_ok)],
@@ -457,7 +605,17 @@ def _self_test_fixtures():
                   table1_with("v2", "Score", 5000),  # Score < ST
                   table1_with("v2", "Score-Threshold", 3020),  # ST < C-TS
                   table1_with("v1", "ID-TermScore", 1050),  # ID-TS < Chunk
-                  without_context(table1_ok)],
+                  without_context(table1_ok),
+                  table3_with("run", 1000, 499 * 500),  # run bytes fell
+                  table3_with("btree", "merge+100", 10000000),  # no drop
+                  table3_with("run", 250, 4001 * 250),  # run > btree
+                  table3_with("run", 2500, 2001 * 1000),  # < 5x smaller
+                  without_context(table3_ok)],
+        "work": [work_with(postings_scanned=999),  # counter moved
+                 work_with(list_misses=0),
+                 work_with(queries=3),  # other parameters
+                 work_with(validated=False),
+                 work_missing_row, without_context(work_ok)],
     }
     return passing, failing
 
@@ -465,15 +623,19 @@ def _self_test_fixtures():
 def self_test():
     passing, failing = _self_test_fixtures()
     assert set(passing) == set(CHECKERS), "fixture per checker required"
+    # check_work compares against the first passing work fixture instead
+    # of the committed artifact.
+    checkers = dict(CHECKERS, work=functools.partial(
+        check_work, reference=passing["work"][0]))
     for bench, payloads in passing.items():
         if not isinstance(payloads, list):
             payloads = [payloads]
         for payload in payloads:
-            assert CHECKERS[bench](payload), bench
+            assert checkers[bench](payload), bench
     for bench, payloads in failing.items():
         for payload in payloads:
             try:
-                CHECKERS[bench](payload)
+                checkers[bench](payload)
             except AssertionError:
                 continue
             raise SystemExit(
