@@ -79,11 +79,12 @@ if [ "$SANITIZERS_ONLY" != "1" ]; then
     out="$SMOKE/BENCH_sharding.json"
 
   # Durability smoke run (docs/durability.md): group commit vs
-  # fsync-per-statement on a latency-padded WAL, plus timed recovery
-  # with and without a covering checkpoint. The JSON check asserts group
-  # commit >= 3x sync-each throughput, checkpoints shorten replay, and
-  # the recovered engine answers the pre-restart query set identically.
-  "$BUILD_DIR/bench_durability" docs=200 threads=8 ops=100 \
+  # fsync-per-statement on a latency-padded WAL, in five interleaved
+  # pairs, plus timed recovery with and without a covering checkpoint.
+  # The JSON check asserts the median paired group/sync-each ratio is
+  # >= 3x, checkpoints shorten replay, and the recovered engine answers
+  # the pre-restart query set identically.
+  "$BUILD_DIR/bench_durability" docs=200 threads=8 ops=100 reps=5 \
     wal_ops=800,2000 queries=15 out="$SMOKE/BENCH_durability.json"
 
   # Telemetry smoke run (docs/observability.md): the MVCC churn workload
