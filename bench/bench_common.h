@@ -73,13 +73,10 @@ inline workload::ExperimentConfig DefaultConfig(const Flags& flags) {
   c.corpus.vocab_size =
       static_cast<uint32_t>(flags.GetInt("vocab", 30000));
   c.page_size = static_cast<uint32_t>(flags.GetInt("page", 1024));
-  // Split cost model: list_page_ms (alias: the historical page_ms) for
-  // HDD-ish long-list scans, table_page_ms for SSD-ish table reads.
+  // Simulated cost of a long-list page miss (alias: the historical
+  // page_ms).
   c.page_ms = flags.GetDouble("list_page_ms",
                               flags.GetDouble("page_ms", 0.2));
-  c.table_page_ms = flags.GetDouble("table_page_ms", 0.05);
-  c.table_pool_pages =
-      static_cast<uint64_t>(flags.GetInt("table_pages", 1 << 16));
   c.list_pool_pages =
       static_cast<uint64_t>(flags.GetInt("list_pages", 1 << 16));
   c.corpus.term_zipf = flags.GetDouble("term_zipf", 1.0);

@@ -13,11 +13,10 @@
 // check: with auto-merge on, late-round query latency stays near the
 // fresh-index baseline while merge-off drifts upward.
 //
-// Simulated times use the split cost model: long-list misses at
-// list_page_ms (HDD-ish sequential scans), table-pool misses at
-// table_page_ms (SSD-ish point reads) — table_page_ms=... /
-// list_page_ms=... flags. The Score table and ListScore/ListChunk are
-// in-memory columns, so `tbl_misses` counts short-list pages only.
+// Simulated times charge each long-list page miss at list_page_ms
+// (list_page_ms=... flag). The short lists, the Score table and
+// ListScore/ListChunk are in-memory columns, so merge-off shows its cost
+// as the postings each query scans and the short-list bytes.
 
 #include <cstdio>
 #include <string>
@@ -36,7 +35,7 @@ struct RoundRow {
   double ins_ms;
   double qry_ms;
   double sim_qry_ms;
-  double tbl_misses;
+  double postings_per_qry;
   uint64_t short_postings;
   uint64_t short_bytes;
   uint64_t term_merges;
@@ -48,19 +47,15 @@ int main(int argc, char** argv) {
   Flags flags(argc, argv);
   workload::ExperimentConfig base = DefaultConfig(flags);
   // Bench-local defaults (every one still flag-overridable): a corpus
-  // and churn rate where the update-path effects separate cleanly, a
-  // deliberately tight table cache — the paper's "tables stay cached"
-  // assumption is exactly what unbounded short lists break — and an
-  // auto-merge policy tuned so the out-of-the-box run demonstrates the
-  // bound (1 MB short-bytes backstop; the global default is 0/off).
+  // and churn rate where the update-path effects separate cleanly, and
+  // an auto-merge policy tuned so the out-of-the-box run demonstrates
+  // the bound (1 MB short-bytes backstop; the global default is 0/off).
   base.corpus.num_docs =
       static_cast<uint32_t>(flags.GetInt("docs", 10000));
   base.corpus.vocab_size =
       static_cast<uint32_t>(flags.GetInt("vocab", 8000));
   base.corpus.terms_per_doc =
       static_cast<uint32_t>(flags.GetInt("terms", 60));
-  base.table_pool_pages =
-      static_cast<uint64_t>(flags.GetInt("table_pages", 6000));
   base.merge_policy.short_bytes_budget =
       static_cast<uint64_t>(flags.GetInt("merge_budget_kb", 1024)) * 1024;
   base.merge_policy.short_ratio = flags.GetDouble("merge_ratio", 0.2);
@@ -102,21 +97,17 @@ int main(int argc, char** argv) {
                "  \"docs\": %u,\n  \"terms_per_doc\": %u,\n"
                "  \"rounds\": %u,\n  \"round_updates\": %u,\n"
                "  \"round_inserts\": %u,\n  \"list_page_ms\": %.3f,\n"
-               "  \"table_page_ms\": %.3f,\n"
-               "  \"table_pages\": %llu,\n"
                "  \"merge_ratio\": %.3f,\n  \"merge_min\": %u,\n"
                "  \"merge_interval\": %u,\n  \"series\": [",
                base.corpus.num_docs, base.corpus.terms_per_doc, rounds,
                upd_per_round, ins_per_round, base.page_ms,
-               base.table_page_ms,
-               static_cast<unsigned long long>(base.table_pool_pages),
                base.merge_policy.short_ratio,
                base.merge_policy.min_short_postings,
                base.merge_policy.check_interval);
   bool first_series = true;
 
   TablePrinter table({"method", "mode", "round", "upd ms", "qry ms",
-                      "sim qry ms", "tbl miss/q", "short MB", "merges"});
+                      "sim qry ms", "postings/q", "short MB", "merges"});
   for (index::Method method : methods) {
     for (const std::string& mode : modes) {
       workload::ExperimentConfig config = base;
@@ -125,20 +116,28 @@ int main(int argc, char** argv) {
                                  method, config, DefaultIndexOptions(flags)),
                              "setup");
 
+      // Postings scanned per query over one RunQueries call.
+      auto postings_per_qry = [&](auto run) {
+        const uint64_t before = exp->index()->stats().postings_scanned;
+        workload::OpStats qry = run();
+        const uint64_t scanned =
+            exp->index()->stats().postings_scanned - before;
+        return std::make_pair(
+            qry, qry.count == 0 ? 0.0
+                                : static_cast<double>(scanned) / qry.count);
+      };
       // Fresh-index baseline: the latency every mode is judged against.
-      auto fresh = CheckResult(
-          exp->RunQueries(workload::QueryClass::kUnselective, validate),
-          "fresh queries");
+      const auto [fresh, fresh_postings] = postings_per_qry([&] {
+        return CheckResult(
+            exp->RunQueries(workload::QueryClass::kUnselective, validate),
+            "fresh queries");
+      });
       table.Row({exp->index()->name(), mode, "fresh", "-",
-                 Ms(fresh.avg_ms()),
-                 Ms(fresh.sim_avg_ms_split(config.page_ms,
-                                           config.table_page_ms)),
-                 Num(fresh.avg_table_misses()),
-                 Mb(exp->ShortListBytes()), "0"});
+                 Ms(fresh.avg_ms()), Ms(fresh.sim_avg_ms(config.page_ms)),
+                 Num(fresh_postings), Mb(exp->ShortListBytes()), "0"});
 
       std::vector<RoundRow> rows;
-      double last_sim =
-          fresh.sim_avg_ms_split(config.page_ms, config.table_page_ms);
+      double last_sim = fresh.sim_avg_ms(config.page_ms);
       for (uint32_t r = 0; r < rounds; ++r) {
         auto upd = CheckResult(exp->ApplyUpdates(upd_per_round), "updates");
         workload::OpStats ins;
@@ -148,17 +147,18 @@ int main(int argc, char** argv) {
         if (mode == "manual" && (r + 1) % merge_every == 0) {
           Check(exp->index()->MergeAllTerms(), "manual merge");
         }
-        auto qry = CheckResult(
-            exp->RunQueries(workload::QueryClass::kUnselective, validate),
-            "queries");
+        const auto [qry, qry_postings] = postings_per_qry([&] {
+          return CheckResult(
+              exp->RunQueries(workload::QueryClass::kUnselective, validate),
+              "queries");
+        });
         RoundRow row;
         row.round = r;
         row.upd_ms = upd.avg_ms();
         row.ins_ms = ins.avg_ms();
         row.qry_ms = qry.avg_ms();
-        row.sim_qry_ms = qry.sim_avg_ms_split(config.page_ms,
-                                              config.table_page_ms);
-        row.tbl_misses = qry.avg_table_misses();
+        row.sim_qry_ms = qry.sim_avg_ms(config.page_ms);
+        row.postings_per_qry = qry_postings;
         row.short_postings = exp->index()->ShortPostingCount();
         row.short_bytes = exp->ShortListBytes();
         row.term_merges = exp->index()->stats().term_merges;
@@ -166,12 +166,11 @@ int main(int argc, char** argv) {
         last_sim = row.sim_qry_ms;
         table.Row({exp->index()->name(), mode, std::to_string(r),
                    Ms(row.upd_ms), Ms(row.qry_ms), Ms(row.sim_qry_ms),
-                   Num(row.tbl_misses), Mb(row.short_bytes),
+                   Num(row.postings_per_qry), Mb(row.short_bytes),
                    std::to_string(row.term_merges)});
       }
 
-      const double fresh_sim =
-          fresh.sim_avg_ms_split(config.page_ms, config.table_page_ms);
+      const double fresh_sim = fresh.sim_avg_ms(config.page_ms);
       std::printf("# %s/%s: final sim query %.4f ms = %.2fx fresh\n",
                   exp->index()->name().c_str(), mode.c_str(), last_sim,
                   fresh_sim > 0 ? last_sim / fresh_sim : 0.0);
@@ -189,11 +188,11 @@ int main(int argc, char** argv) {
             json,
             "%s\n      {\"round\": %u, \"upd_ms\": %.5f, \"ins_ms\": %.5f, "
             "\"qry_ms\": %.5f, \"sim_qry_ms\": %.5f, "
-            "\"tbl_misses_per_qry\": %.2f, "
+            "\"postings_per_qry\": %.1f, "
             "\"short_postings\": %llu, \"short_bytes\": %llu, "
             "\"term_merges\": %llu}",
             i == 0 ? "" : ",", row.round, row.upd_ms, row.ins_ms,
-            row.qry_ms, row.sim_qry_ms, row.tbl_misses,
+            row.qry_ms, row.sim_qry_ms, row.postings_per_qry,
             static_cast<unsigned long long>(row.short_postings),
             static_cast<unsigned long long>(row.short_bytes),
             static_cast<unsigned long long>(row.term_merges));

@@ -52,7 +52,7 @@ int main(int argc, char** argv) {
   // Short bytes include the list-state column (ShortListBytes()).
   auto json_row = [&](const std::string& inserted, uint32_t docs) {
     const uint64_t bytes = exp->ShortListBytes();
-    json.Row({"btree", inserted, std::to_string(bytes),
+    json.Row({"run", inserted, std::to_string(bytes),
               std::to_string(exp->index()->ShortPostingCount()),
               Num(static_cast<double>(bytes) / docs)});
   };

@@ -36,16 +36,6 @@ uint64_t ReadBigEndian64(const char* p) {
   return v;
 }
 
-// Maps a double onto uint64 such that unsigned order == numeric order.
-uint64_t DoubleToOrderedBits(double v) {
-  uint64_t bits;
-  std::memcpy(&bits, &v, 8);
-  if (bits & (1ULL << 63)) {
-    return ~bits;  // negative: flip all bits
-  }
-  return bits | (1ULL << 63);  // non-negative: flip sign bit
-}
-
 double OrderedBitsToDouble(uint64_t bits) {
   if (bits & (1ULL << 63)) {
     bits &= ~(1ULL << 63);
@@ -58,6 +48,15 @@ double OrderedBitsToDouble(uint64_t bits) {
 }
 
 }  // namespace
+
+uint64_t DoubleToOrderedBits(double v) {
+  uint64_t bits;
+  std::memcpy(&bits, &v, 8);
+  if (bits & (1ULL << 63)) {
+    return ~bits;  // negative: flip all bits
+  }
+  return bits | (1ULL << 63);  // non-negative: flip sign bit
+}
 
 void PutKeyU32(std::string* dst, uint32_t v) { AppendBigEndian32(dst, v); }
 void PutKeyU64(std::string* dst, uint64_t v) { AppendBigEndian64(dst, v); }

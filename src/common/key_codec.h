@@ -12,8 +12,8 @@ namespace svr {
 ///
 /// The storage layer compares keys with memcmp, so every component is
 /// encoded big-endian, with sign/descending handled by bit manipulation.
-/// The index layer builds keys like (term id, score desc, doc id) out of
-/// these primitives; see src/index/short_list.h.
+/// The Score method's clustered lists and the relational tables build
+/// their keys out of these primitives.
 
 /// Appends `v` so that memcmp order == numeric order.
 void PutKeyU32(std::string* dst, uint32_t v);
@@ -22,6 +22,10 @@ void PutKeyU64(std::string* dst, uint64_t v);
 /// Appends `v` so that memcmp order == *reverse* numeric order.
 void PutKeyU32Desc(std::string* dst, uint32_t v);
 void PutKeyU64Desc(std::string* dst, uint64_t v);
+
+/// Maps a double (must not be NaN) onto a uint64 whose unsigned order is
+/// the numeric order (the sign-flip trick the double keys use).
+uint64_t DoubleToOrderedBits(double v);
 
 /// Appends a double (must not be NaN) so memcmp order == numeric order.
 /// Handles negative values via the standard sign-flip trick.

@@ -80,7 +80,13 @@ class VersionedArray {
   }
 
   /// Writer-side mutation; grows the array as needed.
-  void Set(size_t i, T value) {
+  void Set(size_t i, T value) { *Mutable(i) = std::move(value); }
+
+  /// Writer-side in-place access to slot `i`, after the same
+  /// copy-on-write steps as Set(): the spine and the slot's chunk are
+  /// cloned when a Snapshot still shares them. The pointer is valid
+  /// until the next Mutable()/Set()/Seal().
+  T* Mutable(size_t i) {
     if (frozen_) {
       spine_ = std::make_shared<Spine>(*spine_);
       writable_.assign(spine_->size(), false);
@@ -100,8 +106,8 @@ class VersionedArray {
       chunk = std::make_shared<Chunk>(*chunk);  // copy-on-first-write
       writable_[c] = true;
     }
-    (*chunk)[i % kChunkSize] = std::move(value);
     if (i + 1 > size_) size_ = i + 1;
+    return &(*chunk)[i % kChunkSize];
   }
 
   /// A read view of the working version that does *not* freeze it, so

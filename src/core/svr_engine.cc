@@ -203,12 +203,10 @@ Status SvrEngine::CreateTextIndex(
 
       // Build the index and route future score changes into Algorithm 1.
       index::IndexContext ctx;
-      ctx.table_pool = table_pool_.get();
       ctx.list_pool = list_pool_.get();
       ctx.score_table = score_table_.get();
       ctx.corpus = &corpus_;
       ctx.merge_policy = options_.merge_policy;
-      ctx.table_page_retirer = table_page_retirer_;
       ctx.list_page_retirer = list_page_retirer_;
       ctx.blob_retirer = blob_retirer_;
       SVR_ASSIGN_OR_RETURN(

@@ -133,10 +133,7 @@ float ChunkIndexBase::TsOf(DocId doc, TermId term) const {
 }
 
 Status ChunkIndexBase::Build() {
-  SVR_ASSIGN_OR_RETURN(
-      auto sl, ShortList::Create(ctx_.table_pool, ShortList::KeyKind::kChunk,
-                                 ctx_.table_page_retirer));
-  short_list_ = std::move(sl);
+  short_list_ = ShortList::Create(ShortList::KeyKind::kChunk);
   list_state_ = ListChunkTable::Create();
   SVR_RETURN_NOT_OK(BuildLongLists());
   return BuildExtras();
@@ -349,7 +346,7 @@ struct ChunkIndexBase::MergePlanImpl : TermMergePlan {
   std::vector<ChunkGroup> groups;         // for OnTermMerged
   std::vector<DocId> from_short_docs;     // for the ListChunk cleanup
   /// Exact short postings the prepare folded in (fine-grained install).
-  std::vector<ShortList::RawEntry> read_entries;
+  std::vector<ShortList::Posting> read_entries;
 };
 
 Result<std::unique_ptr<TermMergePlan>> ChunkIndexBase::PrepareMergeTerm(
@@ -370,7 +367,7 @@ Result<std::unique_ptr<TermMergePlan>> ChunkIndexBase::PrepareMergeTermAt(
   auto plan = std::make_unique<MergePlanImpl>(term);
   plan->short_version = shorts.TermVersion(term);
   plan->old_ref = old_ref;
-  SVR_RETURN_NOT_OK(shorts.ScanRaw(term, &plan->read_entries));
+  shorts.Collect(term, &plan->read_entries);
 
   // Stream the merged (long ∪ short) view in (cid desc, doc asc) order —
   // the exact view queries consume. REM cancellation happens inside the

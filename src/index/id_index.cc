@@ -103,10 +103,7 @@ float IdIndex::TsOf(DocId doc, TermId term) const {
 }
 
 Status IdIndex::Build() {
-  SVR_ASSIGN_OR_RETURN(
-      auto sl, ShortList::Create(ctx_.table_pool, ShortList::KeyKind::kId,
-                                 ctx_.table_page_retirer));
-  short_list_ = std::move(sl);
+  short_list_ = ShortList::Create(ShortList::KeyKind::kId);
   return BuildLongLists();
 }
 
@@ -222,7 +219,7 @@ struct IdIndex::MergePlanImpl : TermMergePlan {
   /// Exact short postings the prepare folded into the new blob — the
   /// fine-grained install deletes these (each only if unchanged) when
   /// the term moved on after Prepare.
-  std::vector<ShortList::RawEntry> read_entries;
+  std::vector<ShortList::Posting> read_entries;
 };
 
 Result<std::unique_ptr<TermMergePlan>> IdIndex::PrepareMergeTerm(
@@ -243,7 +240,7 @@ Result<std::unique_ptr<TermMergePlan>> IdIndex::PrepareMergeTermAt(
   auto plan = std::make_unique<MergePlanImpl>(term);
   plan->short_version = shorts.TermVersion(term);
   plan->old_ref = old_ref;
-  SVR_RETURN_NOT_OK(shorts.ScanRaw(term, &plan->read_entries));
+  shorts.Collect(term, &plan->read_entries);
 
   // Stream the merged (long ∪ short) view — the exact view queries see,
   // REM cancellation included — into a fresh posting vector. Deleted

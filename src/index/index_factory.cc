@@ -28,8 +28,8 @@ std::string MethodName(Method method) {
 Result<std::unique_ptr<TextIndex>> CreateIndex(Method method,
                                                const IndexContext& ctx,
                                                const IndexOptions& options) {
-  if (ctx.table_pool == nullptr || ctx.list_pool == nullptr ||
-      ctx.score_table == nullptr || ctx.corpus == nullptr) {
+  if (ctx.list_pool == nullptr || ctx.score_table == nullptr ||
+      ctx.corpus == nullptr) {
     return Status::InvalidArgument("incomplete index context");
   }
   ChunkIndexOptions chunk = options.chunk;

@@ -15,9 +15,9 @@ std::vector<TermId> SelectMergeCandidates(
 
   // (count desc, term asc) over the dirty terms only.
   std::vector<std::pair<uint64_t, TermId>> by_count;
-  by_count.reserve(short_list.term_counts().size());
-  for (const auto& [term, count] : short_list.term_counts()) {
-    by_count.emplace_back(count, term);
+  by_count.reserve(short_list.dirty_terms().size());
+  for (TermId term : short_list.dirty_terms()) {
+    by_count.emplace_back(short_list.TermPostingCount(term), term);
   }
   std::sort(by_count.begin(), by_count.end(),
             [](const auto& a, const auto& b) {
@@ -77,11 +77,8 @@ Status MergeEveryShortTerm(
 
 std::vector<TermId> AllShortTerms(const ShortList& short_list) {
   std::vector<TermId> terms;
-  terms.reserve(short_list.term_counts().size());
-  for (const auto& [term, count] : short_list.term_counts()) {
-    (void)count;
-    terms.push_back(term);
-  }
+  terms.assign(short_list.dirty_terms().begin(),
+               short_list.dirty_terms().end());
   std::sort(terms.begin(), terms.end());
   return terms;
 }

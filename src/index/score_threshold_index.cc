@@ -125,10 +125,7 @@ Status ScoreThresholdIndex::Build() {
   if (options_.threshold_ratio < 1.0) {
     return Status::InvalidArgument("threshold_ratio must be >= 1");
   }
-  SVR_ASSIGN_OR_RETURN(
-      auto sl, ShortList::Create(ctx_.table_pool, ShortList::KeyKind::kScore,
-                                 ctx_.table_page_retirer));
-  short_list_ = std::move(sl);
+  short_list_ = ShortList::Create(ShortList::KeyKind::kScore);
   list_state_ = ListScoreTable::Create();
   return BuildLongLists();
 }
@@ -294,7 +291,7 @@ struct ScoreThresholdIndex::MergePlanImpl : TermMergePlan {
   uint64_t n_postings = 0;
   std::vector<DocId> from_short_docs;  // for the ListScore cleanup
   /// Exact short postings the prepare folded in (fine-grained install).
-  std::vector<ShortList::RawEntry> read_entries;
+  std::vector<ShortList::Posting> read_entries;
 };
 
 Result<std::unique_ptr<TermMergePlan>> ScoreThresholdIndex::PrepareMergeTerm(
@@ -316,7 +313,7 @@ ScoreThresholdIndex::PrepareMergeTermAt(const IndexSnapshot& snap,
   auto plan = std::make_unique<MergePlanImpl>(term);
   plan->short_version = shorts.TermVersion(term);
   plan->old_ref = old_ref;
-  SVR_RETURN_NOT_OK(shorts.ScanRaw(term, &plan->read_entries));
+  shorts.Collect(term, &plan->read_entries);
 
   // Stream the merged (long ∪ short) view in (score desc, doc asc)
   // order — the exact view queries consume, REM cancellation included.

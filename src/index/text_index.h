@@ -110,9 +110,10 @@ static_assert(sizeof(IndexStats) ==
               "add IndexStats fields via SVR_INDEX_STATS_FIELDS");
 
 /// \brief One sealed, immutable version of everything a query touches:
-/// tree roots (short lists, the Score method's clustered list tree), the
-/// per-document judge columns (Score table, ListScore/ListChunk), the
-/// per-term blob directories, the corpus, and the deletion flag. Built
+/// the short lists' per-term runs, the Score method's clustered list
+/// tree root, the per-document judge columns (Score table,
+/// ListScore/ListChunk), the per-term blob directories, the corpus, and
+/// the deletion flag. Built
 /// by the writer via TextIndex::SealSnapshot() at each commit; consumed
 /// lock-free by TopKAt / PrepareMergeTermAt at a pinned ReadView
 /// (docs/concurrency.md). One concrete struct serves all methods —
@@ -131,11 +132,10 @@ struct IndexSnapshot {
 
 /// Everything an index method needs from the outside world.
 struct IndexContext {
-  /// Pool for the short lists' B+-trees (§5.2 keeps them cached).
-  /// ListScore/ListChunk and the Score table are in-memory columns.
-  storage::BufferPool* table_pool = nullptr;
-  /// Pool for the long-list blobs. Benchmarks evict this one before
-  /// queries — the paper's cold-cache protocol.
+  /// Pool for the long-list blobs (and the Score method's clustered
+  /// list tree). Benchmarks evict this one before queries — the paper's
+  /// cold-cache protocol. The short lists, ListScore/ListChunk and the
+  /// Score table are in-memory versioned columns and use no pool.
   storage::BufferPool* list_pool = nullptr;
   /// The shared, authoritative Score(Id, score) table.
   relational::ScoreTable* score_table = nullptr;
@@ -145,14 +145,11 @@ struct IndexContext {
   /// Auto-merge triggers for the incremental short→long merge; evaluated
   /// by MaybeAutoMerge() (docs/merge_policy.md). Disabled by default.
   MergePolicy merge_policy;
-  /// Non-null puts the method's B+-trees (short lists, the Score
-  /// method's clustered lists) in copy-on-write mode: pages of
-  /// sealed versions go to these callbacks instead of being freed, and
-  /// the owner defers the free past the last reader epoch. Table-side
-  /// trees use `table_page_retirer`; the Score method's list tree (it
-  /// lives in the list pool) uses `list_page_retirer`. Null = in-place
-  /// trees, the pre-MVCC single-writer model.
-  storage::PageRetirer table_page_retirer;
+  /// Non-null puts the Score method's clustered list tree in
+  /// copy-on-write mode: pages of sealed versions go to this callback
+  /// instead of being freed, and the owner defers the free past the last
+  /// reader epoch. Null = an in-place tree, the pre-MVCC single-writer
+  /// model.
   storage::PageRetirer list_page_retirer;
   /// Non-null routes every write-path blob disposal (merge installs,
   /// fancy-list refreshes) here instead of freeing immediately — under
@@ -251,8 +248,8 @@ class TextIndex {
     return Status::NotSupported(name() + ": snapshot queries");
   }
 
-  /// Freezes the current contents of everything TopKAt reads — trees,
-  /// blob directories, side counters, the judge columns (the shared
+  /// Freezes the current contents of everything TopKAt reads — short
+  /// lists, blob directories, the judge columns (the shared
   /// Score table, ListScore/ListChunk), the corpus's document array —
   /// and returns the snapshot. Called by the engine once per commit
   /// (writer-serialized); cheap, O(state touched since the previous

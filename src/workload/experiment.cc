@@ -16,14 +16,10 @@ Result<std::unique_ptr<Experiment>> Experiment::Setup(
   exp->config_ = config;
   exp->insert_rng_ = Random(config.seed ^ 0x77777777ULL);
 
-  exp->table_store_ =
-      std::make_unique<storage::InMemoryPageStore>(config.page_size);
+  // The long-list pool is the cold-cache target; everything else (short
+  // lists, Score table, list state) is in-memory columns.
   exp->list_store_ =
       std::make_unique<storage::InMemoryPageStore>(config.page_size);
-  // Table-side structures stay cached (the paper's 100 MB BDB cache held
-  // them easily); the long-list pool is the cold-cache target.
-  exp->table_pool_ = std::make_unique<storage::BufferPool>(
-      exp->table_store_.get(), config.table_pool_pages);
   exp->list_pool_ = std::make_unique<storage::BufferPool>(
       exp->list_store_.get(), config.list_pool_pages);
 
@@ -39,7 +35,6 @@ Result<std::unique_ptr<Experiment>> Experiment::Setup(
   }
 
   index::IndexContext ctx;
-  ctx.table_pool = exp->table_pool_.get();
   ctx.list_pool = exp->list_pool_.get();
   ctx.score_table = exp->score_table_.get();
   ctx.corpus = &exp->corpus_;
@@ -111,12 +106,10 @@ Result<OpStats> Experiment::RunQueriesImpl(QueryClass cls, uint32_t k,
     // The paper's protocol: cold cache for the long inverted lists.
     SVR_RETURN_NOT_OK(list_pool_->EvictAll());
     const uint64_t misses_before = list_pool_->stats().misses;
-    const uint64_t tbl_before = table_pool_->stats().misses;
     Stopwatch sw;
     SVR_RETURN_NOT_OK(index_->TopK(q, k, &results));
     stats.total_ms += sw.ElapsedMillis();
     stats.page_misses += list_pool_->stats().misses - misses_before;
-    stats.table_misses += table_pool_->stats().misses - tbl_before;
     ++stats.count;
 
     if (validate) {

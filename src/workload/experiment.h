@@ -23,35 +23,17 @@ namespace svr::workload {
 struct OpStats {
   uint64_t count = 0;
   double total_ms = 0.0;
-  uint64_t page_misses = 0;   // long-list pool misses ("disk reads")
-  uint64_t table_misses = 0;  // table pool misses (0 while it fits)
+  uint64_t page_misses = 0;  // long-list pool misses ("disk reads")
 
   double avg_ms() const { return count == 0 ? 0.0 : total_ms / count; }
   double avg_misses() const {
     return count == 0 ? 0.0
                       : static_cast<double>(page_misses) / count;
   }
-  double avg_table_misses() const {
-    return count == 0 ? 0.0
-                      : static_cast<double>(table_misses) / count;
-  }
   /// Wall time plus a simulated disk cost per long-list page miss — the
   /// number comparable to the paper's cold-cache measurements.
   double sim_avg_ms(double page_ms) const {
     return avg_ms() + page_ms * avg_misses();
-  }
-  /// Same, also charging table-pool misses at the *same* rate — kept for
-  /// single-rate comparisons; the split model below supersedes it.
-  double sim_avg_ms_all(double page_ms) const {
-    return avg_ms() + page_ms * (avg_misses() + avg_table_misses());
-  }
-  /// Split cost model (ROADMAP): long-list misses are sequential scans
-  /// priced HDD-ish (`list_page_ms`), table-pool misses are point reads
-  /// priced SSD-ish (`table_page_ms`). The Fig. 7-style curves of
-  /// bench_merge_policy are reported under this model.
-  double sim_avg_ms_split(double list_page_ms, double table_page_ms) const {
-    return avg_ms() + list_page_ms * avg_misses() +
-           table_page_ms * avg_table_misses();
   }
 };
 
@@ -109,9 +91,7 @@ class Experiment {
 
   index::Method method_ = index::Method::kChunk;
   ExperimentConfig config_;
-  std::unique_ptr<storage::InMemoryPageStore> table_store_;
   std::unique_ptr<storage::InMemoryPageStore> list_store_;
-  std::unique_ptr<storage::BufferPool> table_pool_;
   std::unique_ptr<storage::BufferPool> list_pool_;
   std::unique_ptr<relational::ScoreTable> score_table_;
   text::Corpus corpus_;

@@ -70,30 +70,16 @@ struct ExperimentConfig {
   /// I/O-driven effects to be visible.
   uint32_t page_size = 4096;
 
-  /// Cache budgets, in pages. The paper fixes a 100 MB BDB cache that
-  /// comfortably holds every table-side structure (§5.2) — which is
-  /// exactly the assumption unbounded short lists break. Keeping these
-  /// sweepable lets bench_merge_policy charge short-list cache overflow
-  /// honestly (table_pages=... / list_pages=... flags).
-  uint64_t table_pool_pages = 1ull << 16;
+  /// Long-list cache budget, in pages (list_pages=... flag).
   uint64_t list_pool_pages = 1ull << 16;
 
   /// Simulated cost of one long-list page read from disk, in ms. Used
   /// only for the reported "simulated" times (wall + page_ms * misses):
   /// the paper's 2005 testbed read cold lists from a disk where a page
   /// fetch costs ~0.1-1 ms; our in-memory substrate makes the same reads
-  /// nearly free, so this restores the I/O-dominated cost balance.
-  /// The long lists are the HDD-ish sequential-scan side of the split
-  /// cost model (list_page_ms flag).
+  /// nearly free, so this restores the I/O-dominated cost balance
+  /// (list_page_ms flag).
   double page_ms = 0.2;
-
-  /// Simulated cost of one *table-pool* page miss, in ms — B+-tree pages
-  /// of the Score/ListScore/ListChunk tables and the short lists. These
-  /// are point reads a production deployment serves from SSD (or keeps
-  /// pinned), so they are charged cheaper than the long-list scans;
-  /// bench_merge_policy's split model uses this to price short-list
-  /// cache overflow honestly (table_page_ms flag).
-  double table_page_ms = 0.05;
 
   /// Incremental short→long auto-merge triggers (docs/merge_policy.md).
   /// Off by default so the paper's figures keep their original

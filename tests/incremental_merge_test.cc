@@ -26,19 +26,11 @@ using index::ShortList;
 class ShortListKindTest
     : public ::testing::TestWithParam<ShortList::KeyKind> {
  protected:
-  void SetUp() override {
-    store_ = std::make_unique<storage::InMemoryPageStore>(4096);
-    pool_ = std::make_unique<storage::BufferPool>(store_.get(), 256);
-    auto sl = ShortList::Create(pool_.get(), GetParam());
-    ASSERT_TRUE(sl.ok());
-    list_ = std::move(sl).value();
-  }
+  void SetUp() override { list_ = ShortList::Create(GetParam()); }
 
   // A sort value that is valid for every key kind.
   static double Sv(uint32_t v) { return static_cast<double>(v); }
 
-  std::unique_ptr<storage::InMemoryPageStore> store_;
-  std::unique_ptr<storage::BufferPool> pool_;
   std::unique_ptr<ShortList> list_;
 };
 
@@ -90,9 +82,9 @@ TEST_P(ShortListKindTest, TermCountsDriveApproxBytes) {
   ASSERT_TRUE(list_->Put(6, Sv(1), 31, PostingOp::kAdd, 0.0f).ok());
   EXPECT_GT(list_->TermApproxBytes(6), 0u);
   EXPECT_EQ(list_->TermApproxBytes(7), 0u);
-  EXPECT_EQ(list_->term_counts().size(), 1u);
+  EXPECT_EQ(list_->dirty_terms().size(), 1u);
   ASSERT_TRUE(list_->Clear().ok());
-  EXPECT_TRUE(list_->term_counts().empty());
+  EXPECT_TRUE(list_->dirty_terms().empty());
   EXPECT_EQ(list_->DocPostingCount(30), 0u);
 }
 

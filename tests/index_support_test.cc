@@ -184,20 +184,11 @@ TEST(ChunkerTest, EmptyCollectionGetsDegenerateChunker) {
 
 // --- short list / list state -----------------------------------------------
 
-class ShortListTest : public ::testing::Test {
- protected:
-  void SetUp() override {
-    store_ = std::make_unique<storage::InMemoryPageStore>(512);
-    pool_ = std::make_unique<storage::BufferPool>(store_.get(), 256);
-  }
-  std::unique_ptr<storage::InMemoryPageStore> store_;
-  std::unique_ptr<storage::BufferPool> pool_;
-};
+class ShortListTest : public ::testing::Test {};
 
 TEST_F(ShortListTest, ScoreKeyedScanOrder) {
-  auto sl = ShortList::Create(pool_.get(), ShortList::KeyKind::kScore);
-  ASSERT_TRUE(sl.ok());
-  auto& list = *sl.value();
+  auto sl = ShortList::Create(ShortList::KeyKind::kScore);
+  auto& list = *sl;
   ASSERT_TRUE(list.Put(7, 10.0, 3, PostingOp::kAdd, 0).ok());
   ASSERT_TRUE(list.Put(7, 99.0, 1, PostingOp::kAdd, 0).ok());
   ASSERT_TRUE(list.Put(7, 99.0, 0, PostingOp::kAdd, 0).ok());
@@ -217,9 +208,8 @@ TEST_F(ShortListTest, ScoreKeyedScanOrder) {
 }
 
 TEST_F(ShortListTest, ChunkKeyedScanOrderAndOps) {
-  auto sl = ShortList::Create(pool_.get(), ShortList::KeyKind::kChunk);
-  ASSERT_TRUE(sl.ok());
-  auto& list = *sl.value();
+  auto sl = ShortList::Create(ShortList::KeyKind::kChunk);
+  auto& list = *sl;
   ASSERT_TRUE(list.Put(1, 5, 10, PostingOp::kAdd, 0.5f).ok());
   ASSERT_TRUE(list.Put(1, 9, 20, PostingOp::kRemove, 0).ok());
   ASSERT_TRUE(list.Put(1, 9, 5, PostingOp::kAdd, 0.25f).ok());
@@ -240,9 +230,8 @@ TEST_F(ShortListTest, ChunkKeyedScanOrderAndOps) {
 }
 
 TEST_F(ShortListTest, DeleteAndClear) {
-  auto sl = ShortList::Create(pool_.get(), ShortList::KeyKind::kChunk);
-  ASSERT_TRUE(sl.ok());
-  auto& list = *sl.value();
+  auto sl = ShortList::Create(ShortList::KeyKind::kChunk);
+  auto& list = *sl;
   ASSERT_TRUE(list.Put(1, 5, 10, PostingOp::kAdd, 0).ok());
   ASSERT_TRUE(list.Put(1, 6, 11, PostingOp::kAdd, 0).ok());
   EXPECT_EQ(list.num_postings(), 2u);

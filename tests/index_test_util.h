@@ -16,12 +16,10 @@
 
 namespace svr::test {
 
-/// A self-contained world for index testing: storage, score table,
+/// A self-contained world for index testing: the list pool, score table,
 /// corpus, one index method, and the brute-force oracle.
 struct IndexWorld {
-  std::unique_ptr<storage::InMemoryPageStore> table_store;
   std::unique_ptr<storage::InMemoryPageStore> list_store;
-  std::unique_ptr<storage::BufferPool> table_pool;
   std::unique_ptr<storage::BufferPool> list_pool;
   std::unique_ptr<relational::ScoreTable> score_table;
   text::Corpus corpus;
@@ -36,10 +34,7 @@ struct IndexWorld {
       index::IndexOptions options = DefaultOptions(),
       MergePolicy merge_policy = {}) {
     auto w = std::make_unique<IndexWorld>();
-    w->table_store = std::make_unique<storage::InMemoryPageStore>(4096);
     w->list_store = std::make_unique<storage::InMemoryPageStore>(4096);
-    w->table_pool =
-        std::make_unique<storage::BufferPool>(w->table_store.get(), 4096);
     w->list_pool =
         std::make_unique<storage::BufferPool>(w->list_store.get(), 4096);
     w->score_table = relational::ScoreTable::Create();
@@ -49,7 +44,6 @@ struct IndexWorld {
       if (!w->score_table->Set(d, scores[d]).ok()) return nullptr;
     }
     index::IndexContext ctx;
-    ctx.table_pool = w->table_pool.get();
     ctx.list_pool = w->list_pool.get();
     ctx.score_table = w->score_table.get();
     ctx.corpus = &w->corpus;

@@ -247,9 +247,6 @@ TEST(FailureInjectionTest, QueriesFailCleanlyOnListIOErrors) {
   auto flaky = std::make_unique<FlakyPageStore>(4096);
   FlakyPageStore* flaky_raw = flaky.get();
   auto w = std::make_unique<IndexWorld>();
-  w->table_store = std::make_unique<storage::InMemoryPageStore>(4096);
-  w->table_pool =
-      std::make_unique<storage::BufferPool>(w->table_store.get(), 4096);
   w->list_pool = std::make_unique<storage::BufferPool>(flaky.get(), 4096);
   w->score_table = relational::ScoreTable::Create();
   w->corpus = text::GenerateCorpus(params);
@@ -257,7 +254,6 @@ TEST(FailureInjectionTest, QueriesFailCleanlyOnListIOErrors) {
     ASSERT_TRUE(w->score_table->Set(d, scores[d]).ok());
   }
   index::IndexContext ctx;
-  ctx.table_pool = w->table_pool.get();
   ctx.list_pool = w->list_pool.get();
   ctx.score_table = w->score_table.get();
   ctx.corpus = &w->corpus;
