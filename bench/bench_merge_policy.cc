@@ -16,7 +16,7 @@
 // Simulated times charge each long-list page miss at list_page_ms
 // (list_page_ms=... flag). The short lists, the Score table and
 // ListScore/ListChunk are in-memory columns, so merge-off shows its cost
-// as the postings each query scans and the short-list bytes.
+// as short postings and short-list bytes that grow without bound.
 
 #include <cstdio>
 #include <string>
@@ -35,7 +35,6 @@ struct RoundRow {
   double ins_ms;
   double qry_ms;
   double sim_qry_ms;
-  double postings_per_qry;
   uint64_t short_postings;
   uint64_t short_bytes;
   uint64_t term_merges;
@@ -98,16 +97,19 @@ int main(int argc, char** argv) {
                "  \"rounds\": %u,\n  \"round_updates\": %u,\n"
                "  \"round_inserts\": %u,\n  \"list_page_ms\": %.3f,\n"
                "  \"merge_ratio\": %.3f,\n  \"merge_min\": %u,\n"
-               "  \"merge_interval\": %u,\n  \"series\": [",
+               "  \"merge_interval\": %u,\n",
                base.corpus.num_docs, base.corpus.terms_per_doc, rounds,
                upd_per_round, ins_per_round, base.page_ms,
                base.merge_policy.short_ratio,
                base.merge_policy.min_short_postings,
                base.merge_policy.check_interval);
+  WriteContextJson(json);
+  std::fprintf(json, "  \"series\": [");
   bool first_series = true;
 
   TablePrinter table({"method", "mode", "round", "upd ms", "qry ms",
-                      "sim qry ms", "postings/q", "short MB", "merges"});
+                      "sim qry ms", "short postings", "short MB",
+                      "merges"});
   for (index::Method method : methods) {
     for (const std::string& mode : modes) {
       workload::ExperimentConfig config = base;
@@ -116,25 +118,13 @@ int main(int argc, char** argv) {
                                  method, config, DefaultIndexOptions(flags)),
                              "setup");
 
-      // Postings scanned per query over one RunQueries call.
-      auto postings_per_qry = [&](auto run) {
-        const uint64_t before = exp->index()->stats().postings_scanned;
-        workload::OpStats qry = run();
-        const uint64_t scanned =
-            exp->index()->stats().postings_scanned - before;
-        return std::make_pair(
-            qry, qry.count == 0 ? 0.0
-                                : static_cast<double>(scanned) / qry.count);
-      };
       // Fresh-index baseline: the latency every mode is judged against.
-      const auto [fresh, fresh_postings] = postings_per_qry([&] {
-        return CheckResult(
-            exp->RunQueries(workload::QueryClass::kUnselective, validate),
-            "fresh queries");
-      });
+      auto fresh = CheckResult(
+          exp->RunQueries(workload::QueryClass::kUnselective, validate),
+          "fresh queries");
       table.Row({exp->index()->name(), mode, "fresh", "-",
                  Ms(fresh.avg_ms()), Ms(fresh.sim_avg_ms(config.page_ms)),
-                 Num(fresh_postings), Mb(exp->ShortListBytes()), "0"});
+                 "0", Mb(exp->ShortListBytes()), "0"});
 
       std::vector<RoundRow> rows;
       double last_sim = fresh.sim_avg_ms(config.page_ms);
@@ -147,18 +137,15 @@ int main(int argc, char** argv) {
         if (mode == "manual" && (r + 1) % merge_every == 0) {
           Check(exp->index()->MergeAllTerms(), "manual merge");
         }
-        const auto [qry, qry_postings] = postings_per_qry([&] {
-          return CheckResult(
-              exp->RunQueries(workload::QueryClass::kUnselective, validate),
-              "queries");
-        });
+        auto qry = CheckResult(
+            exp->RunQueries(workload::QueryClass::kUnselective, validate),
+            "queries");
         RoundRow row;
         row.round = r;
         row.upd_ms = upd.avg_ms();
         row.ins_ms = ins.avg_ms();
         row.qry_ms = qry.avg_ms();
         row.sim_qry_ms = qry.sim_avg_ms(config.page_ms);
-        row.postings_per_qry = qry_postings;
         row.short_postings = exp->index()->ShortPostingCount();
         row.short_bytes = exp->ShortListBytes();
         row.term_merges = exp->index()->stats().term_merges;
@@ -166,7 +153,7 @@ int main(int argc, char** argv) {
         last_sim = row.sim_qry_ms;
         table.Row({exp->index()->name(), mode, std::to_string(r),
                    Ms(row.upd_ms), Ms(row.qry_ms), Ms(row.sim_qry_ms),
-                   Num(row.postings_per_qry), Mb(row.short_bytes),
+                   std::to_string(row.short_postings), Mb(row.short_bytes),
                    std::to_string(row.term_merges)});
       }
 
@@ -188,11 +175,10 @@ int main(int argc, char** argv) {
             json,
             "%s\n      {\"round\": %u, \"upd_ms\": %.5f, \"ins_ms\": %.5f, "
             "\"qry_ms\": %.5f, \"sim_qry_ms\": %.5f, "
-            "\"postings_per_qry\": %.1f, "
             "\"short_postings\": %llu, \"short_bytes\": %llu, "
             "\"term_merges\": %llu}",
             i == 0 ? "" : ",", row.round, row.upd_ms, row.ins_ms,
-            row.qry_ms, row.sim_qry_ms, row.postings_per_qry,
+            row.qry_ms, row.sim_qry_ms,
             static_cast<unsigned long long>(row.short_postings),
             static_cast<unsigned long long>(row.short_bytes),
             static_cast<unsigned long long>(row.term_merges));

@@ -18,9 +18,8 @@
 namespace svr::index {
 
 /// \brief Union of one term's chunked long list (blob) and chunk-keyed
-/// short list (B+-tree), in (cid desc, doc asc) order, with REM
-/// cancellation. The workhorse cursor of the Chunk-family query
-/// algorithms.
+/// short run, in (cid desc, doc asc) order, with REM cancellation. The
+/// workhorse cursor of the Chunk-family query algorithms.
 class MergedChunkStream {
  public:
   MergedChunkStream(ChunkPostingCursor long_cursor,

@@ -8,10 +8,10 @@
 
 namespace svr::index {
 
-// Merges the term's long list (doc-ordered blob) with its short list
-// (doc-ordered B+-tree range). REM short postings cancel the matching
-// long posting; ADD postings either replace a matching long posting or
-// stand alone (fresh documents).
+// Merges the term's long list (doc-ordered blob) with its doc-ordered
+// short run. REM short postings cancel the matching long posting; ADD
+// postings either replace a matching long posting or stand alone (fresh
+// documents).
 class IdIndex::TermStream {
  public:
   TermStream(IdPostingCursor long_cursor, ShortList::Cursor short_cursor,

@@ -15,8 +15,8 @@ namespace svr::index {
 /// \brief Picks the terms one auto-merge sweep should fold back into
 /// their long lists (docs/merge_policy.md).
 ///
-/// Two triggers, evaluated over the short list's in-memory per-term
-/// accounting (never the tree itself):
+/// Two triggers, evaluated over the short list's per-term counts and
+/// byte shares (never its runs):
 ///  1. per-term ratio — a term whose short postings exceed
 ///     `short_ratio * long_count` (and the `min_short_postings` floor)
 ///     has accumulated enough churn to amortize rewriting its long list;
@@ -35,8 +35,8 @@ std::vector<TermId> SelectMergeCandidates(
 std::vector<TermId> AllShortTerms(const ShortList& short_list);
 
 /// One policy sweep, shared by every index method's MaybeAutoMerge():
-/// selects candidates (budget measured against the short-list tree
-/// itself) and runs `merge_term` on each. Returns how many merged.
+/// selects candidates (budget measured against ShortList::SizeBytes())
+/// and runs `merge_term` on each. Returns how many merged.
 Result<uint32_t> RunAutoMergeSweep(
     const MergePolicy& policy, const ShortList& short_list,
     const std::vector<uint64_t>& long_counts,

@@ -24,8 +24,8 @@ struct ScoreThresholdOptions {
 /// \brief The Score-Threshold method (§4.3.1).
 ///
 /// Per term: an immutable score-ordered *long* list (blob) plus a small
-/// mutable score-ordered *short* list (B+-tree). A document's postings
-/// move into the short list only when its score exceeds
+/// mutable score-ordered *short* list (a coded run). A document's
+/// postings move into the short list only when its score exceeds
 /// `thresholdValueOf(listScore) = t * listScore` (Algorithm 1); queries
 /// merge short ∪ long per term and keep scanning past the first k hits
 /// until `thresholdValueOf(currentListScore) < kthListScore` (Algorithm 2),

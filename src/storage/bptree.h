@@ -36,10 +36,11 @@ struct TreeSnapshot {
 
 /// \brief A paged B+-tree with variable-length keys and values,
 /// equivalent in role to the BerkeleyDB BTREE access method used by the
-/// paper (§5.2): short inverted lists, the Score method's clustered
-/// long lists and the relational tables all live in instances of this
-/// structure. (The Score table and the ListScore/ListChunk state are
-/// dense VersionedArray columns instead, common/versioned_array.h.)
+/// paper (§5.2): the Score method's clustered long lists and the
+/// relational tables live in instances of this structure. (The short
+/// inverted lists are per-term coded runs, index/short_list.h, and the
+/// Score table and the ListScore/ListChunk state are dense
+/// VersionedArray columns, common/versioned_array.h.)
 ///
 /// Keys are compared as raw bytes (memcmp); callers encode composite /
 /// descending orders with svr::PutKey* (see common/key_codec.h).

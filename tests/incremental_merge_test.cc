@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <map>
 #include <set>
 #include <string>
 #include <vector>
@@ -86,6 +87,233 @@ TEST_P(ShortListKindTest, TermCountsDriveApproxBytes) {
   ASSERT_TRUE(list_->Clear().ok());
   EXPECT_TRUE(list_->dirty_terms().empty());
   EXPECT_EQ(list_->DocPostingCount(30), 0u);
+}
+
+// The short list against a std::map model: random Put / Delete /
+// DeleteTerm / DeleteUnchanged / Clear over a few hot terms (whose runs
+// grow past several 64-posting blocks and re-code their tails many
+// times) and a spread of cold ones (inline runs). Snapshots sealed at
+// random points are re-checked, posting by posting, after later writes.
+class ShortListModel {
+ public:
+  // Scan order: position descending (score, chunk id), then doc.
+  using Key = std::pair<double, DocId>;
+  using Term = std::map<Key, index::ShortList::Posting>;
+
+  explicit ShortListModel(ShortList::KeyKind kind) : kind_(kind) {}
+
+  Key KeyOf(double sort_value, DocId doc) const {
+    return {kind_ == ShortList::KeyKind::kId ? 0.0 : -sort_value, doc};
+  }
+  double Position(double sort_value) const {
+    return kind_ == ShortList::KeyKind::kId ? 0.0 : sort_value;
+  }
+
+  std::map<TermId, Term> terms;
+
+ private:
+  ShortList::KeyKind kind_;
+};
+
+void ExpectTermMatches(ShortList::Cursor c,
+                       const ShortListModel::Term& want,
+                       const std::string& where) {
+  for (const auto& [key, p] : want) {
+    ASSERT_TRUE(c.Valid()) << where << ": cursor ended early";
+    EXPECT_EQ(c.doc(), p.doc) << where;
+    EXPECT_EQ(c.sort_value(), p.sort_value) << where;
+    EXPECT_EQ(c.op(), p.op) << where;
+    EXPECT_EQ(c.term_score(), p.term_score) << where;
+    c.Next();
+  }
+  EXPECT_FALSE(c.Valid()) << where << ": cursor has extra postings";
+}
+
+TEST_P(ShortListKindTest, MatchesModelThroughCompactionsAndSeals) {
+  const ShortList::KeyKind kind = GetParam();
+  constexpr TermId kTerms = 48;
+  constexpr TermId kHotTerms = 3;
+  constexpr DocId kDocs = 3000;
+  ShortListModel model(kind);
+  Random rng(20240 + static_cast<uint64_t>(kind));
+
+  struct Sealed {
+    ShortList::Snapshot snap;
+    std::map<TermId, ShortListModel::Term> terms;
+  };
+  std::vector<Sealed> sealed;
+  std::vector<uint64_t> versions(kTerms, 0);
+  std::vector<float> max_ts(kTerms, 0.0f);
+  size_t peak_hot = 0;
+
+  auto pick_term = [&] {
+    return static_cast<TermId>(rng.OneIn(2) ? rng.Uniform(kHotTerms)
+                                            : rng.Uniform(kTerms));
+  };
+  // Whole-term drops (a merge's cleanup) rarely reach the hot terms, so
+  // their runs keep growing between Clear()s.
+  auto pick_merged_term = [&] {
+    TermId t = static_cast<TermId>(rng.Uniform(kTerms));
+    while (t < kHotTerms && !rng.OneIn(20)) {
+      t = static_cast<TermId>(rng.Uniform(kTerms));
+    }
+    return t;
+  };
+  auto pick_position = [&] {
+    // Few distinct positions, so groups hold several docs.
+    return static_cast<double>(rng.Uniform(40)) *
+           (kind == ShortList::KeyKind::kScore ? 12.5 : 1.0);
+  };
+  auto check_snapshot = [&](const Sealed& s, const std::string& where) {
+    const ShortList::View view(list_.get(), s.snap);
+    for (TermId t = 0; t < kTerms; ++t) {
+      auto it = s.terms.find(t);
+      const ShortListModel::Term empty;
+      const ShortListModel::Term& want = it == s.terms.end() ? empty
+                                                             : it->second;
+      EXPECT_EQ(view.TermPostingCount(t), want.size()) << where;
+      ExpectTermMatches(view.Scan(t), want, where);
+      if (!want.empty()) {
+        const auto& p = want.begin()->second;
+        EXPECT_TRUE(view.Contains(t, p.sort_value, p.doc)) << where;
+      }
+    }
+  };
+
+  for (int step = 0; step < 30000; ++step) {
+    const std::string where = "step " + std::to_string(step);
+    const uint64_t roll = rng.Uniform(1000);
+    TermId touched = kTerms;  // none
+    if (roll < 600) {  // Put: new key or overwrite
+      const TermId t = pick_term();
+      double pos = pick_position();
+      DocId doc = static_cast<DocId>(rng.Uniform(kDocs));
+      auto& term = model.terms[t];
+      if (!term.empty() && rng.OneIn(4)) {
+        auto it = std::next(term.begin(), rng.Uniform(term.size()));
+        pos = it->second.sort_value;
+        doc = it->second.doc;
+      }
+      const PostingOp op =
+          rng.OneIn(5) ? PostingOp::kRemove : PostingOp::kAdd;
+      const float ts = rng.OneIn(2)
+                           ? 0.0f
+                           : static_cast<float>(rng.UniformDouble(0.01, 1));
+      ASSERT_TRUE(list_->Put(t, pos, doc, op, ts).ok()) << where;
+      term[model.KeyOf(pos, doc)] = {model.Position(pos), doc, op, ts};
+      max_ts[t] = std::max(max_ts[t], ts);
+      touched = t;
+    } else if (roll < 800) {  // Delete: present or absent
+      const TermId t = pick_term();
+      auto& term = model.terms[t];
+      double pos = pick_position();
+      DocId doc = static_cast<DocId>(rng.Uniform(kDocs));
+      if (!term.empty() && !rng.OneIn(4)) {
+        auto it = std::next(term.begin(), rng.Uniform(term.size()));
+        pos = it->second.sort_value;
+        doc = it->second.doc;
+      }
+      const bool present = term.erase(model.KeyOf(pos, doc)) > 0;
+      const Status st = list_->Delete(t, pos, doc);
+      if (present) {
+        ASSERT_TRUE(st.ok()) << where;
+        touched = t;
+      } else {
+        EXPECT_TRUE(st.IsNotFound()) << where;
+      }
+    } else if (roll < 805) {  // DeleteTerm
+      const TermId t = pick_merged_term();
+      const bool had = !model.terms[t].empty();
+      ASSERT_TRUE(list_->DeleteTerm(t).ok()) << where;
+      model.terms[t].clear();
+      max_ts[t] = 0.0f;
+      if (had) touched = t;
+    } else if (roll < 830) {  // DeleteUnchanged after interleaved writes
+      const TermId t = pick_merged_term();
+      std::vector<ShortList::Posting> read;
+      ShortList::View(list_.get(), list_->Seal()).Collect(t, &read);
+      auto& term = model.terms[t];
+      ASSERT_EQ(read.size(), term.size()) << where;
+      // Overwrite one read posting with a new op: it must survive.
+      if (!read.empty()) {
+        const ShortList::Posting& p = read[rng.Uniform(read.size())];
+        const PostingOp op = p.op == PostingOp::kAdd ? PostingOp::kRemove
+                                                     : PostingOp::kAdd;
+        ASSERT_TRUE(list_->Put(t, p.sort_value, p.doc, op, p.term_score)
+                        .ok());
+        term[model.KeyOf(p.sort_value, p.doc)].op = op;
+      }
+      ASSERT_TRUE(list_->DeleteUnchanged(t, read).ok()) << where;
+      for (const ShortList::Posting& p : read) {
+        auto it = term.find(model.KeyOf(p.sort_value, p.doc));
+        if (it != term.end() && it->second.op == p.op &&
+            it->second.term_score == p.term_score) {
+          term.erase(it);
+        }
+      }
+      if (!read.empty()) touched = t;
+    } else if (roll < 831 && rng.OneIn(10)) {  // Clear
+      ASSERT_TRUE(list_->Clear().ok()) << where;
+      model.terms.clear();
+      std::fill(max_ts.begin(), max_ts.end(), 0.0f);
+      EXPECT_EQ(list_->SizeBytes(), 0u) << where;
+    } else if (roll < 940) {  // Seal
+      if (sealed.size() == 4) sealed.erase(sealed.begin());
+      sealed.push_back({list_->Seal(), model.terms});
+    } else if (!sealed.empty()) {  // Re-check an old snapshot
+      check_snapshot(sealed[rng.Uniform(sealed.size())], where);
+    }
+
+    // Counts, stamps, bounds and bytes after every step.
+    uint64_t total = 0;
+    uint64_t term_bytes = 0;
+    size_t live_terms = 0;
+    for (TermId t = 0; t < kTerms; ++t) {
+      const auto it = model.terms.find(t);
+      const size_t n = it == model.terms.end() ? 0 : it->second.size();
+      total += n;
+      live_terms += n > 0 ? 1 : 0;
+      ASSERT_EQ(list_->TermPostingCount(t), n) << where << " term " << t;
+      EXPECT_EQ(list_->dirty_terms().count(t), n > 0 ? 1u : 0u) << where;
+      const uint64_t v = list_->TermVersion(t);
+      EXPECT_GE(v, versions[t]) << where << " term " << t;
+      if (t == touched) {
+        EXPECT_GT(v, versions[t]) << where;
+      }
+      versions[t] = v;
+      EXPECT_GE(list_->TermMaxTs(t), max_ts[t]) << where;
+      term_bytes += list_->TermApproxBytes(t);
+      if (n == 0) {
+        EXPECT_EQ(list_->TermApproxBytes(t), 0u) << where;
+      }
+    }
+    ASSERT_EQ(list_->num_postings(), total) << where;
+    EXPECT_EQ(list_->dirty_terms().size(), live_terms) << where;
+    EXPECT_EQ(list_->SizeBytes(),
+              term_bytes + list_->SlotBytes() -
+                  ShortList::kSlotHandleBytes * live_terms)
+        << where;
+    for (TermId t = 0; t < kHotTerms; ++t) {
+      peak_hot = std::max(peak_hot, model.terms[t].size());
+    }
+
+    if (step % 500 == 0) {
+      std::map<DocId, uint64_t> docs;
+      for (TermId t = 0; t < kTerms; ++t) {
+        ExpectTermMatches(list_->Scan(t), model.terms[t], where);
+        for (const auto& [key, p] : model.terms[t]) ++docs[p.doc];
+      }
+      for (DocId d = 0; d < kDocs; ++d) {
+        ASSERT_EQ(list_->DocPostingCount(d), docs[d]) << where << " doc "
+                                                      << d;
+      }
+      for (const Sealed& s : sealed) check_snapshot(s, where);
+    }
+    if (HasFatalFailure()) return;
+  }
+  // The hot terms grew through many blocks, so their tails were re-coded
+  // into the run many times over.
+  EXPECT_GT(peak_hot, 300u);
 }
 
 INSTANTIATE_TEST_SUITE_P(
