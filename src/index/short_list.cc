@@ -437,8 +437,6 @@ void ShortList::Cursor::Next() {
 
 // --- ShortList -------------------------------------------------------------
 
-ShortList::~ShortList() = default;
-
 ShortList::Cursor ShortList::Scan(TermId term) const {
   return Cursor(kind_, SlotRef(terms_.Find(term)));
 }

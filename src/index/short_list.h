@@ -99,7 +99,6 @@ class ShortList {
   static std::unique_ptr<ShortList> Create(KeyKind kind) {
     return std::unique_ptr<ShortList>(new ShortList(kind));
   }
-  ~ShortList();
 
   ShortList(const ShortList&) = delete;
   ShortList& operator=(const ShortList&) = delete;

@@ -113,8 +113,8 @@ static_assert(sizeof(IndexStats) ==
 /// the short lists' per-term runs, the Score method's clustered list
 /// tree root, the per-document judge columns (Score table,
 /// ListScore/ListChunk), the per-term blob directories, the corpus, and
-/// the deletion flag. Built
-/// by the writer via TextIndex::SealSnapshot() at each commit; consumed
+/// the deletion flag. Built by the writer via
+/// TextIndex::SealSnapshot() at each commit; consumed
 /// lock-free by TopKAt / PrepareMergeTermAt at a pinned ReadView
 /// (docs/concurrency.md). One concrete struct serves all methods —
 /// fields a method does not use stay empty.
