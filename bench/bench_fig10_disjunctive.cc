@@ -40,8 +40,8 @@ int main(int argc, char** argv) {
         "conj queries");
     // Flip the experiment to disjunctive via a second query workload.
     auto disj = CheckResult(
-        exp->RunDisjunctiveQueries(workload::QueryClass::kUnselective,
-                                   validate),
+        exp->RunDisjunctiveQueriesWithK(workload::QueryClass::kUnselective,
+                                        config.top_k, validate),
         "disj queries");
     table.Row({exp->index()->name(), Ms(conj.avg_ms()), Ms(disj.avg_ms()),
                Ms(conj.sim_avg_ms(config.page_ms)),

@@ -83,12 +83,6 @@ Result<OpStats> Experiment::RunQueriesWithK(QueryClass cls, uint32_t k,
   return RunQueriesImpl(cls, k, config_.conjunctive, validate);
 }
 
-Result<OpStats> Experiment::RunDisjunctiveQueries(QueryClass cls,
-                                                  bool validate) {
-  return RunQueriesImpl(cls, config_.top_k, /*conjunctive=*/false,
-                        validate);
-}
-
 Result<OpStats> Experiment::RunDisjunctiveQueriesWithK(QueryClass cls,
                                                        uint32_t k,
                                                        bool validate) {

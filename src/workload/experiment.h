@@ -61,8 +61,6 @@ class Experiment {
                                   bool validate = false);
 
   /// Same, forcing disjunctive semantics (Figure 10).
-  Result<OpStats> RunDisjunctiveQueries(QueryClass cls,
-                                        bool validate = false);
   Result<OpStats> RunDisjunctiveQueriesWithK(QueryClass cls, uint32_t k,
                                              bool validate = false);
 
