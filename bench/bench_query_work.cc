@@ -2,10 +2,13 @@
 //
 // One seeded, single-threaded Experiment per method (all six): score
 // updates, then fresh documents through InsertDocuments, so the short
-// lists hold postings when the queries run. Then, for each k and both
-// semantics, `queries=` oracle-validated queries. Each (method, k,
-// semantics) row records the deltas of the index's query counters and
-// the list-pool misses. No wall time is recorded: every number repeats
+// lists hold postings when the queries run. Then, for two query classes,
+// each k and both semantics, `queries=` oracle-validated queries. The
+// unselective class (frequent terms) runs first; the selective class
+// (rarer terms) pairs lists of very different lengths, so conjunctive
+// seeks skip whole blocks and the cursors' gallop path is counted too.
+// Each (method, class, k, semantics) row records the deltas of the
+// index's query counters and the list-pool misses. No wall time is recorded: every number repeats
 // exactly on any host, so a refactor that claims "same work" can be
 // checked for it.
 //
@@ -14,6 +17,7 @@
 // the committed rows exactly.
 
 #include <cstdio>
+#include <utility>
 
 #include "bench/bench_common.h"
 
@@ -22,8 +26,8 @@ using namespace svr::bench;
 
 int main(int argc, char** argv) {
   Flags flags(argc, argv);
-  // Smaller than the figure benches: six methods, eight query sets each,
-  // every query checked against the brute-force oracle.
+  // Smaller than the figure benches: six methods, sixteen query sets
+  // each, every query checked against the brute-force oracle.
   workload::ExperimentConfig config = DefaultConfig(flags);
   config.corpus.num_docs =
       static_cast<uint32_t>(flags.GetInt("docs", 10000));
@@ -39,6 +43,10 @@ int main(int argc, char** argv) {
   const std::string out_path = flags.GetString("out", "");
 
   const uint32_t ks[] = {1, 10, 100, 2000};
+  const std::pair<workload::QueryClass, const char*> classes[] = {
+      {workload::QueryClass::kUnselective, "unselective"},
+      {workload::QueryClass::kSelective, "selective"},
+  };
   const index::Method methods[] = {
       index::Method::kId,          index::Method::kScore,
       index::Method::kScoreThreshold, index::Method::kChunk,
@@ -51,9 +59,9 @@ int main(int argc, char** argv) {
               config.num_queries);
 
   const std::vector<std::string> columns = {
-      "method", "k", "semantics", "postings_scanned", "score_lookups",
-      "candidates_considered", "blocks_decoded", "groups_galloped",
-      "cursor_seeks", "list_misses"};
+      "method", "class", "k", "semantics", "postings_scanned",
+      "score_lookups", "candidates_considered", "blocks_decoded",
+      "groups_galloped", "cursor_seeks", "list_misses"};
   TablePrinter table(columns);
   JsonRows json(columns);
   for (index::Method m : methods) {
@@ -62,32 +70,34 @@ int main(int argc, char** argv) {
                            "setup");
     CheckResult(exp->ApplyUpdates(config.num_updates), "updates");
     CheckResult(exp->InsertDocuments(inserts), "inserts");
-    for (uint32_t k : ks) {
-      for (const bool conjunctive : {true, false}) {
-        const index::IndexStats before = exp->index()->stats();
-        auto qry = CheckResult(
-            conjunctive
-                ? exp->RunQueriesWithK(workload::QueryClass::kUnselective, k,
-                                       /*validate=*/true)
-                : exp->RunDisjunctiveQueriesWithK(
-                      workload::QueryClass::kUnselective, k,
-                      /*validate=*/true),
-            "queries");
-        const index::IndexStats after = exp->index()->stats();
-        const std::vector<std::string> row = {
-            exp->index()->name(),
-            std::to_string(k),
-            conjunctive ? "and" : "or",
-            std::to_string(after.postings_scanned - before.postings_scanned),
-            std::to_string(after.score_lookups - before.score_lookups),
-            std::to_string(after.candidates_considered -
-                           before.candidates_considered),
-            std::to_string(after.blocks_decoded - before.blocks_decoded),
-            std::to_string(after.groups_galloped - before.groups_galloped),
-            std::to_string(after.cursor_seeks - before.cursor_seeks),
-            std::to_string(qry.page_misses)};
-        table.Row(row);
-        json.Row(row);
+    for (const auto& [cls, cls_name] : classes) {
+      for (uint32_t k : ks) {
+        for (const bool conjunctive : {true, false}) {
+          const index::IndexStats before = exp->index()->stats();
+          auto qry = CheckResult(
+              conjunctive ? exp->RunQueriesWithK(cls, k, /*validate=*/true)
+                          : exp->RunDisjunctiveQueriesWithK(
+                                cls, k, /*validate=*/true),
+              "queries");
+          const index::IndexStats after = exp->index()->stats();
+          const std::vector<std::string> row = {
+              exp->index()->name(),
+              cls_name,
+              std::to_string(k),
+              conjunctive ? "and" : "or",
+              std::to_string(after.postings_scanned -
+                             before.postings_scanned),
+              std::to_string(after.score_lookups - before.score_lookups),
+              std::to_string(after.candidates_considered -
+                             before.candidates_considered),
+              std::to_string(after.blocks_decoded - before.blocks_decoded),
+              std::to_string(after.groups_galloped -
+                             before.groups_galloped),
+              std::to_string(after.cursor_seeks - before.cursor_seeks),
+              std::to_string(qry.page_misses)};
+          table.Row(row);
+          json.Row(row);
+        }
       }
     }
   }

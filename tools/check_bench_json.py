@@ -375,29 +375,41 @@ def check_paper(d):
 
 
 WORK_PARAMS = ("docs", "vocab", "terms", "updates", "inserts", "queries")
+# The query classes bench_query_work runs: frequent terms, and rarer
+# terms whose conjunctive seeks skip whole blocks.
+WORK_CLASSES = ("unselective", "selective")
 WORK_COUNTERS = ("postings_scanned", "score_lookups", "candidates_considered",
                  "blocks_decoded", "groups_galloped", "cursor_seeks",
                  "list_misses")
 
 
+def _work_key(r):
+    return (r["method"], r["class"], r["k"], r["semantics"])
+
+
 def check_work(d, reference=None):
     """BENCH_work.json: the query work of all six methods as exact
-    counter totals. A rerun at the committed parameters must reproduce
-    the committed rows exactly (the context block is ignored); a change
-    that alters the work regenerates the artifact and says why."""
+    counter totals, one row per (method, query class, k, semantics). A
+    rerun at the committed parameters must reproduce the committed rows
+    exactly (the context block is ignored); a change that alters the
+    work regenerates the artifact and says why."""
     ctx = require_context(d)
     assert d.get("validated") is True, "work bench ran without validation"
     keys = set()
     for r in d["rows"]:
-        key = (r["method"], r["k"], r["semantics"])
-        assert key not in keys, "work repeats %s/%s/%s" % key
+        key = _work_key(r)
+        assert key not in keys, "work repeats %s/%s/%s/%s" % key
         keys.add(key)
         for c in WORK_COUNTERS:
             assert isinstance(r[c], int) and r[c] >= 0, \
-                "work %s/%s/%s: bad %s" % (key + (c,))
+                "work %s/%s/%s/%s: bad %s" % (key + (c,))
     methods = {k[0] for k in keys}
     assert methods == set(TABLE1_METHODS), \
         "work bench covers %s, not the six methods" % sorted(methods)
+    classes = {k[1] for k in keys}
+    assert classes == set(WORK_CLASSES), \
+        "work bench ran classes %s, not %s" % (sorted(classes),
+                                              sorted(WORK_CLASSES))
     if reference is None:
         with open(WORK_REFERENCE) as f:
             reference = json.load(f)
@@ -405,14 +417,13 @@ def check_work(d, reference=None):
         assert d[p] == reference[p], \
             "work bench ran %s=%s, the committed artifact %s" % (
                 p, d[p], reference[p])
-    ref_rows = {(r["method"], r["k"], r["semantics"]): r
-                for r in reference["rows"]}
+    ref_rows = {_work_key(r): r for r in reference["rows"]}
     assert keys == set(ref_rows), "work rows differ from the committed set"
     for r in d["rows"]:
-        key = (r["method"], r["k"], r["semantics"])
+        key = _work_key(r)
         for c in WORK_COUNTERS:
             assert r[c] == ref_rows[key][c], \
-                "work %s/%s/%s: %s %d, committed %d" % (
+                "work %s/%s/%s/%s: %s %d, committed %d" % (
                     key + (c, r[c], ref_rows[key][c]))
     return "work: %d rows equal the committed counters; %d CPUs" % (
         len(keys), ctx["hardware_concurrency"])
@@ -526,13 +537,13 @@ def _self_test_fixtures():
     table3_btree_only = json.loads(json.dumps(table3_ok))
     table3_btree_only["rows"] = [r for r in table3_rows
                                  if r["layout"] == "btree"]
-    work_rows = [{"method": m, "k": k, "semantics": sem,
+    work_rows = [{"method": m, "class": cls, "k": k, "semantics": sem,
                   "postings_scanned": 100 * k, "score_lookups": 40 * k,
                   "candidates_considered": 40 * k, "blocks_decoded": k,
-                  "groups_galloped": 0, "cursor_seeks": 7 * k,
-                  "list_misses": 3 * k}
-                 for m in TABLE1_METHODS for k in (1, 10)
-                 for sem in ("and", "or")]
+                  "groups_galloped": int(cls == "selective"),
+                  "cursor_seeks": 7 * k, "list_misses": 3 * k}
+                 for m in TABLE1_METHODS for cls in WORK_CLASSES
+                 for k in (1, 10) for sem in ("and", "or")]
     work_ok = {"bench": "work", "docs": 100, "vocab": 100, "terms": 10,
                "updates": 50, "inserts": 5, "queries": 2, "validated": True,
                "context": context, "rows": work_rows}
@@ -612,6 +623,14 @@ def _self_test_fixtures():
 
     work_missing_row = json.loads(json.dumps(work_ok))
     del work_missing_row["rows"][5]
+    # The class is part of the row key: a row relabelled to the other
+    # class repeats a key, and a run without the selective class lacks
+    # half the committed rows.
+    work_class_repeat = json.loads(json.dumps(work_ok))
+    work_class_repeat["rows"][4]["class"] = "unselective"
+    work_one_class = json.loads(json.dumps(work_ok))
+    work_one_class["rows"] = [r for r in work_one_class["rows"]
+                              if r["class"] == "unselective"]
     failing = {
         "merge_policy": [merge_bad],
         "concurrent_churn": [churn_bad, without_context(churn_ok)],
@@ -638,7 +657,8 @@ def _self_test_fixtures():
                  work_with(list_misses=0),
                  work_with(queries=3),  # other parameters
                  work_with(validated=False),
-                 work_missing_row, without_context(work_ok)],
+                 work_missing_row, work_class_repeat, work_one_class,
+                 without_context(work_ok)],
     }
     return passing, failing
 
