@@ -33,12 +33,42 @@ def require_context(d):
 
 
 def check_merge_policy(d):
+    """The short-list trajectory, per method. These counts repeat
+    exactly: with merging off the short postings grow every round, auto
+    merging never holds more than off, and a manual merge round leaves
+    none behind."""
     assert d["series"], "empty merge bench"
     auto = [s for s in d["series"] if s["mode"] == "auto"]
     assert auto, "no auto-merge series"
     assert any(s["rounds"][-1]["term_merges"] > 0 for s in auto), \
         "auto-merge policy never fired in the smoke run"
-    return "%d series" % len(d["series"])
+    by_method = {}
+    for s in d["series"]:
+        by_method.setdefault(s.get("method", ""), {})[s["mode"]] = s
+    for method, modes in by_method.items():
+        off = modes.get("off")
+        if off is not None:
+            sp = [r["short_postings"] for r in off["rounds"]]
+            assert all(a < b for a, b in zip(sp, sp[1:])), \
+                "%s off: short postings %s do not rise every round" % (
+                    method, sp)
+        if off is not None and "auto" in modes:
+            for a, o in zip(modes["auto"]["rounds"], off["rounds"]):
+                assert a["short_postings"] <= o["short_postings"], \
+                    "%s round %d: auto holds %d short postings, off %d" % (
+                        method, a["round"], a["short_postings"],
+                        o["short_postings"])
+        if "manual" in modes:
+            merges = 0
+            for r in modes["manual"]["rounds"]:
+                if r["term_merges"] > merges:
+                    assert r["short_postings"] == 0, \
+                        "%s manual round %d merged but kept %d short " \
+                        "postings" % (method, r["round"],
+                                      r["short_postings"])
+                merges = r["term_merges"]
+    return "%d series; off rises, auto <= off, manual merges empty " \
+        "the short lists" % len(d["series"])
 
 
 def check_concurrent_churn(d):
@@ -446,9 +476,19 @@ def _self_test_fixtures():
     """One passing payload per checker, plus a seeded failure for each."""
     context = {"hardware_concurrency": 4, "build_type": "Release",
                "compiler": "13.2.0"}
+    def merge_round(i, short_postings, term_merges):
+        return {"round": i, "short_postings": short_postings,
+                "term_merges": term_merges}
+
     merge_ok = {"series": [
-        {"mode": "auto", "rounds": [{"term_merges": 3}]},
-        {"mode": "off", "rounds": [{"term_merges": 0}]},
+        {"method": m, "mode": mode,
+         "rounds": [merge_round(i, sp, tm) for i, (sp, tm) in
+                    enumerate(zip(postings, merges))]}
+        for m in ("Chunk", "Score-Threshold")
+        for mode, postings, merges in (
+            ("off", (100, 200, 300), (0, 0, 0)),
+            ("manual", (100, 0, 100), (0, 40, 40)),
+            ("auto", (90, 150, 300), (3, 9, 12)))
     ]}
     churn_ok = {"context": context, "series": [
         {"mode": "off", "mismatches": 0, "validated": 10, "term_merges": 0,
@@ -566,8 +606,15 @@ def _self_test_fixtures():
         del bad["context"]
         return bad
 
-    merge_bad = json.loads(json.dumps(merge_ok))
-    merge_bad["series"][0]["rounds"][0]["term_merges"] = 0
+    def merge_with(series, round_index, **changes):
+        bad = json.loads(json.dumps(merge_ok))
+        bad["series"][series]["rounds"][round_index].update(changes)
+        return bad
+
+    merge_auto_idle = json.loads(json.dumps(merge_ok))
+    for s in merge_auto_idle["series"]:
+        if s["mode"] == "auto":
+            s["rounds"][-1]["term_merges"] = 0
     churn_bad = json.loads(json.dumps(churn_ok))
     churn_bad["series"][2]["write_merge_ms"] = 20.0  # bg slower than sync
     shard_bad = json.loads(json.dumps(shard_ok))
@@ -632,7 +679,12 @@ def _self_test_fixtures():
     work_one_class["rows"] = [r for r in work_one_class["rows"]
                               if r["class"] == "unselective"]
     failing = {
-        "merge_policy": [merge_bad],
+        "merge_policy": [
+            merge_auto_idle,
+            merge_with(3, 2, short_postings=200),  # ST off stalls
+            merge_with(5, 1, short_postings=201),  # ST auto above off
+            merge_with(1, 1, short_postings=5),  # Chunk manual keeps 5
+        ],
         "concurrent_churn": [churn_bad, without_context(churn_ok)],
         "sharded_churn": [shard_bad],
         "mvcc_churn": [mvcc_bad],
