@@ -8,9 +8,9 @@
 // (rarer terms) pairs lists of very different lengths, so conjunctive
 // seeks skip whole blocks and the cursors' gallop path is counted too.
 // Each (method, class, k, semantics) row records the deltas of the
-// index's query counters and the list-pool misses. No wall time is recorded: every number repeats
-// exactly on any host, so a refactor that claims "same work" can be
-// checked for it.
+// index's query counters and the list-pool misses. No wall time is
+// recorded: every number repeats exactly on any host, so a refactor that
+// claims "same work" can be checked for it.
 //
 // `out=BENCH_work.json` writes the rows; tools/check_bench_json.py's
 // check_work requires a rerun at the committed parameters to reproduce
