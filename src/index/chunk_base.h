@@ -5,15 +5,10 @@
 #include <string>
 #include <vector>
 
-#include "common/versioned_array.h"
 #include "index/chunker.h"
-#include "index/list_state.h"
-#include "index/merge_policy.h"
+#include "index/list_index.h"
 #include "index/posting_codec.h"
 #include "index/posting_cursor.h"
-#include "index/short_list.h"
-#include "index/text_index.h"
-#include "storage/blob_store.h"
 
 namespace svr::index {
 
@@ -67,53 +62,22 @@ struct ChunkIndexOptions {
 /// Chunk-TermScore (§4.3.3): chunked long lists, chunk-keyed short list,
 /// the ListChunk table, and Algorithm 1 with the chunk threshold
 /// thresholdValueOf(cid) = cid + 1.
-class ChunkIndexBase : public TextIndex {
+class ChunkIndexBase : public ListIndex<ChunkId, ChunkIndexBase> {
  public:
   ChunkIndexBase(const IndexContext& ctx, ChunkIndexOptions options,
                  bool with_term_scores);
-
-  Status Build() override;
-  Status OnScoreUpdate(DocId doc, double new_score) override;
-  IndexSnapshot SealSnapshot() override;
-
-  Status InsertDocument(DocId doc, double score) override;
-  Status DeleteDocument(DocId doc) override;
-  Status UpdateContent(DocId doc, const text::Document& old_doc) override;
-  Status MergeTerm(TermId term) override;
-  Status MergeAllTerms() override;
-  Result<uint32_t> MaybeAutoMerge() override;
-  std::vector<TermId> AutoMergeCandidates() const override;
-  Result<std::unique_ptr<TermMergePlan>> PrepareMergeTerm(
-      TermId term) override;
-  Result<std::unique_ptr<TermMergePlan>> PrepareMergeTermAt(
-      const IndexSnapshot& snap, TermId term) override;
-  Status InstallMergeTerm(TermMergePlan* plan,
-                          const BlobRetirer& retire) override;
-  Status ReclaimBlob(const storage::BlobRef& ref) override;
-  Status RebuildIndex() override;
-
-  uint64_t LongListBytes() const override;
-  uint64_t ShortListBytes() const override;
-  uint64_t ShortPostingCount() const override {
-    return short_list_->num_postings();
-  }
 
   /// The chunk boundaries. Immutable between (offline, quiescent)
   /// RebuildIndex calls, so snapshot queries read it with no lock.
   const Chunker& chunker() const { return *chunker_; }
 
-  /// The doc's current list chunk (ListChunk entry, or the chunk of its
-  /// long-list postings). Public for invariant checking: the chunk
-  /// analogue of Lemma 1.2 is ChunkOf(score(d)) <= ListChunkOf(d) + 1.
-  ChunkId ListChunkOf(DocId doc, bool* in_short) const;
-  /// ListChunkOf against snapshot views (the lock-free query path).
-  ChunkId ListChunkOfAt(const ListChunkTable::Snapshot& list_state,
-                        const relational::ScoreTable::View& scores,
-                        DocId doc, bool* in_short) const;
-
-  /// Live ListChunk entries (diagnostics: the fully-merged sweep must
-  /// keep this from growing under long uptimes).
-  uint64_t ListStateSize() const { return list_state_->size(); }
+  /// A document's list position is the chunk of its score; the chunk
+  /// analogue of Lemma 1.2 is PositionOf(score(d)) <=
+  /// thresholdValueOf(ListPositionOf(d)).
+  ChunkId PositionOf(double score) const { return chunker_->ChunkOf(score); }
+  ChunkId thresholdValueOf(ChunkId cid) const {
+    return Chunker::ThresholdValueOf(cid);
+  }
 
  protected:
   /// Hook for method-specific structures (fancy lists). Runs after the
@@ -128,11 +92,6 @@ class ChunkIndexBase : public TextIndex {
     (void)groups;
     return Status::OK();
   }
-
-  struct MergePlanImpl;
-
-  Status BuildLongLists();
-  float TsOf(DocId doc, TermId term) const;
 
   /// One merged stream per query term over `snap`, charging scan and
   /// cursor work to `qs` (the calling query's local counters). `scratch`
@@ -157,22 +116,45 @@ class ChunkIndexBase : public TextIndex {
                              DocId doc, ChunkId cid, bool from_short,
                              double* current_score, QueryStats* qs);
 
-  IndexContext ctx_;
   ChunkIndexOptions options_;
-  bool with_ts_;
-  std::unique_ptr<storage::BlobStore> blobs_;
-  /// term -> published long-list blob (versioned for snapshot readers).
-  VersionedArray<storage::BlobRef, 128> longs_;
-  std::vector<uint64_t> long_counts_;  // postings per long list
-  std::unique_ptr<ShortList> short_list_;
-  std::unique_ptr<ListChunkTable> list_state_;
-  std::unique_ptr<Chunker> chunker_;
-  bool has_deletions_ = false;
 
-  /// Fully-merged sweep bookkeeping (docs/merge_policy.md): retires an
-  /// in_short ListChunk entry once the doc has no short postings left
-  /// and every term of its content merged at/after the doc's last move.
-  MergeSweepTracker sweep_;
+ private:
+  friend class ListIndex<ChunkId, ChunkIndexBase>;
+
+  // --- ListIndex hooks.
+  static constexpr ShortList::KeyKind kShortKeys =
+      ShortList::KeyKind::kChunk;
+  using Stream = MergedChunkStream;
+  using Scratch = CursorScratch;
+  using Merged = std::vector<ChunkGroup>;
+  void SealListState(IndexSnapshot* snap) {
+    snap->list_state = list_state_->Seal();
+  }
+  static const ListChunkTable::Snapshot& ListStateIn(
+      const IndexSnapshot& snap) {
+    return snap.list_state;
+  }
+  static ChunkId PositionIn(const MergedChunkStream& stream) {
+    return stream.cid();
+  }
+  ChunkPostingCursor LongCursor(const storage::BlobRef& ref,
+                                CursorScratch* scratch) const {
+    return ChunkPostingCursor(blobs_->NewReader(ref), with_ts_, scratch);
+  }
+  static void AppendMerged(const MergedChunkStream& stream,
+                           Merged* groups) {
+    const ChunkId cid = stream.cid();
+    if (groups->empty() || groups->back().cid != cid) {
+      groups->push_back(ChunkGroup{cid, {}});
+    }
+    groups->back().postings.push_back({stream.doc(), stream.term_score()});
+  }
+  void EncodeMerged(const Merged& groups, std::string* buf) const {
+    EncodeChunkList(groups, with_ts_, buf);
+  }
+  Status BuildLongLists();
+
+  std::unique_ptr<Chunker> chunker_;
 };
 
 }  // namespace svr::index

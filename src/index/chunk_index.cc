@@ -6,11 +6,6 @@
 
 namespace svr::index {
 
-Status ChunkIndex::TopK(const Query& query, size_t k,
-                        std::vector<SearchResult>* results) {
-  return TopKAt(SealSnapshot(), query, k, results);
-}
-
 Status ChunkIndex::TopKAt(const IndexSnapshot& snap, const Query& query,
                           size_t k, std::vector<SearchResult>* results,
                           QueryStats* query_stats) {

@@ -23,8 +23,6 @@ class ChunkIndex final : public ChunkIndexBase {
 
   std::string name() const override { return "Chunk"; }
 
-  Status TopK(const Query& query, size_t k,
-              std::vector<SearchResult>* results) override;
   Status TopKAt(const IndexSnapshot& snap, const Query& query, size_t k,
                 std::vector<SearchResult>* results,
                 QueryStats* query_stats = nullptr) override;

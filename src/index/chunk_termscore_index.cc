@@ -85,11 +85,6 @@ Status ChunkTermScoreIndex::OnTermMerged(
   return WriteFancyList(term, std::move(postings));
 }
 
-Status ChunkTermScoreIndex::TopK(const Query& query, size_t k,
-                                 std::vector<SearchResult>* results) {
-  return TopKAt(SealSnapshot(), query, k, results);
-}
-
 Status ChunkTermScoreIndex::TopKAt(const IndexSnapshot& snap,
                                    const Query& query, size_t k,
                                    std::vector<SearchResult>* results,
@@ -166,7 +161,7 @@ Status ChunkTermScoreIndex::TopKAt(const IndexSnapshot& snap,
         if (still_contains_all && shorts.DocPostingCount(doc) > 0) {
           bool in_short = false;
           const ChunkId l_chunk =
-              ListChunkOfAt(snap.list_state, scores, doc, &in_short);
+              ListPositionOfAt(snap.list_state, scores, doc, &in_short);
           for (TermId t : query.terms) {
             if (shorts.TermPostingCount(t) > 0 &&
                 shorts.Contains(t, static_cast<double>(l_chunk), doc)) {

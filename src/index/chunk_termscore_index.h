@@ -31,17 +31,10 @@ class ChunkTermScoreIndex final : public ChunkIndexBase {
 
   std::string name() const override { return "Chunk-TermScore"; }
 
-  Status TopK(const Query& query, size_t k,
-              std::vector<SearchResult>* results) override;
   Status TopKAt(const IndexSnapshot& snap, const Query& query, size_t k,
                 std::vector<SearchResult>* results,
                 QueryStats* query_stats = nullptr) override;
   IndexSnapshot SealSnapshot() override;
-
-  /// Includes the fancy lists (they live next to the long lists).
-  uint64_t LongListBytes() const override {
-    return ChunkIndexBase::LongListBytes();
-  }
 
  protected:
   Status BuildExtras() override;
@@ -55,6 +48,7 @@ class ChunkTermScoreIndex final : public ChunkIndexBase {
   Status WriteFancyList(TermId term, std::vector<IdPosting> postings);
 
   /// term -> published fancy-list blob (versioned for snapshot readers).
+  /// The blobs share the long lists' store, so LongListBytes counts them.
   VersionedArray<storage::BlobRef, 128> fancy_refs_;
 };
 

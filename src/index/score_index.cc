@@ -151,11 +151,6 @@ IndexSnapshot ScoreIndex::SealSnapshot() {
   return s;
 }
 
-Status ScoreIndex::TopK(const Query& query, size_t k,
-                        std::vector<SearchResult>* results) {
-  return TopKAt(SealSnapshot(), query, k, results);
-}
-
 Status ScoreIndex::TopKAt(const IndexSnapshot& snap, const Query& query,
                           size_t k, std::vector<SearchResult>* results,
                           QueryStats* query_stats) {

@@ -26,8 +26,6 @@ class ScoreIndex final : public TextIndex {
 
   Status Build() override;
   Status OnScoreUpdate(DocId doc, double new_score) override;
-  Status TopK(const Query& query, size_t k,
-              std::vector<SearchResult>* results) override;
   Status TopKAt(const IndexSnapshot& snap, const Query& query, size_t k,
                 std::vector<SearchResult>* results,
                 QueryStats* query_stats = nullptr) override;

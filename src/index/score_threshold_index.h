@@ -1,17 +1,12 @@
 #ifndef SVR_INDEX_SCORE_THRESHOLD_INDEX_H_
 #define SVR_INDEX_SCORE_THRESHOLD_INDEX_H_
 
-#include <memory>
 #include <string>
 #include <vector>
 
-#include "common/versioned_array.h"
-#include "index/list_state.h"
-#include "index/merge_policy.h"
+#include "index/list_index.h"
 #include "index/posting_codec.h"
-#include "index/short_list.h"
-#include "index/text_index.h"
-#include "storage/blob_store.h"
+#include "index/posting_cursor.h"
 
 namespace svr::index {
 
@@ -30,7 +25,8 @@ struct ScoreThresholdOptions {
 /// merge short ∪ long per term and keep scanning past the first k hits
 /// until `thresholdValueOf(currentListScore) < kthListScore` (Algorithm 2),
 /// which provably yields the top-k under the *latest* scores.
-class ScoreThresholdIndex final : public TextIndex {
+class ScoreThresholdIndex final
+    : public ListIndex<double, ScoreThresholdIndex> {
  public:
   ScoreThresholdIndex(const IndexContext& ctx,
                       ScoreThresholdOptions options = {});
@@ -38,75 +34,157 @@ class ScoreThresholdIndex final : public TextIndex {
   std::string name() const override { return "Score-Threshold"; }
 
   Status Build() override;
-  Status OnScoreUpdate(DocId doc, double new_score) override;
-  Status TopK(const Query& query, size_t k,
-              std::vector<SearchResult>* results) override;
   Status TopKAt(const IndexSnapshot& snap, const Query& query, size_t k,
                 std::vector<SearchResult>* results,
                 QueryStats* query_stats = nullptr) override;
-  IndexSnapshot SealSnapshot() override;
 
-  Status InsertDocument(DocId doc, double score) override;
-  Status DeleteDocument(DocId doc) override;
-  Status UpdateContent(DocId doc, const text::Document& old_doc) override;
-  Status MergeTerm(TermId term) override;
-  Status MergeAllTerms() override;
-  Result<uint32_t> MaybeAutoMerge() override;
-  std::vector<TermId> AutoMergeCandidates() const override;
-  Result<std::unique_ptr<TermMergePlan>> PrepareMergeTerm(
-      TermId term) override;
-  Result<std::unique_ptr<TermMergePlan>> PrepareMergeTermAt(
-      const IndexSnapshot& snap, TermId term) override;
-  Status InstallMergeTerm(TermMergePlan* plan,
-                          const BlobRetirer& retire) override;
-  Status ReclaimBlob(const storage::BlobRef& ref) override;
-  Status RebuildIndex() override;
-
-  uint64_t LongListBytes() const override {
-    return blobs_->TotalDataBytes();
-  }
-  uint64_t ShortListBytes() const override {
-    return short_list_->SizeBytes() + list_state_->SizeBytes();
-  }
-  uint64_t ShortPostingCount() const override {
-    return short_list_->num_postings();
-  }
-
+  /// A document's list position is its list score.
+  double PositionOf(double score) const { return score; }
   double thresholdValueOf(double score) const {
     return options_.threshold_ratio * score;
   }
 
-  /// The doc's list position: ListScore entry if present, else its
-  /// current (== original) score. Public for invariant checking
-  /// (Lemma 1.1/1.2 of Appendix B).
-  double ListScoreOf(DocId doc, bool* in_short) const;
+ private:
+  friend class ListIndex<double, ScoreThresholdIndex>;
 
-  /// Live ListScore entries (diagnostics: the fully-merged sweep must
-  /// keep this from growing under long uptimes).
-  uint64_t ListStateSize() const { return list_state_->size(); }
+  // Scan order over (score desc, doc asc) positions.
+  struct ListPos {
+    double score;
+    DocId doc;
+  };
+  static bool PosBefore(const ListPos& a, const ListPos& b) {
+    if (a.score != b.score) return a.score > b.score;
+    return a.doc < b.doc;
+  }
+  static bool PosEqual(const ListPos& a, const ListPos& b) {
+    return a.score == b.score && a.doc == b.doc;
+  }
+
+  class TermStream;
+
+  // --- ListIndex hooks.
+  static constexpr ShortList::KeyKind kShortKeys =
+      ShortList::KeyKind::kScore;
+  using Stream = TermStream;
+  using Scratch = ScoreCursorScratch;
+  using Merged = std::vector<ScorePosting>;
+  void SealListState(IndexSnapshot* snap) {
+    snap->list_score = list_state_->Seal();
+  }
+  static const ListScoreTable::Snapshot& ListStateIn(
+      const IndexSnapshot& snap) {
+    return snap.list_score;
+  }
+  static double PositionIn(const TermStream& stream);
+  ScorePostingCursor LongCursor(const storage::BlobRef& ref,
+                                ScoreCursorScratch* scratch) const {
+    return ScorePostingCursor(blobs_->NewReader(ref), scratch);
+  }
+  static void AppendMerged(const TermStream& stream, Merged* merged);
+  void EncodeMerged(const Merged& merged, std::string* buf) const {
+    EncodeScoreList(merged, buf);
+  }
+  Status BuildLongLists();
+
+  ScoreThresholdOptions options_;
+};
+
+// Union of one term's short list and long list in (score desc, doc asc)
+// order. A short REM posting at the long posting's position cancels it;
+// a short ADD posting at the same position shadows it.
+class ScoreThresholdIndex::TermStream {
+ public:
+  TermStream(ScorePostingCursor long_cursor, ShortList::Cursor short_cursor,
+             uint64_t* scanned)
+      : long_(std::move(long_cursor)),
+        short_(std::move(short_cursor)),
+        scanned_(scanned) {}
+
+  Status Init() {
+    SVR_RETURN_NOT_OK(long_.Init());
+    return Advance();
+  }
+
+  bool Valid() const { return valid_; }
+  double score() const { return pos_.score; }
+  DocId doc() const { return pos_.doc; }
+  bool from_short() const { return from_short_; }
+  ListPos pos() const { return pos_; }
+
+  Status Next() { return Advance(); }
+
+  /// Positions the stream on its first posting at or after `target` in
+  /// (score desc, doc asc) scan order. The long side gallops over whole
+  /// v2 blocks by their (last_score, last_doc) headers.
+  Status SeekTo(const ListPos& target) {
+    if (!valid_ || !PosBefore(pos_, target)) return Status::OK();
+    SVR_RETURN_NOT_OK(long_.SeekTo(target.score, target.doc));
+    while (short_.Valid()) {
+      const ListPos sp{short_.sort_value(), short_.doc()};
+      if (!PosBefore(sp, target)) break;
+      short_.Next();
+    }
+    return Advance();
+  }
 
  private:
-  class TermStream;
-  struct MergePlanImpl;
+  Status Advance() {
+    while (true) {
+      const bool l = long_.Valid();
+      const bool s = short_.Valid();
+      if (!l && !s) {
+        valid_ = false;
+        return Status::OK();
+      }
+      ListPos lp{l ? long_.score() : 0.0, l ? long_.doc() : 0};
+      ListPos sp{s ? short_.sort_value() : 0.0, s ? short_.doc() : 0};
 
-  Status BuildLongLists();
-  static double ListScoreOfAt(const ListScoreTable::Snapshot& list_state,
-                              const relational::ScoreTable::View& scores,
-                              DocId doc, bool* in_short);
+      if (l && (!s || PosBefore(lp, sp))) {
+        pos_ = lp;
+        from_short_ = false;
+        valid_ = true;
+        ++*scanned_;
+        return long_.Next();
+      }
+      if (l && s && PosEqual(lp, sp)) {
+        *scanned_ += 2;
+        const PostingOp op = short_.op();
+        pos_ = sp;
+        from_short_ = true;
+        SVR_RETURN_NOT_OK(long_.Next());
+        short_.Next();
+        if (op == PostingOp::kRemove) continue;  // cancel both
+        valid_ = true;
+        return Status::OK();
+      }
+      // Short posting strictly first.
+      ++*scanned_;
+      const PostingOp op = short_.op();
+      pos_ = sp;
+      from_short_ = true;
+      short_.Next();
+      if (op == PostingOp::kRemove) continue;  // stray REM
+      valid_ = true;
+      return Status::OK();
+    }
+  }
 
-  IndexContext ctx_;
-  ScoreThresholdOptions options_;
-  std::unique_ptr<storage::BlobStore> blobs_;
-  /// term -> published long-list blob (versioned for snapshot readers).
-  VersionedArray<storage::BlobRef, 128> longs_;
-  std::vector<uint64_t> long_counts_;  // postings per long list
-  std::unique_ptr<ShortList> short_list_;
-  std::unique_ptr<ListScoreTable> list_state_;
-  bool has_deletions_ = false;
-
-  /// Fully-merged sweep bookkeeping (docs/merge_policy.md).
-  MergeSweepTracker sweep_;
+  ScorePostingCursor long_;
+  ShortList::Cursor short_;
+  uint64_t* scanned_;
+  bool valid_ = false;
+  ListPos pos_{0.0, 0};
+  bool from_short_ = false;
 };
+
+inline double ScoreThresholdIndex::PositionIn(const TermStream& stream) {
+  return stream.score();
+}
+
+inline void ScoreThresholdIndex::AppendMerged(const TermStream& stream,
+                                              Merged* merged) {
+  merged->push_back({stream.score(), stream.doc()});
+}
 
 }  // namespace svr::index
 

@@ -226,10 +226,11 @@ class TextIndex {
   virtual Status OnScoreUpdate(DocId doc, double new_score) = 0;
 
   /// Algorithm 2/3: top-k by the *latest* scores, against the current
-  /// contents. Requires at least reader-serialized access in the
-  /// pre-MVCC sense (exclusive access in standalone use).
-  virtual Status TopK(const Query& query, size_t k,
-                      std::vector<SearchResult>* results) = 0;
+  /// contents: TopKAt over a fresh seal. Requires exclusive access.
+  Status TopK(const Query& query, size_t k,
+              std::vector<SearchResult>* results) {
+    return TopKAt(SealSnapshot(), query, k, results);
+  }
 
   /// Top-k against one sealed snapshot. Safe from any number of threads
   /// with no lock while writers keep mutating, as long as the snapshot
@@ -315,15 +316,12 @@ class TextIndex {
 
   /// Reader phase: streams term's merged view and writes the replacement
   /// blob (unpublished — no reader can resolve it yet). Returns null when
-  /// the term has nothing to merge. The plain form snapshots the live
-  /// state (requires reader-serialized access, the synchronous-merge
-  /// path); the At form runs against a pinned snapshot with no lock at
-  /// all (the background scheduler's path). Neither mutates
-  /// reader-visible state.
-  virtual Result<std::unique_ptr<TermMergePlan>> PrepareMergeTerm(
-      TermId term) {
-    (void)term;
-    return Status::NotSupported(name() + ": two-phase merge");
+  /// the term has nothing to merge. The plain form seals the live state
+  /// first (exclusive access, the synchronous-merge path); the At form
+  /// runs against a pinned snapshot with no lock at all (the background
+  /// scheduler's path). Neither mutates reader-visible state.
+  Result<std::unique_ptr<TermMergePlan>> PrepareMergeTerm(TermId term) {
+    return PrepareMergeTermAt(SealSnapshot(), term);
   }
   virtual Result<std::unique_ptr<TermMergePlan>> PrepareMergeTermAt(
       const IndexSnapshot& snap, TermId term) {
@@ -372,6 +370,10 @@ class TextIndex {
   virtual uint64_t ShortListBytes() const { return 0; }
   /// Number of live short-list postings, 0 if the method has none.
   virtual uint64_t ShortPostingCount() const { return 0; }
+  /// Live ListScore/ListChunk entries, 0 if the method has none
+  /// (diagnostics: the fully-merged sweep must keep this from growing
+  /// under long uptimes).
+  virtual uint64_t ListStateSize() const { return 0; }
 
   /// Snapshot of the counters. Copied under the stats mutex so it is
   /// safe against concurrent queries folding their per-query counts.

@@ -435,7 +435,7 @@ TEST(MergeSchedulerTest, DedupsAndBoundsTheQueue) {
   engine->Stop();
 }
 
-// Deterministic scheduler harness: a stub index whose PrepareMergeTerm
+// Deterministic scheduler harness: a stub index whose PrepareMergeTermAt
 // can block (to pin jobs in flight) or fail (to set the sticky error),
 // so pool behaviour is testable without racing a real engine. The hooks
 // play the engine's role (pin-view prepare / writer-side install).
@@ -444,14 +444,15 @@ class StubIndex : public index::TextIndex {
   std::string name() const override { return "Stub"; }
   Status Build() override { return Status::OK(); }
   Status OnScoreUpdate(DocId, double) override { return Status::OK(); }
-  Status TopK(const index::Query&, size_t,
-              std::vector<index::SearchResult>*) override {
+  Status TopKAt(const index::IndexSnapshot&, const index::Query&, size_t,
+                std::vector<index::SearchResult>*,
+                index::QueryStats*) override {
     return Status::OK();
   }
   uint64_t LongListBytes() const override { return 0; }
 
-  Result<std::unique_ptr<index::TermMergePlan>> PrepareMergeTerm(
-      TermId term) override {
+  Result<std::unique_ptr<index::TermMergePlan>> PrepareMergeTermAt(
+      const index::IndexSnapshot&, TermId term) override {
     {
       std::unique_lock<std::mutex> lock(mu_);
       ++active_;

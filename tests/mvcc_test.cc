@@ -603,14 +603,8 @@ TEST_P(ListStateSweepTest, FullyMergedDocsRetireTheirEntries) {
   ASSERT_TRUE(engine_r.ok()) << engine_r.status().ToString();
   auto engine = std::move(engine_r).value();
 
-  auto list_state_size = [&]() -> uint64_t {
-    if (auto* c = dynamic_cast<index::ChunkIndexBase*>(
-            engine->text_index())) {
-      return c->ListStateSize();
-    }
-    auto* st = dynamic_cast<index::ScoreThresholdIndex*>(
-        engine->text_index());
-    return st != nullptr ? st->ListStateSize() : 0;
+  auto list_state_size = [&] {
+    return engine->text_index()->ListStateSize();
   };
 
   // Move many documents into the short lists (big score climbs).
@@ -777,10 +771,10 @@ TEST(JudgeColumnTest, PinnedColumnsMatchRelationalRowsAfterChurn) {
       if (slot.deleted()) ++deleted_docs;
 
       bool in_short = false;
-      const ChunkId l_chunk =
-          chunk_index->ListChunkOfAt(snap.list_state, column, d, &in_short);
-      EXPECT_LE(chunk_index->chunker().ChunkOf(slot.score),
-                index::Chunker::ThresholdValueOf(l_chunk))
+      const ChunkId l_chunk = chunk_index->ListPositionOfAt(
+          snap.list_state, column, d, &in_short);
+      EXPECT_LE(chunk_index->PositionOf(slot.score),
+                chunk_index->thresholdValueOf(l_chunk))
           << "shard " << s << " doc " << d;
     }
   }

@@ -4,7 +4,7 @@
 #include <memory>
 
 #include "core/oracle.h"
-#include "index/chunk_index.h"
+#include "index/chunk_base.h"
 #include "index/score_threshold_index.h"
 #include "storage/bptree.h"
 #include "storage/buffer_pool.h"
@@ -47,48 +47,46 @@ class InvariantTest : public ::testing::Test {
 };
 
 // Lemma 1.2 (Appendix B): for every document,
-//   currentScore(d) <= thresholdValueOf(listScore(d)).
-// This is exactly what makes Algorithm 2's bounded extra scan correct.
-TEST_F(InvariantTest, ScoreThresholdLemma12HoldsUnderChurn) {
-  auto w = IndexWorld::Make(index::Method::kScoreThreshold, params_,
-                            scores_);
-  ASSERT_NE(w, nullptr);
-  auto* st = static_cast<index::ScoreThresholdIndex*>(w->idx.get());
-  Churn(w.get(), [&] {
-    for (DocId d = 0; d < params_.num_docs; ++d) {
-      double curr;
-      bool in_short;
-      ASSERT_TRUE(w->score_table->Get(d, &curr).ok());
-      const double l_score = st->ListScoreOf(d, &in_short);
-      EXPECT_LE(curr, st->thresholdValueOf(l_score) + 1e-9) << "doc " << d;
-    }
-  });
+//   position(currentScore(d)) <= thresholdValueOf(listPosition(d)).
+// For Score-Threshold the position is the score itself, so this reads
+// currentScore(d) <= t * listScore(d); for the Chunk family it reads
+// ChunkOf(currentScore(d)) <= listChunk(d) + 1 — a doc is never more
+// than one chunk "ahead" of its postings. This is exactly what makes
+// Algorithm 2's bounded extra scan and the chunk stop rule correct.
+template <typename Index>
+void ExpectLemma12(const Index& idx, const IndexWorld& w, DocId num_docs) {
+  for (DocId d = 0; d < num_docs; ++d) {
+    double curr;
+    bool in_short;
+    ASSERT_TRUE(w.score_table->Get(d, &curr).ok());
+    EXPECT_LE(idx.PositionOf(curr),
+              idx.thresholdValueOf(idx.ListPositionOf(d, &in_short)))
+        << "doc " << d << " curr " << curr;
+  }
 }
 
-// Chunk analogue: ChunkOf(currentScore(d)) <= listChunk(d) + 1 — a doc is
-// never more than one chunk "ahead" of its postings.
-TEST_F(InvariantTest, ChunkLemmaHoldsUnderChurn) {
-  auto w = IndexWorld::Make(index::Method::kChunk, params_, scores_);
+class ListMethodInvariantTest
+    : public InvariantTest,
+      public ::testing::WithParamInterface<index::Method> {};
+
+TEST_P(ListMethodInvariantTest, Lemma12HoldsUnderChurn) {
+  auto w = IndexWorld::Make(GetParam(), params_, scores_);
   ASSERT_NE(w, nullptr);
-  auto* ci = static_cast<index::ChunkIndex*>(w->idx.get());
   Churn(w.get(), [&] {
-    for (DocId d = 0; d < params_.num_docs; ++d) {
-      double curr;
-      bool in_short;
-      ASSERT_TRUE(w->score_table->Get(d, &curr).ok());
-      const ChunkId l_chunk = ci->ListChunkOf(d, &in_short);
-      EXPECT_LE(ci->chunker().ChunkOf(curr),
-                index::Chunker::ThresholdValueOf(l_chunk))
-          << "doc " << d << " curr " << curr;
+    if (GetParam() == index::Method::kScoreThreshold) {
+      ExpectLemma12(static_cast<index::ScoreThresholdIndex&>(*w->idx), *w,
+                    params_.num_docs);
+    } else {
+      ExpectLemma12(static_cast<index::ChunkIndexBase&>(*w->idx), *w,
+                    params_.num_docs);
     }
   });
 }
 
 // Negative updates must never touch the short lists (§4.3.1: "negative
 // score updates would not require updates to the short list").
-TEST_F(InvariantTest, DecreasesNeverWriteShortLists) {
-  auto w =
-      IndexWorld::Make(index::Method::kScoreThreshold, params_, scores_);
+TEST_P(ListMethodInvariantTest, DecreasesNeverWriteShortLists) {
+  auto w = IndexWorld::Make(GetParam(), params_, scores_);
   ASSERT_NE(w, nullptr);
   w->idx->ResetStats();
   Random rng(2);
@@ -100,6 +98,11 @@ TEST_F(InvariantTest, DecreasesNeverWriteShortLists) {
   }
   EXPECT_EQ(w->idx->stats().short_list_writes, 0u);
 }
+
+INSTANTIATE_TEST_SUITE_P(ListMethods, ListMethodInvariantTest,
+                         ::testing::Values(index::Method::kScoreThreshold,
+                                           index::Method::kChunk,
+                                           index::Method::kChunkTermScore));
 
 // Small increases below the threshold leave the short lists alone too —
 // the whole point of the method.
