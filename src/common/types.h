@@ -32,9 +32,10 @@ struct MergePolicy {
   /// (a tiny short range is cheaper to merge at query time than to
   /// rewrite a long list for).
   uint32_t min_short_postings = 64;
-  /// Global backstop: when the short-list B+-tree exceeds this many
-  /// bytes, the largest short terms are merged (ratio or not) until the
-  /// projected size is back under budget. 0 disables the backstop.
+  /// Global backstop: when the short lists (ShortList::SizeBytes) exceed
+  /// this many bytes, the largest short terms are merged (ratio or not)
+  /// until the projected size is back under budget. 0 disables the
+  /// backstop.
   uint64_t short_bytes_budget = 0;
   /// Upper bound on terms merged by one policy sweep, so maintenance
   /// never stalls the write path for long.
