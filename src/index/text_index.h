@@ -240,14 +240,7 @@ class TextIndex {
   /// (docs/observability.md).
   virtual Status TopKAt(const IndexSnapshot& snap, const Query& query,
                         size_t k, std::vector<SearchResult>* results,
-                        QueryStats* query_stats = nullptr) {
-    (void)snap;
-    (void)query;
-    (void)k;
-    (void)results;
-    (void)query_stats;
-    return Status::NotSupported(name() + ": snapshot queries");
-  }
+                        QueryStats* query_stats = nullptr) = 0;
 
   /// Freezes the current contents of everything TopKAt reads — short
   /// lists, blob directories, the judge columns (the shared
