@@ -38,7 +38,8 @@ struct DocOrder {
 ///   SealListState(snapshot*)          where a snapshot keeps ListScore
 ///                                     / ListChunk
 ///   ListStateIn(snapshot), PositionIn(stream)
-///                                     the same, read back by the merge
+///                                     the same, read back by the
+///                                     default LiveInMerge (not ID)
 ///   Stream, Scratch, Merged           the merged (long ∪ short) stream,
 ///                                     its cursor scratch, and the live
 ///                                     postings a merge collects
