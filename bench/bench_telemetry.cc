@@ -8,19 +8,20 @@
 //
 // The record path is a handful of relaxed atomic fetch_adds per
 // operation plus two steady_clock reads per stage, so the gate is
-// tight: best-of-N wall time with telemetry on must stay within 5% of
-// telemetry off (BENCH_telemetry.json, checked by
-// tools/check_bench_json.py). Reps alternate off/on so thermal or
-// frequency drift hits both modes equally, and best-of-N discards
-// scheduler noise; the summary also reports each mode's min/median/max
-// wall time, so the rep-to-rep spread the gate has to resolve is on
-// record. Every rep oracle-validates a slice of its queries; mismatches
-// must be 0 — telemetry must never alter results.
+// tight: the median over reps of the paired on/off wall-time ratio must
+// stay within 5% (BENCH_telemetry.json, checked by
+// tools/check_bench_json.py). Each rep runs off, then on, so drift hits
+// both halves of a pair alike, and the median keeps one rep slowed by
+// the host from deciding the gate. The summary also reports each mode's
+// min/median/max wall time, so the rep-to-rep spread is on record.
+// Every rep oracle-validates a slice of its queries; mismatches must be
+// 0 — telemetry must never alter results.
 
 #include <algorithm>
 #include <atomic>
 #include <cstdio>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "bench/bench_common.h"
@@ -47,17 +48,21 @@ struct WallSpread {
   double max = 0.0;
 };
 
-WallSpread SpreadOf(const std::vector<RepOutcome>& reps) {
+WallSpread SpreadOf(std::vector<double> values) {
+  std::sort(values.begin(), values.end());
+  const size_t n = values.size();
+  WallSpread w;
+  w.min = values.front();
+  w.max = values.back();
+  w.median = n % 2 == 1 ? values[n / 2]
+                        : (values[n / 2 - 1] + values[n / 2]) / 2.0;
+  return w;
+}
+
+WallSpread WallSpreadOf(const std::vector<RepOutcome>& reps) {
   std::vector<double> walls;
   for (const RepOutcome& o : reps) walls.push_back(o.wall_ms);
-  std::sort(walls.begin(), walls.end());
-  const size_t n = walls.size();
-  WallSpread w;
-  w.min = walls.front();
-  w.max = walls.back();
-  w.median = n % 2 == 1 ? walls[n / 2]
-                        : (walls[n / 2 - 1] + walls[n / 2]) / 2.0;
-  return w;
+  return SpreadOf(std::move(walls));
 }
 
 }  // namespace
@@ -76,12 +81,12 @@ int main(int argc, char** argv) {
   cfg.validate_every =
       static_cast<uint32_t>(flags.GetInt("validate_every", 64));
   cfg.seed = static_cast<uint64_t>(flags.GetInt("seed", 2005));
-  const int reps = static_cast<int>(flags.GetInt("reps", 3));
+  const int reps = static_cast<int>(flags.GetInt("reps", 5));
   const std::string out_path =
       flags.GetString("out", "BENCH_telemetry.json");
 
   std::printf("# telemetry overhead: %u docs, %u writer ops, %u query "
-              "threads, best of %d reps per mode\n\n",
+              "threads, %d off/on pairs\n\n",
               cfg.initial_docs, cfg.writer_ops, cfg.query_threads, reps);
 
   std::FILE* json = std::fopen(out_path.c_str(), "w");
@@ -113,8 +118,10 @@ int main(int argc, char** argv) {
         // Everything armed: slow-query comparisons on the query path
         // (the default threshold keeps captures rare, which is the
         // production posture) and the background dump thread racing the
-        // workload through the registry.
-        telemetry.dump_interval_ms = 250;
+        // workload through the registry. The interval sits well below
+        // one rep's wall time (about 130 ms at ci.sh's smoke size), so
+        // the dump runs inside every rep.
+        telemetry.dump_interval_ms = 25;
         telemetry.dump_sink = [&periodic_dumps](const std::string&) {
           periodic_dumps.fetch_add(1);
         };
@@ -168,9 +175,14 @@ int main(int argc, char** argv) {
     }
   }
 
-  const WallSpread off = SpreadOf(off_reps);
-  const WallSpread on = SpreadOf(on_reps);
-  const double ratio = on.min / off.min;
+  const WallSpread off = WallSpreadOf(off_reps);
+  const WallSpread on = WallSpreadOf(on_reps);
+  std::vector<double> pair_ratios;
+  for (size_t i = 0; i < on_reps.size(); ++i) {
+    pair_ratios.push_back(on_reps[i].wall_ms / off_reps[i].wall_ms);
+  }
+  const WallSpread pairs = SpreadOf(pair_ratios);
+  const double ratio = pairs.median;
 
   std::fprintf(json,
                "\n  ],\n  \"summary\": {\"overhead_ratio\": %.4f, "
@@ -184,9 +196,9 @@ int main(int argc, char** argv) {
                on.min, on.median, on.max);
   std::fclose(json);
 
-  std::printf("\n# best wall: off %.1f ms, on %.1f ms -> overhead ratio "
-              "%.4f (gate: <= 1.05)\n",
-              off.min, on.min, ratio);
+  std::printf("\n# paired on/off ratio: median %.4f (gate: <= 1.05), "
+              "min %.4f, max %.4f\n",
+              ratio, pairs.min, pairs.max);
   std::printf("# wall spread (min/median/max ms): off %.1f/%.1f/%.1f, "
               "on %.1f/%.1f/%.1f\n",
               off.min, off.median, off.max, on.min, on.median, on.max);

@@ -89,11 +89,12 @@ if [ "$SANITIZERS_ONLY" != "1" ]; then
 
   # Telemetry smoke run (docs/observability.md): the MVCC churn workload
   # with telemetry off vs fully on (registry histograms, slow-query
-  # threshold, background periodic dump), interleaved best-of-N. The
-  # JSON check gates record-path overhead <= 5%, 0 oracle mismatches,
-  # and a successful DumpMetrics round-trip in both formats mid-flight.
+  # threshold, background periodic dump), in five off/on pairs. The
+  # JSON check gates the median paired on/off wall ratio <= 1.05, 0
+  # oracle mismatches, at least one periodic dump, and a successful
+  # DumpMetrics round-trip in both formats mid-flight.
   "$BUILD_DIR/bench_telemetry" docs=2000 vocab=1500 terms=20 \
-    writer_ops=6000 query_threads=2 validate_every=32 reps=3 \
+    writer_ops=6000 query_threads=2 validate_every=32 reps=5 \
     out="$SMOKE/BENCH_telemetry.json"
 
   # Serving smoke run (docs/serving.md): a real server over real

@@ -85,10 +85,8 @@ ShardedSvrEngine::ShardedSvrEngine(
     : shards_(std::move(shards)),
       clock_(std::move(clock)),
       local_to_global_(shards_.size()) {
-  shard_insert_mu_.reserve(shards_.size());
   shard_log_mu_.reserve(shards_.size());
   for (size_t i = 0; i < shards_.size(); ++i) {
-    shard_insert_mu_.push_back(std::make_unique<Mutex>());
     shard_log_mu_.push_back(std::make_unique<Mutex>());
   }
   if (num_query_threads > 1 && shards_.size() > 1) {
@@ -315,35 +313,30 @@ Result<const ShardedSvrEngine::TableRoute*> ShardedSvrEngine::RouteOf(
   return &it->second;
 }
 
-ShardedSvrEngine::Loc ShardedSvrEngine::MapOrAllocate(
-    int64_t gid, std::unique_lock<Mutex>* insert_lock, bool* fresh) {
-  *fresh = false;
-  {
-    ReaderMutexLock lock(map_mu_);
-    auto it = id_map_.find(gid);
-    if (it != id_map_.end()) return it->second;
-  }
-  const uint32_t s = ShardOf(gid);
-  // The insert mutex spans local-id allocation AND the caller's shard
-  // write, so allocation order equals the shard's insert order — the
-  // per-shard density the underlying engine requires.
-  *insert_lock = std::unique_lock<Mutex>(*shard_insert_mu_[s]);
+ShardedSvrEngine::Loc ShardedSvrEngine::MapOrAllocate(int64_t gid,
+                                                     bool* fresh) {
   ReaderMutexLock lock(map_mu_);
   auto it = id_map_.find(gid);
-  if (it != id_map_.end()) {
-    insert_lock->unlock();  // lost the race; the key is mapped now
-    return it->second;
-  }
-  // A fresh key is only *reserved* here (the insert mutex keeps the
-  // shard's next local stable); it is published by the caller once the
-  // row actually landed. Nothing can observe — or attach dependent
+  *fresh = it == id_map_.end();
+  if (!*fresh) return it->second;
+  // A fresh key is only *reserved* here: the caller's shard lock keeps
+  // the shard's next local stable until the caller publishes it, once
+  // the row actually landed. Nothing can observe — or attach dependent
   // rows to — a mapping whose insert may still fail, so there is never
   // anything to roll back.
-  Loc loc;
-  loc.shard = s;
-  loc.local = static_cast<DocId>(local_to_global_[s].size());
-  *fresh = true;
-  return loc;
+  const uint32_t s = ShardOf(gid);
+  return Loc{s, static_cast<DocId>(local_to_global_[s].size())};
+}
+
+Result<uint32_t> ShardedSvrEngine::JoinRoutedShardOf(const std::string& table,
+                                                     int64_t pk) const {
+  ReaderMutexLock lock(map_mu_);
+  auto table_it = join_routed_rows_.find(table);
+  if (table_it != join_routed_rows_.end()) {
+    auto row_it = table_it->second.find(pk);
+    if (row_it != table_it->second.end()) return row_it->second;
+  }
+  return Status::NotFound(table + ": row was never inserted here");
 }
 
 Result<std::pair<uint32_t, DocId>> ShardedSvrEngine::Route(
@@ -365,6 +358,20 @@ int64_t ShardedSvrEngine::GlobalIdOf(uint32_t shard, DocId local) const {
   return local_to_global_[shard][local];
 }
 
+template <typename Exec>
+Status ShardedSvrEngine::CommitOnShard(uint32_t s,
+                                       durability::WalStatement* stmt,
+                                       Exec&& exec, uint64_t* ticket) {
+  *ticket = 0;
+  // Execution and log append under one lock: the shard's WAL file order
+  // equals its commit-timestamp order.
+  std::unique_lock<Mutex> log_lock(*shard_log_mu_[s]);
+  uint64_t ts = 0;
+  const Status st = exec(&ts);
+  if (st.ok() && logging_armed_) *ticket = LogStatementLocked(s, stmt, ts);
+  return st;
+}
+
 Status ShardedSvrEngine::Insert(const std::string& table,
                                 const relational::Row& row) {
   SVR_ASSIGN_OR_RETURN(const TableRoute* route, RouteOf(table));
@@ -382,54 +389,39 @@ Status ShardedSvrEngine::Insert(const std::string& table,
   if (route->route_column != route->pk_index) {
     return InsertJoinRouted(table, *route, row, gid);
   }
-  std::unique_lock<Mutex> insert_lock;
-  bool fresh = false;
-  const Loc loc = MapOrAllocate(gid, &insert_lock, &fresh);
-  relational::Row translated = row;
-  translated[route->route_column] =
-      relational::Value::Int(static_cast<int64_t>(loc.local));
+  durability::WalStatement stmt;
+  stmt.kind = durability::StatementKind::kInsert;
+  stmt.table = table;
+  stmt.row = row;  // the caller's global-key row, not the translated one
+  // A pk-routed key always lives on ShardOf(gid), so that shard's lock
+  // covers the key's allocation, the shard write and the publication:
+  // allocation order equals the shard's insert order — the per-shard
+  // density the underlying engine requires.
+  const uint32_t s = ShardOf(gid);
   uint64_t ticket = 0;
-  bool logged = false;
-  Status st;
-  {
-    // Execution and log append under one lock: the shard's WAL file
-    // order equals its commit-timestamp order. The durability wait
-    // happens after every lock is released, so concurrent statements
-    // batch onto one fsync.
-    std::unique_lock<Mutex> log_lock(*shard_log_mu_[loc.shard]);
-    uint64_t ts = 0;
-    st = shards_[loc.shard]->Insert(table, translated, &ts);
-    if (st.ok() && logging_armed_) {
-      durability::WalStatement stmt;
-      stmt.kind = durability::StatementKind::kInsert;
-      stmt.table = table;
-      stmt.row = row;  // the caller's global-key row, not `translated`
-      ticket = LogStatementLocked(loc.shard, &stmt, ts);
-      logged = true;
-    }
-  }
-  if (fresh) {
-    // Publish the reservation iff the row actually reached the shard —
-    // an unpublished failed key leaves no trace, so a rejected insert
+  const Status st = CommitOnShard(s, &stmt, [&](uint64_t* ts) {
+    bool fresh = false;
+    const Loc loc = MapOrAllocate(gid, &fresh);
+    relational::Row translated = row;
+    translated[route->route_column] =
+        relational::Value::Int(static_cast<int64_t>(loc.local));
+    Status insert_st = shards_[s]->Insert(table, translated, ts);
+    // Publish a reservation iff the row actually reached the shard — an
+    // unpublished failed key leaves no trace, so a rejected insert
     // cannot wedge the shard's dense pk sequence. Some engine errors
     // surface *after* the row landed (score-view latch, background-
     // merge first_error): the row probe keeps those keys mapped, since
     // their slot in the shard's sequence is consumed.
-    bool landed = st.ok();
-    if (!landed) {
-      landed = shards_[loc.shard]->RowExists(
-          table, static_cast<int64_t>(loc.local));
-    }
-    if (landed) {
-      // Still under the shard's insert mutex, so the reserved local is
-      // still the shard's next slot.
+    if (fresh && (insert_st.ok() ||
+                  shards_[s]->RowExists(table,
+                                        static_cast<int64_t>(loc.local)))) {
       WriterMutexLock lock(map_mu_);
-      local_to_global_[loc.shard].push_back(gid);
-      id_map_.emplace(gid, Loc{loc.shard, loc.local});
+      local_to_global_[s].push_back(gid);
+      id_map_.emplace(gid, loc);
     }
-  }
-  if (insert_lock.owns_lock()) insert_lock.unlock();
-  if (logged) SVR_RETURN_NOT_OK(WaitDurable(loc.shard, ticket));
+    return insert_st;
+  }, &ticket);
+  SVR_RETURN_NOT_OK(WaitDurable(s, ticket));
   return st;
 }
 
@@ -463,27 +455,19 @@ Status ShardedSvrEngine::InsertJoinRouted(const std::string& table,
   relational::Row translated = row;
   translated[route.route_column] =
       relational::Value::Int(static_cast<int64_t>(loc.second));
+  durability::WalStatement stmt;
+  stmt.kind = durability::StatementKind::kInsert;
+  stmt.table = table;
+  stmt.row = row;
   uint64_t ticket = 0;
-  bool logged = false;
-  Status st;
-  {
-    std::unique_lock<Mutex> log_lock(*shard_log_mu_[loc.first]);
-    uint64_t ts = 0;
-    st = shards_[loc.first]->Insert(table, translated, &ts);
-    if (st.ok() && logging_armed_) {
-      durability::WalStatement stmt;
-      stmt.kind = durability::StatementKind::kInsert;
-      stmt.table = table;
-      stmt.row = row;
-      ticket = LogStatementLocked(loc.first, &stmt, ts);
-      logged = true;
-    }
-  }
+  const Status st = CommitOnShard(loc.first, &stmt, [&](uint64_t* ts) {
+    return shards_[loc.first]->Insert(table, translated, ts);
+  }, &ticket);
   if (!st.ok()) {
     WriterMutexLock lock(map_mu_);
     join_routed_rows_[table].erase(pk);
   }
-  if (logged) SVR_RETURN_NOT_OK(WaitDurable(loc.first, ticket));
+  SVR_RETURN_NOT_OK(WaitDurable(loc.first, ticket));
   return st;
 }
 
@@ -504,16 +488,9 @@ Status ShardedSvrEngine::Update(const std::string& table,
     }
     // Join-routed rows live where their document lives; moving a row to
     // a document of another shard would be a cross-shard migration.
-    ReaderMutexLock lock(map_mu_);
-    auto table_it = join_routed_rows_.find(table);
-    if (table_it == join_routed_rows_.end()) {
-      return Status::NotFound(table + ": row was never inserted here");
-    }
-    auto row_it = table_it->second.find(row[route->pk_index].as_int());
-    if (row_it == table_it->second.end()) {
-      return Status::NotFound(table + ": row was never inserted here");
-    }
-    if (row_it->second != loc.first) {
+    const int64_t pk = row[route->pk_index].as_int();
+    SVR_ASSIGN_OR_RETURN(const uint32_t shard, JoinRoutedShardOf(table, pk));
+    if (shard != loc.first) {
       return Status::NotSupported(
           table + ": update would move the row across shards");
     }
@@ -521,87 +498,48 @@ Status ShardedSvrEngine::Update(const std::string& table,
   relational::Row translated = row;
   translated[route->route_column] =
       relational::Value::Int(static_cast<int64_t>(loc.second));
+  durability::WalStatement stmt;
+  stmt.kind = durability::StatementKind::kUpdate;
+  stmt.table = table;
+  stmt.row = row;
   uint64_t ticket = 0;
-  bool logged = false;
-  Status st;
-  {
-    std::unique_lock<Mutex> log_lock(*shard_log_mu_[loc.first]);
-    uint64_t ts = 0;
-    st = shards_[loc.first]->Update(table, translated, &ts);
-    if (st.ok() && logging_armed_) {
-      durability::WalStatement stmt;
-      stmt.kind = durability::StatementKind::kUpdate;
-      stmt.table = table;
-      stmt.row = row;
-      ticket = LogStatementLocked(loc.first, &stmt, ts);
-      logged = true;
-    }
-  }
-  if (logged) SVR_RETURN_NOT_OK(WaitDurable(loc.first, ticket));
+  const Status st = CommitOnShard(loc.first, &stmt, [&](uint64_t* ts) {
+    return shards_[loc.first]->Update(table, translated, ts);
+  }, &ticket);
+  SVR_RETURN_NOT_OK(WaitDurable(loc.first, ticket));
   return st;
 }
 
 Status ShardedSvrEngine::Delete(const std::string& table, int64_t pk) {
   SVR_ASSIGN_OR_RETURN(const TableRoute* route, RouteOf(table));
-  if (route->route_column != route->pk_index) {
-    uint32_t shard = 0;
-    {
-      ReaderMutexLock lock(map_mu_);
-      auto table_it = join_routed_rows_.find(table);
-      if (table_it == join_routed_rows_.end()) {
-        return Status::NotFound(table + ": row was never inserted here");
-      }
-      auto row_it = table_it->second.find(pk);
-      if (row_it == table_it->second.end()) {
-        return Status::NotFound(table + ": row was never inserted here");
-      }
-      shard = row_it->second;
-    }
-    // Join-routed rows keep their own (untranslated) primary key. The
-    // shard record is dropped only after the shard delete succeeded — a
-    // failed delete must stay reachable for a retry.
-    uint64_t ticket = 0;
-    bool logged = false;
-    {
-      std::unique_lock<Mutex> log_lock(*shard_log_mu_[shard]);
-      uint64_t ts = 0;
-      SVR_RETURN_NOT_OK(shards_[shard]->Delete(table, pk, &ts));
-      if (logging_armed_) {
-        durability::WalStatement stmt;
-        stmt.kind = durability::StatementKind::kDelete;
-        stmt.table = table;
-        stmt.pk = pk;
-        ticket = LogStatementLocked(shard, &stmt, ts);
-        logged = true;
-      }
-    }
-    {
-      WriterMutexLock lock(map_mu_);
-      auto table_it = join_routed_rows_.find(table);
-      if (table_it != join_routed_rows_.end()) table_it->second.erase(pk);
-    }
-    if (logged) SVR_RETURN_NOT_OK(WaitDurable(shard, ticket));
-    return Status::OK();
+  const bool join_routed = route->route_column != route->pk_index;
+  // Join-routed rows keep their own (untranslated) primary key on the
+  // shard; pk-routed rows are deleted by their local id.
+  uint32_t shard = 0;
+  int64_t shard_pk = pk;
+  if (join_routed) {
+    SVR_ASSIGN_OR_RETURN(shard, JoinRoutedShardOf(table, pk));
+  } else {
+    SVR_ASSIGN_OR_RETURN(auto loc, Route(pk));
+    shard = loc.first;
+    shard_pk = static_cast<int64_t>(loc.second);
   }
-  SVR_ASSIGN_OR_RETURN(auto loc, Route(pk));
+  durability::WalStatement stmt;
+  stmt.kind = durability::StatementKind::kDelete;
+  stmt.table = table;
+  stmt.pk = pk;
   uint64_t ticket = 0;
-  bool logged = false;
-  Status st;
-  {
-    std::unique_lock<Mutex> log_lock(*shard_log_mu_[loc.first]);
-    uint64_t ts = 0;
-    st = shards_[loc.first]->Delete(table,
-                                    static_cast<int64_t>(loc.second), &ts);
-    if (st.ok() && logging_armed_) {
-      durability::WalStatement stmt;
-      stmt.kind = durability::StatementKind::kDelete;
-      stmt.table = table;
-      stmt.pk = pk;
-      ticket = LogStatementLocked(loc.first, &stmt, ts);
-      logged = true;
-    }
+  const Status st = CommitOnShard(shard, &stmt, [&](uint64_t* ts) {
+    return shards_[shard]->Delete(table, shard_pk, ts);
+  }, &ticket);
+  if (st.ok() && join_routed) {
+    // The shard record is dropped only after the shard delete succeeded
+    // — a failed delete must stay reachable for a retry.
+    WriterMutexLock lock(map_mu_);
+    auto table_it = join_routed_rows_.find(table);
+    if (table_it != join_routed_rows_.end()) table_it->second.erase(pk);
   }
-  if (logged) SVR_RETURN_NOT_OK(WaitDurable(loc.first, ticket));
+  SVR_RETURN_NOT_OK(WaitDurable(shard, ticket));
   return st;
 }
 
@@ -854,18 +792,20 @@ uint64_t ShardedSvrEngine::LogStatementLocked(uint32_t s,
 }
 
 Status ShardedSvrEngine::LogDdl(durability::WalStatement stmt) {
+  // The statement already ran on every shard; recovery replay (logging
+  // disarmed) appends nothing. DDL runs quiescent, so Now() is >= every
+  // logged commit timestamp and the (ts, seq) replay order puts it
+  // after all of them.
   uint64_t ticket = 0;
-  {
-    std::unique_lock<Mutex> log_lock(*shard_log_mu_[0]);
-    if (!logging_armed_) return Status::OK();  // recovery replay
-    // DDL runs quiescent, so Now() is >= every logged commit timestamp
-    // and the (ts, seq) replay order puts it after all of them.
-    ticket = LogStatementLocked(0, &stmt, clock_->Now());
-  }
+  SVR_RETURN_NOT_OK(CommitOnShard(0, &stmt, [&](uint64_t* ts) {
+    *ts = clock_->Now();
+    return Status::OK();
+  }, &ticket));
   return WaitDurable(0, ticket);
 }
 
 Status ShardedSvrEngine::WaitDurable(uint32_t s, uint64_t ticket) {
+  if (ticket == 0) return Status::OK();
   telemetry::StageTimer timer(telemetry_enabled_);
   const Status st = log_writers_[s]->WaitDurable(ticket);
   timer.Lap(tel_.dml_wait_durable_us);
@@ -989,7 +929,7 @@ Status ShardedSvrEngine::BuildCheckpointStatementsLocked(
     data->statement_payloads.push_back(std::move(payload));
   };
   // Routing metadata is read under map_mu_ (map_mu_ nests inside the
-  // insert/log mutexes the caller holds; no DML path ever acquires them
+  // shard mutexes the caller holds; no DML path ever acquires them
   // while holding map_mu_).
   ReaderMutexLock lock(map_mu_);
   // 1. Tables, in creation order.
@@ -1119,16 +1059,10 @@ Status ShardedSvrEngine::CheckpointNowImpl() {
   std::vector<std::string> covered;
   uint64_t ordinal = 0;
   {
-    // ALL insert mutexes, then ALL log mutexes (each vector in index
-    // order): with everything held, every statement that executed has
-    // also been appended and numbered, and no fresh-key insert sits
-    // between its shard write and its id-map publication — the capture
-    // is a consistent cut at last_seq_.
-    std::vector<std::unique_lock<Mutex>> insert_locks;
-    insert_locks.reserve(shard_insert_mu_.size());
-    for (size_t i = 0; i < shard_insert_mu_.size(); ++i) {
-      insert_locks.emplace_back(*shard_insert_mu_[i]);
-    }
+    // ALL shard mutexes, in index order: with every one held, every
+    // statement that executed has also been appended and numbered, and
+    // no fresh-key insert sits between its shard write and its id-map
+    // publication — the capture is a consistent cut at last_seq_.
     std::vector<std::unique_lock<Mutex>> log_locks;
     log_locks.reserve(shard_log_mu_.size());
     for (size_t i = 0; i < shard_log_mu_.size(); ++i) {

@@ -154,11 +154,12 @@ class ShardedSvrEngine {
                          std::vector<relational::ScoreComponentSpec> specs,
                          relational::AggFunction agg);
 
-  /// DML, routed to the owning shard and run under that shard's lock.
-  /// Writes to different shards proceed in parallel; only the first
-  /// insert of a *new* key serializes briefly against other new-key
-  /// inserts of the same shard (local-id allocation order must match
-  /// the shard's insert order).
+  /// DML, routed to the owning shard and run under that shard's one
+  /// write lock, which also orders the statement's WAL append. Writes
+  /// to different shards proceed in parallel. The first insert of a
+  /// *new* key allocates the shard's next local id and publishes the
+  /// mapping under that same lock, so allocation order is the shard's
+  /// insert order.
   Status Insert(const std::string& table, const relational::Row& row);
   Status Update(const std::string& table, const relational::Row& row);
   Status Delete(const std::string& table, int64_t pk);
@@ -223,8 +224,8 @@ class ShardedSvrEngine {
   Status Start();
   void Stop() EXCLUDES(ckpt_mu_);
 
-  /// Writes a checkpoint now: captures all shards under every insert and
-  /// log mutex, rotates every shard's WAL segment, persists one
+  /// Writes a checkpoint now: captures all shards under every shard
+  /// write mutex, rotates every shard's WAL segment, persists one
   /// checkpoint file and deletes the covered segments. See
   /// docs/durability.md for why the capture is a consistent cut. Timed
   /// into `checkpoint.duration_us` when telemetry is on.
@@ -302,11 +303,15 @@ class ShardedSvrEngine {
   Status InsertJoinRouted(const std::string& table, const TableRoute& route,
                           const relational::Row& row, int64_t gid);
   /// Existing mapping of `gid`, or allocates one (owning shard's next
-  /// local id) for a first-seen key. `fresh` reports a new allocation,
-  /// which is only reserved: the caller keeps holding the shard's insert
-  /// mutex (`insert_lock`) across the shard write, then publishes it.
-  Loc MapOrAllocate(int64_t gid, std::unique_lock<Mutex>* insert_lock,
-                    bool* fresh) EXCLUDES(map_mu_);
+  /// local id) for a first-seen key. Caller holds the owning shard's
+  /// write lock. `fresh` reports a new allocation, which is only
+  /// reserved: the caller publishes it, under the same lock, once the
+  /// row landed.
+  Loc MapOrAllocate(int64_t gid, bool* fresh) EXCLUDES(map_mu_);
+  /// Owning shard of a join-routed row, by the row's own primary key;
+  /// NotFound if it was never inserted through this engine.
+  Result<uint32_t> JoinRoutedShardOf(const std::string& table,
+                                     int64_t pk) const EXCLUDES(map_mu_);
 
   /// Resolves the `sharded.*` instruments and the slow-query log from
   /// the shared registry Open installed into every shard. Called by
@@ -320,6 +325,15 @@ class ShardedSvrEngine {
   Status InitDurability(const durability::DurabilityOptions& options);
   /// Re-executes one logged statement (recovery).
   Status ApplyStatement(const durability::WalStatement& stmt);
+  /// The one commit path of every logged statement: under shard `s`'s
+  /// write lock, runs `exec(&ts)` and, when it succeeds while logging
+  /// is armed, appends `stmt` stamped at the commit timestamp `exec`
+  /// reported. Returns `exec`'s status; `*ticket` is the WaitDurable
+  /// ticket, 0 when nothing was appended. The caller waits after
+  /// releasing the lock, so concurrent statements share one fsync.
+  template <typename Exec>
+  Status CommitOnShard(uint32_t s, durability::WalStatement* stmt,
+                       Exec&& exec, uint64_t* ticket);
   /// Stamps (seq, ts), frames and appends `stmt` to shard `s`'s log.
   /// Caller holds shard_log_mu_[s] — the same lock that ordered the
   /// statement's execution, so each shard's file order equals its
@@ -331,11 +345,12 @@ class ShardedSvrEngine {
   /// contract), so Now() orders it after everything already logged.
   Status LogDdl(durability::WalStatement stmt);
   /// Group-commit ack of shard `s`'s `ticket`, timed into
-  /// `dml.wait_durable_us`. Callers hold no engine lock, so concurrent
-  /// statements batch onto the same fsync meanwhile.
+  /// `dml.wait_durable_us`; ticket 0 has nothing to wait for. Callers
+  /// hold no engine lock, so concurrent statements batch onto the same
+  /// fsync meanwhile.
   Status WaitDurable(uint32_t s, uint64_t ticket);
   /// Serializes all shards into `data` with global keys. Caller holds
-  /// every shard_insert_mu_ and every shard_log_mu_.
+  /// every shard_log_mu_.
   Status BuildCheckpointStatementsLocked(durability::CheckpointData* data)
       EXCLUDES(map_mu_);
   /// CheckpointNow's body; the public entry point times it.
@@ -376,19 +391,12 @@ class ShardedSvrEngine {
   /// Guards the id map, the reverse maps and the table routing metadata.
   /// Bounded hash-map critical sections (routing metadata, not engine
   /// state); the read path never blocks behind a DML statement on it.
-  /// Nests inside the per-shard insert/log mutexes — no DML path ever
+  /// Nests inside the per-shard write mutexes — no DML path ever
   /// acquires those while holding map_mu_.
   mutable SharedMutex map_mu_;
   std::unordered_map<int64_t, Loc> id_map_ GUARDED_BY(map_mu_);
   /// Per shard: local doc id -> global key (locals are dense).
   std::vector<std::vector<int64_t>> local_to_global_ GUARDED_BY(map_mu_);
-  /// Per-shard serialization of new-key inserts: local-id allocation
-  /// order must equal the shard's scored-table insert order.
-  /// Dynamically indexed, so acquisitions go through
-  /// std::unique_lock<Mutex> (invisible to the thread-safety analysis;
-  /// the lock-order lint covers the insert -> log -> engine order
-  /// instead — tools/check_lock_order.py, docs/static_analysis.md).
-  std::vector<std::unique_ptr<Mutex>> shard_insert_mu_;
   /// Table name -> routing metadata (populated by CreateTable /
   /// CreateTextIndex).
   std::unordered_map<std::string, TableRoute> tables_ GUARDED_BY(map_mu_);
@@ -403,16 +411,17 @@ class ShardedSvrEngine {
   /// Set once logging may begin; cleared by Stop while holding every
   /// shard_log_mu_, so no append can race the log writers shutting down.
   bool logging_armed_ = false;
-  /// Per shard: spans statement execution + seq assignment + log append.
-  /// Lock order: shard_insert_mu_[s] -> shard_log_mu_[s]; the checkpoint
-  /// takes ALL insert mutexes, then ALL log mutexes (ascending), so its
+  /// Per shard, the one write lock: spans a statement's fresh-key
+  /// allocation and publication, its execution, seq assignment and log
+  /// append. The checkpoint takes ALL of them (ascending), so its
   /// capture sits on a statement boundary of every shard at once.
   /// Dynamically indexed — locked via std::unique_lock<Mutex>, checked
-  /// by the lock-order lint rather than the compile-time analysis.
+  /// by the lock-order lint (tools/check_lock_order.py,
+  /// docs/static_analysis.md) rather than the compile-time analysis.
   std::vector<std::unique_ptr<Mutex>> shard_log_mu_;
   std::vector<std::unique_ptr<durability::LogWriter>> log_writers_;
   /// Engine-wide dense statement sequence, assigned under the owning
-  /// shard's log mutex. When the checkpoint holds every log mutex, all
+  /// shard's write mutex. When the checkpoint holds every one, all
   /// seqs <= last_seq_ have fully executed AND been appended — seq is
   /// the exact cut line between checkpoint and WAL suffix.
   std::atomic<uint64_t> last_seq_{0};
@@ -424,7 +433,7 @@ class ShardedSvrEngine {
   /// CheckpointNow.
   std::vector<std::string> live_segments_ GUARDED_BY(ckpt_run_mu_);
   /// DDL in execution order, for checkpoint synthesis. Appended while
-  /// quiescent, read under all log mutexes.
+  /// quiescent, read under all shard mutexes.
   std::vector<durability::WalStatement> ddl_history_;
   std::atomic<uint64_t> stmts_since_ckpt_{0};
   durability::RecoveryStats recovery_stats_;

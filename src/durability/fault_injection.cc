@@ -78,20 +78,4 @@ WalFileFactory FaultInjectingFactory(
   };
 }
 
-Status FaultInjectingPageStore::Write(storage::PageId id, const char* buf) {
-  bool short_write = false;
-  const Status st = injector_->BeforeOp(FaultInjector::Op::kWrite,
-                                        &short_write);
-  if (!st.ok()) return st;
-  return base_->Write(id, buf);
-}
-
-Status FaultInjectingPageStore::Sync() {
-  bool short_write = false;
-  const Status st = injector_->BeforeOp(FaultInjector::Op::kSync,
-                                        &short_write);
-  if (!st.ok()) return st;
-  return base_->Sync();
-}
-
 }  // namespace svr::durability

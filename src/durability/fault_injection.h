@@ -8,13 +8,12 @@
 #include "common/status.h"
 #include "common/thread_annotations.h"
 #include "durability/wal_file.h"
-#include "storage/page_store.h"
 
 namespace svr::durability {
 
 /// \brief Shared fault-injection control block.
 ///
-/// One injector is shared by every file/store a test wires it into.
+/// One injector is shared by every WAL file a test wires it into.
 /// Arm it with FailAfter: the (n+1)-th operation of that kind *trips*
 /// the injector — that operation fails, and from then on the injector
 /// is "crashed": every subsequent write or sync on every attached file
@@ -81,35 +80,6 @@ class FaultInjectingWalFile : public WalFile {
 /// WAL segments *and* checkpoint files through its factory, one injector
 /// covers crash points in both paths.
 WalFileFactory FaultInjectingFactory(std::shared_ptr<FaultInjector> injector);
-
-/// PageStore decorator: Write and Sync consult the injector (a tripped
-/// short write corrupts nothing at page granularity — the write simply
-/// does not happen); Read and allocation pass through. Rounds out the
-/// fault matrix for code paths that persist pages rather than logs.
-class FaultInjectingPageStore : public storage::PageStore {
- public:
-  FaultInjectingPageStore(std::unique_ptr<storage::PageStore> base,
-                          std::shared_ptr<FaultInjector> injector)
-      : base_(std::move(base)), injector_(std::move(injector)) {}
-
-  Status Read(storage::PageId id, char* buf) override {
-    return base_->Read(id, buf);
-  }
-  Status Write(storage::PageId id, const char* buf) override;
-  Result<storage::PageId> Allocate() override { return base_->Allocate(); }
-  Result<storage::PageId> AllocateRun(uint32_t n) override {
-    return base_->AllocateRun(n);
-  }
-  Status Free(storage::PageId id) override { return base_->Free(id); }
-  Status Sync() override;
-
-  uint32_t page_size() const override { return base_->page_size(); }
-  uint64_t live_pages() const override { return base_->live_pages(); }
-
- private:
-  std::unique_ptr<storage::PageStore> base_;
-  std::shared_ptr<FaultInjector> injector_;
-};
 
 }  // namespace svr::durability
 

@@ -63,13 +63,6 @@ Status Table::Update(const Row& row) {
   return tree_->Put(key, payload);
 }
 
-Status Table::Upsert(const Row& row) {
-  SVR_ASSIGN_OR_RETURN(int64_t pk, RowPk(row));
-  std::string payload;
-  EncodeRow(&payload, row);
-  return tree_->Put(EncodePk(pk), payload);
-}
-
 Status Table::Get(int64_t pk, Row* row) const {
   return GetAt(tree_->LiveSnapshot(), pk, row);
 }

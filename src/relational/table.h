@@ -31,8 +31,6 @@ class Table {
   Status Insert(const Row& row);
   /// Replaces the row with the same pk; NotFound if absent.
   Status Update(const Row& row);
-  /// Inserts or replaces.
-  Status Upsert(const Row& row);
   /// Fetches the row with primary key `pk`.
   Status Get(int64_t pk, Row* row) const;
   /// Same fetch against a sealed version (lock-free snapshot joins).

@@ -57,7 +57,6 @@ class BlobStore {
 
   /// Total pages held by blobs written (and not freed) via this store.
   uint64_t total_pages() const { return total_pages_; }
-  uint64_t TotalBytes() const { return total_pages_ * pool_->page_size(); }
 
   /// Sum of the encoded blob payloads (excludes the padding of the final
   /// page of each blob). This is the honest "list size" number: at small

@@ -1,32 +1,8 @@
 #include "storage/page_store.h"
 
-#include <unistd.h>
-
-#include <cerrno>
 #include <cstring>
 
 namespace svr::storage {
-
-namespace {
-
-/// "<what>: wrote <got> of <want> bytes (<strerror>)" — short writes used
-/// to be reported as a bare "short page write" with the errno discarded,
-/// which made ENOSPC vs EIO triage impossible from logs.
-Status ShortWriteError(const char* what, size_t got, size_t want,
-                       std::FILE* file) {
-  const int err = std::ferror(file) != 0 ? errno : 0;
-  std::string msg = std::string(what) + ": wrote " + std::to_string(got) +
-                    " of " + std::to_string(want) + " bytes";
-  if (err != 0) {
-    msg += " (";
-    msg += std::strerror(err);
-    msg += ")";
-  }
-  std::clearerr(file);
-  return Status::IOError(msg);
-}
-
-}  // namespace
 
 InMemoryPageStore::InMemoryPageStore(uint32_t page_size)
     : page_size_(page_size) {}
@@ -94,111 +70,6 @@ Status InMemoryPageStore::Free(PageId id) {
     return Status::InvalidArgument("free of unallocated page");
   }
   live_[id] = false;
-  free_list_.push_back(id);
-  ++stats_.frees;
-  --live_pages_;
-  return Status::OK();
-}
-
-Result<std::unique_ptr<FilePageStore>> FilePageStore::Create(
-    const std::string& path, uint32_t page_size) {
-  std::FILE* f = std::fopen(path.c_str(), "w+b");
-  if (f == nullptr) {
-    return Status::IOError("cannot create page file: " + path);
-  }
-  return std::unique_ptr<FilePageStore>(new FilePageStore(f, page_size));
-}
-
-FilePageStore::FilePageStore(std::FILE* file, uint32_t page_size)
-    : file_(file), page_size_(page_size) {}
-
-FilePageStore::~FilePageStore() {
-  if (file_ != nullptr) std::fclose(file_);
-}
-
-Status FilePageStore::Read(PageId id, char* buf) {
-  MutexLock lock(mu_);
-  if (id >= num_pages_) {
-    return Status::InvalidArgument("read of unallocated page");
-  }
-  if (std::fseek(file_, static_cast<long>(id) * page_size_, SEEK_SET) != 0) {
-    return Status::IOError("seek failed");
-  }
-  if (std::fread(buf, 1, page_size_, file_) != page_size_) {
-    return Status::IOError("short page read");
-  }
-  ++stats_.reads;
-  return Status::OK();
-}
-
-Status FilePageStore::Write(PageId id, const char* buf) {
-  MutexLock lock(mu_);
-  if (id >= num_pages_) {
-    return Status::InvalidArgument("write of unallocated page");
-  }
-  if (std::fseek(file_, static_cast<long>(id) * page_size_, SEEK_SET) != 0) {
-    return Status::IOError("seek failed");
-  }
-  const size_t wrote = std::fwrite(buf, 1, page_size_, file_);
-  if (wrote != page_size_) {
-    return ShortWriteError("short page write", wrote, page_size_, file_);
-  }
-  ++stats_.writes;
-  return Status::OK();
-}
-
-Status FilePageStore::Sync() {
-  MutexLock lock(mu_);
-  if (std::fflush(file_) != 0) {
-    return Status::IOError(std::string("page file flush failed (") +
-                           std::strerror(errno) + ")");
-  }
-  if (::fsync(fileno(file_)) != 0) {
-    return Status::IOError(std::string("page file fsync failed (") +
-                           std::strerror(errno) + ")");
-  }
-  return Status::OK();
-}
-
-Result<PageId> FilePageStore::Allocate() {
-  MutexLock lock(mu_);
-  ++stats_.allocations;
-  ++live_pages_;
-  if (!free_list_.empty()) {
-    PageId id = free_list_.back();
-    free_list_.pop_back();
-    return id;
-  }
-  PageId id = static_cast<PageId>(num_pages_++);
-  // Extend the file with a zero page so Read() of a fresh page succeeds.
-  std::string zeros(page_size_, '\0');
-  if (std::fseek(file_, static_cast<long>(id) * page_size_, SEEK_SET) != 0 ||
-      std::fwrite(zeros.data(), 1, page_size_, file_) != page_size_) {
-    return Status::IOError("file extend failed");
-  }
-  return id;
-}
-
-Result<PageId> FilePageStore::AllocateRun(uint32_t n) {
-  MutexLock lock(mu_);
-  if (n == 0) return Status::InvalidArgument("empty page run");
-  PageId first = static_cast<PageId>(num_pages_);
-  std::string zeros(static_cast<size_t>(page_size_) * n, '\0');
-  if (std::fseek(file_, static_cast<long>(first) * page_size_, SEEK_SET) != 0 ||
-      std::fwrite(zeros.data(), 1, zeros.size(), file_) != zeros.size()) {
-    return Status::IOError("file extend failed");
-  }
-  num_pages_ += n;
-  stats_.allocations += n;
-  live_pages_ += n;
-  return first;
-}
-
-Status FilePageStore::Free(PageId id) {
-  MutexLock lock(mu_);
-  if (id >= num_pages_) {
-    return Status::InvalidArgument("free of unallocated page");
-  }
   free_list_.push_back(id);
   ++stats_.frees;
   --live_pages_;

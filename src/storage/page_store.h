@@ -1,7 +1,6 @@
 #ifndef SVR_STORAGE_PAGE_STORE_H_
 #define SVR_STORAGE_PAGE_STORE_H_
 
-#include <cstdio>
 #include <memory>
 #include <string>
 #include <vector>
@@ -24,9 +23,10 @@ struct PageStoreStats {
 /// \brief Abstraction over the physical page file, the analogue of
 /// BerkeleyDB's mpool backing file.
 ///
-/// Implementations: InMemoryPageStore (the default substrate for the
-/// reproduction; "disk" reads are counted by the buffer pool above it)
-/// and FilePageStore (a real file, for running against an actual disk).
+/// The implementation is InMemoryPageStore ("disk" reads are counted by
+/// the buffer pool above it); tests substitute fakes through this
+/// interface. The WAL, not the page store, is the engine's persistence
+/// path (docs/durability.md).
 ///
 /// The store mutex lives in the base class so the stats counters it
 /// guards can be read through the base `stats()` accessor under the same
@@ -48,11 +48,6 @@ class PageStore {
   /// Returns page `id` to the free list.
   virtual Status Free(PageId id) = 0;
 
-  /// Flushes written pages to durable storage (fsync on FilePageStore).
-  /// A no-op for stores with no durability to offer; checkpoint writers
-  /// call it before declaring their output stable.
-  virtual Status Sync() { return Status::OK(); }
-
   virtual uint32_t page_size() const = 0;
   /// Number of live (allocated and not freed) pages.
   virtual uint64_t live_pages() const = 0;
@@ -65,7 +60,7 @@ class PageStore {
 
  protected:
   /// Guards stats_ plus whatever per-implementation state the derived
-  /// classes hang off it (page table, free list, FILE*).
+  /// classes hang off it (page table, free list).
   mutable Mutex mu_;
   PageStoreStats stats_ GUARDED_BY(mu_);
 };
@@ -98,43 +93,6 @@ class InMemoryPageStore final : public PageStore {
   uint32_t page_size_;
   std::vector<std::unique_ptr<char[]>> pages_ GUARDED_BY(mu_);
   std::vector<bool> live_ GUARDED_BY(mu_);
-  std::vector<PageId> free_list_ GUARDED_BY(mu_);
-  uint64_t live_pages_ GUARDED_BY(mu_) = 0;
-};
-
-/// File-backed page store. The free list is kept in memory (this store is
-/// used for single-process experiment runs, not for crash-safe persistence).
-class FilePageStore final : public PageStore {
- public:
-  /// Creates (truncates) `path`.
-  static Result<std::unique_ptr<FilePageStore>> Create(
-      const std::string& path, uint32_t page_size = kDefaultPageSize);
-
-  ~FilePageStore() override;
-
-  FilePageStore(const FilePageStore&) = delete;
-  FilePageStore& operator=(const FilePageStore&) = delete;
-
-  Status Read(PageId id, char* buf) override EXCLUDES(mu_);
-  Status Write(PageId id, const char* buf) override EXCLUDES(mu_);
-  Result<PageId> Allocate() override EXCLUDES(mu_);
-  Result<PageId> AllocateRun(uint32_t n) override EXCLUDES(mu_);
-  Status Free(PageId id) override EXCLUDES(mu_);
-  /// fflush + fsync of the backing file.
-  Status Sync() override EXCLUDES(mu_);
-
-  uint32_t page_size() const override { return page_size_; }
-  uint64_t live_pages() const override EXCLUDES(mu_) {
-    MutexLock lock(mu_);
-    return live_pages_;
-  }
-
- private:
-  FilePageStore(std::FILE* file, uint32_t page_size);
-
-  std::FILE* file_ GUARDED_BY(mu_);
-  uint32_t page_size_;
-  uint64_t num_pages_ GUARDED_BY(mu_) = 0;  // high-water mark
   std::vector<PageId> free_list_ GUARDED_BY(mu_);
   uint64_t live_pages_ GUARDED_BY(mu_) = 0;
 };

@@ -348,19 +348,7 @@ TEST(FaultInjectionTest, ShortWriteLeavesTornTailThatRecoveryTruncates) {
   EXPECT_EQ(scan.records.size(), 1u);
 }
 
-// --- satellite: PageStore::Sync + Stop() hardening ---------------------
-
-TEST(PageStoreSyncTest, FilePageStoreSyncSucceeds) {
-  const std::string dir = TestDir("pagestore");
-  auto r = storage::FilePageStore::Create(dir + "/pages.db", 4096);
-  ASSERT_TRUE(r.ok());
-  auto store = std::move(r).value();
-  auto page = store->Allocate();
-  ASSERT_TRUE(page.ok());
-  std::string buf(4096, 'x');
-  ASSERT_TRUE(store->Write(page.value(), buf.data()).ok());
-  EXPECT_TRUE(store->Sync().ok());
-}
+// --- Stop() hardening -------------------------------------------------
 
 /// Durable engines in this file are ShardedSvrEngines: the sharded layer
 /// is the one durability owner, and one shard is the single-node setup.

@@ -10,12 +10,18 @@
 //  - Concurrent churn: multi-writer sharded DML racing scatter-gather
 //    queries, with every validated query checked per shard against the
 //    brute-force oracle under ReadSnapshotAll.
+//  - The shard write lock: racing fresh-key inserts and checkpoints on
+//    a durable engine keep every shard's local ids dense, before and
+//    after a restart.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <memory>
+#include <set>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "common/random.h"
@@ -23,6 +29,7 @@
 #include "core/sharded_engine.h"
 #include "core/svr_engine.h"
 #include "workload/concurrent_driver.h"
+#include "workload/crash_driver.h"
 
 #if defined(__has_feature)
 #if __has_feature(thread_sanitizer)
@@ -741,6 +748,188 @@ TEST(ShardedChurnTest, ConcurrentScatterGatherMatchesOraclePerShard) {
   EXPECT_TRUE(stats.total.background_merge);
   EXPECT_EQ(stats.total.merge_workers, 6u) << "2 workers x 3 shards";
   engine.value()->Stop();
+}
+
+
+// --- the shard write lock: fresh inserts racing checkpoints -----------
+
+/// Ranked (global key, score) answers of a few fixed queries.
+std::vector<std::pair<int64_t, double>> TopDocs(ShardedSvrEngine* engine) {
+  std::vector<std::pair<int64_t, double>> out;
+  for (const char* query : {"fresh", "t3", "t7 t9"}) {
+    auto r = engine->Search(query, 20);
+    EXPECT_TRUE(r.ok()) << r.status().ToString();
+    if (!r.ok()) continue;
+    for (const core::ScoredRow& row : r.value()) {
+      out.emplace_back(row.pk, row.score);
+    }
+  }
+  return out;
+}
+
+/// Every acked key is routed to its hash shard with its row present, no
+/// rejected key is mapped, and each shard's locals 0..n-1 all map to a
+/// key that routes back to them: the id map has no holes.
+void CheckDenseRouting(ShardedSvrEngine* engine, uint32_t initial,
+                       const std::set<int64_t>& acked,
+                       const std::set<int64_t>& rejected) {
+  for (int64_t gid = 0; gid < static_cast<int64_t>(initial); ++gid) {
+    EXPECT_TRUE(engine->Route(gid).ok()) << gid;
+  }
+  for (const int64_t gid : acked) {
+    auto route = engine->Route(gid);
+    ASSERT_TRUE(route.ok()) << "acked insert " << gid << " is lost";
+    EXPECT_EQ(route.value().first, engine->ShardOf(gid));
+    EXPECT_TRUE(engine->shard(route.value().first)
+                    ->RowExists("docs",
+                                static_cast<int64_t>(route.value().second)))
+        << gid;
+  }
+  for (const int64_t gid : rejected) {
+    EXPECT_TRUE(engine->Route(gid).status().IsNotFound())
+        << "rejected key " << gid << " is mapped";
+  }
+  uint64_t mapped = 0;
+  for (uint32_t s = 0; s < engine->num_shards(); ++s) {
+    const DocId n =
+        static_cast<DocId>(engine->shard(s)->corpus()->num_docs());
+    for (DocId local = 0; local < n; ++local) {
+      const int64_t gid = engine->GlobalIdOf(s, local);
+      ASSERT_NE(gid, ShardedSvrEngine::kInvalidGlobalId)
+          << "hole at shard " << s << " local " << local;
+      auto route = engine->Route(gid);
+      ASSERT_TRUE(route.ok()) << gid;
+      EXPECT_EQ(route.value(), std::make_pair(s, local));
+    }
+    EXPECT_EQ(engine->GlobalIdOf(s, n), ShardedSvrEngine::kInvalidGlobalId);
+    mapped += n;
+  }
+  EXPECT_EQ(mapped, initial + acked.size());
+  EXPECT_EQ(engine->GetStats().num_ids, initial + acked.size());
+}
+
+// One lock per shard spans a fresh key's local-id allocation, the shard
+// write, the id-map publication and the WAL append. Four writers insert
+// fresh documents into a durable 3-shard engine while the main thread
+// checkpoints in a loop. Neighbouring writers share half their keys, so
+// every shared key is inserted twice: one insert wins, the other must
+// find the key mapped and fail with AlreadyExists. Every writer also
+// sends malformed rows for keys nobody else uses; those fail inside the
+// shard after the allocation and must leave no mapping. The checks run
+// on the live engine and again after a restart from checkpoint + WAL.
+TEST(ShardedWriteLockTest, RacingFreshInsertsAndCheckpointsStayDense) {
+  const std::string dir = "sharded_engine_test_write_lock";
+  ASSERT_TRUE(workload::WipeDirectory(dir).ok());
+  ShardedSvrEngineOptions opt;
+  opt.num_shards = 3;
+  opt.shard.method = index::Method::kChunk;
+  opt.shard.index_options.chunk.chunking.min_chunk_size = 1;
+  opt.durability.enabled = true;
+  opt.durability.dir = dir;
+
+  constexpr uint32_t kInitial = 30;
+  constexpr int kWriters = 4;
+  const int64_t per_writer = kTsanBuild ? 40 : 120;
+  const int64_t stride = per_writer / 2;  // neighbours share `stride` keys
+  const int64_t bad_base = 1000000;       // malformed rows' keys
+
+  std::set<int64_t> acked;
+  std::set<int64_t> rejected;
+  std::vector<std::pair<int64_t, double>> before;
+  {
+    auto r = ShardedSvrEngine::Open(opt);
+    ASSERT_TRUE(r.ok()) << r.status().ToString();
+    auto engine = std::move(r).value();
+    SetupDocsAndScores(engine.get(), kInitial, 40, 6, 11);
+
+    std::vector<std::vector<int64_t>> won(kWriters), lost(kWriters);
+    std::vector<std::vector<int64_t>> bad(kWriters);
+    std::vector<std::string> errors(kWriters);
+    std::atomic<int> running{kWriters};
+    std::vector<std::thread> writers;
+    for (int w = 0; w < kWriters; ++w) {
+      writers.emplace_back([&, w] {
+        Random rng(100 + w);
+        const int64_t first = kInitial + w * stride;
+        for (int64_t gid = first; gid < first + per_writer; ++gid) {
+          const Status st = engine->Insert(
+              "docs", {Value::Int(gid),
+                       Value::String(DocText(&rng, 40, 6) + " fresh")});
+          if (st.IsAlreadyExists()) {
+            lost[w].push_back(gid);
+          } else if (!st.ok()) {
+            errors[w] = "insert " + std::to_string(gid) + ": " +
+                        st.ToString();
+            break;
+          } else {
+            won[w].push_back(gid);
+            const Status score_st = engine->Insert(
+                "scores", {Value::Int(gid), Value::Double(1000.0 + gid)});
+            if (!score_st.ok()) {
+              errors[w] = "score " + std::to_string(gid) + ": " +
+                          score_st.ToString();
+              break;
+            }
+          }
+          if (gid % 8 == 0) {
+            const int64_t key = bad_base + w * per_writer + (gid - first);
+            if (!engine->Insert("docs", {Value::Int(key)}).ok()) {
+              bad[w].push_back(key);  // arity 1 of 2: fails in the shard
+            }
+          }
+        }
+        running.fetch_sub(1);
+      });
+    }
+    int checkpoints = 0;
+    Status ckpt_st;
+    while (running.load() > 0 && ckpt_st.ok()) {
+      ckpt_st = engine->CheckpointNow();
+      ++checkpoints;
+    }
+    for (std::thread& t : writers) t.join();
+    ASSERT_TRUE(ckpt_st.ok()) << ckpt_st.ToString();
+    EXPECT_GT(checkpoints, 1);
+
+    size_t won_count = 0;
+    for (int w = 0; w < kWriters; ++w) {
+      EXPECT_EQ(errors[w], "") << "writer " << w;
+      acked.insert(won[w].begin(), won[w].end());
+      won_count += won[w].size();
+      rejected.insert(bad[w].begin(), bad[w].end());
+    }
+    // Each key was won exactly once, and every AlreadyExists lost to a
+    // key some writer won: the shared keys account for all of them.
+    EXPECT_EQ(acked.size(), won_count);
+    size_t lost_count = 0;
+    for (int w = 0; w < kWriters; ++w) {
+      for (const int64_t gid : lost[w]) EXPECT_EQ(acked.count(gid), 1u);
+      lost_count += lost[w].size();
+    }
+    EXPECT_EQ(lost_count,
+              static_cast<size_t>((kWriters - 1) * (per_writer - stride)));
+    EXPECT_FALSE(rejected.empty());
+    // A statement after the last checkpoint, so recovery replays a WAL
+    // suffix on top of the checkpoint.
+    ASSERT_TRUE(engine
+                    ->Update("scores", {Value::Int(kInitial),
+                                        Value::Double(5000.0)})
+                    .ok());
+    before = TopDocs(engine.get());
+    CheckDenseRouting(engine.get(), kInitial, acked, rejected);
+    engine->Stop();
+  }
+  ASSERT_FALSE(before.empty());
+
+  auto r = ShardedSvrEngine::Open(opt);
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  auto engine = std::move(r).value();
+  EXPECT_TRUE(engine->recovery_stats().used_checkpoint);
+  EXPECT_EQ(engine->recovery_stats().replay_errors, 0u);
+  CheckDenseRouting(engine.get(), kInitial, acked, rejected);
+  EXPECT_EQ(TopDocs(engine.get()), before);
+  engine->Stop();
+  EXPECT_TRUE(workload::WipeDirectory(dir).ok());
 }
 
 }  // namespace

@@ -78,23 +78,6 @@ TEST(PageStoreTest, InvalidAccessRejected) {
   EXPECT_FALSE(store.AllocateRun(0).ok());
 }
 
-TEST(FilePageStoreTest, RoundTripThroughRealFile) {
-  auto store_r = FilePageStore::Create("/tmp/svr_test_pages.bin", 512);
-  ASSERT_TRUE(store_r.ok());
-  auto& store = *store_r.value();
-  auto id = store.Allocate();
-  ASSERT_TRUE(id.ok());
-  std::string buf(512, 'q');
-  ASSERT_TRUE(store.Write(id.value(), buf.data()).ok());
-  std::string out(512, '\0');
-  ASSERT_TRUE(store.Read(id.value(), out.data()).ok());
-  EXPECT_EQ(out, buf);
-  auto run = store.AllocateRun(3);
-  ASSERT_TRUE(run.ok());
-  ASSERT_TRUE(store.Read(run.value() + 2, out.data()).ok());
-  EXPECT_EQ(out, std::string(512, '\0'));
-}
-
 // --- buffer pool -------------------------------------------------------
 
 TEST(BufferPoolTest, HitAndMissAccounting) {

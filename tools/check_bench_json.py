@@ -198,20 +198,30 @@ def check_durability(d):
 def check_telemetry(d):
     ctx = require_context(d)
     assert d["series"], "empty telemetry bench"
-    modes = {s["mode"] for s in d["series"]}
-    assert modes == {"off", "on"}, "expected off/on pairs, got %s" % modes
+    pairs = {}
     for s in d["series"]:
         assert s["mismatches"] == 0, \
             "telemetry altered results: mismatch in rep %d mode %s" % (
                 s["rep"], s["mode"])
         assert s["validated"] > 0, \
             "no validated queries in rep %d mode %s" % (s["rep"], s["mode"])
+        pair = pairs.setdefault(s["rep"], {})
+        assert s["mode"] not in pair, \
+            "rep %d repeats mode %s" % (s["rep"], s["mode"])
+        pair[s["mode"]] = s["wall_ms"]
+    for rep, pair in pairs.items():
+        assert set(pair) == {"off", "on"}, \
+            "rep %d lacks a mode: %s" % (rep, sorted(pair))
     summary = d["summary"]
-    # The headline gate: best-of-N wall time with every instrument armed
-    # must stay within 5% of telemetry disabled.
-    ratio = summary["overhead_ratio"]
+    # The headline gate: with every instrument armed, the median over
+    # reps of the paired on/off wall-time ratio stays within 5%. Each rep
+    # runs both modes back to back, so one rep slowed by the host cannot
+    # decide it.
+    ratios = sorted(p["on"] / p["off"] for p in pairs.values())
+    ratio = statistics.median(ratios)
     assert ratio <= 1.05, \
-        "telemetry record-path overhead %.4f exceeds the 5%% budget" % ratio
+        "median paired telemetry overhead %.4f exceeds the 5%% budget " \
+        "(reps: %s)" % (ratio, ", ".join("%.3f" % r for r in ratios))
     assert summary["dump_ok"] is True, \
         "DumpMetrics round-trip failed mid-workload"
     assert summary["periodic_dumps"] > 0, \
@@ -222,11 +232,12 @@ def check_telemetry(d):
     assert off["min_wall_ms"] <= off["median_wall_ms"] <= off["max_wall_ms"], \
         "off-mode wall spread out of order"
     spread = (off["max_wall_ms"] - off["min_wall_ms"]) / off["median_wall_ms"]
-    return "overhead ratio %.4f (gate 1.05), off-mode spread %.1f%% " \
+    return "median paired overhead %.4f (gate 1.05) over %d reps " \
+        "(min %.4f, max %.4f), off-mode spread %.1f%% " \
         "(min/median/max %.0f/%.0f/%.0f ms), %d periodic dumps; %d CPUs" % (
-            ratio, 100.0 * spread, off["min_wall_ms"], off["median_wall_ms"],
-            off["max_wall_ms"], summary["periodic_dumps"],
-            ctx["hardware_concurrency"])
+            ratio, len(ratios), ratios[0], ratios[-1], 100.0 * spread,
+            off["min_wall_ms"], off["median_wall_ms"], off["max_wall_ms"],
+            summary["periodic_dumps"], ctx["hardware_concurrency"])
 
 
 def check_server(d):
@@ -529,11 +540,18 @@ def _self_test_fixtures():
     ]}
     spread = {"min_wall_ms": 900.0, "median_wall_ms": 950.0,
               "max_wall_ms": 1000.0}
-    telemetry_ok = {"context": context, "series": [
-        {"rep": r, "mode": m, "mismatches": 0, "validated": 5}
-        for r in (0, 1) for m in ("off", "on")
-    ], "summary": {"overhead_ratio": 1.02, "dump_ok": True,
-                   "periodic_dumps": 12, "off": spread, "on": spread}}
+    # Five off/on pairs: rep 1 ran on a slow host (1.30x) but the median
+    # pair holds 1.01x.
+    def telemetry_run(ratios):
+        return {"context": context, "series": [
+            {"rep": r, "mode": m, "mismatches": 0, "validated": 5,
+             "wall_ms": 1000.0 * (ratio if m == "on" else 1.0)}
+            for r, ratio in enumerate(ratios) for m in ("off", "on")
+        ], "summary": {"overhead_ratio": statistics.median(ratios),
+                       "dump_ok": True, "periodic_dumps": 12,
+                       "off": spread, "on": spread}}
+
+    telemetry_ok = telemetry_run((1.01, 1.30, 0.98, 1.02, 1.00))
     server_ok = {"series": [
         {"kind": "write", "clients": 1, "ops_per_sec": 700.0},
         {"kind": "write", "clients": 8, "ops_per_sec": 1800.0},
@@ -628,8 +646,11 @@ def _self_test_fixtures():
                                 4: 250.0}[s["rep"]]
     dur_half_pair = json.loads(json.dumps(dur_ok))
     del dur_half_pair["series"][3]  # rep 1 without its sync_each run
-    telemetry_bad = json.loads(json.dumps(telemetry_ok))
-    telemetry_bad["summary"]["overhead_ratio"] = 1.12  # over the 5% budget
+    telemetry_slow = telemetry_run((1.06, 1.08, 1.00, 1.07, 1.02))  # 1.06
+    telemetry_no_dumps = json.loads(json.dumps(telemetry_ok))
+    telemetry_no_dumps["summary"]["periodic_dumps"] = 0
+    telemetry_half_pair = json.loads(json.dumps(telemetry_ok))
+    del telemetry_half_pair["series"][3]  # rep 1 without its on run
     server_bad = json.loads(json.dumps(server_ok))
     server_bad["series"][4]["rejected"] = 0  # admission never shed
     paper_slow_chunk = json.loads(json.dumps(paper_ok))
@@ -689,7 +710,8 @@ def _self_test_fixtures():
         "sharded_churn": [shard_bad],
         "mvcc_churn": [mvcc_bad],
         "durability": [dur_bad, dur_half_pair, without_context(dur_ok)],
-        "telemetry": [telemetry_bad, without_context(telemetry_ok)],
+        "telemetry": [telemetry_slow, telemetry_no_dumps, telemetry_half_pair,
+                      without_context(telemetry_ok)],
         "server": [server_bad],
         "paper": [paper_slow_chunk, paper_id_climbs, paper_unvalidated,
                   without_context(paper_ok), dict(paper_ok, figure="fig9"),

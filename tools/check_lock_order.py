@@ -3,7 +3,7 @@
 
 Clang's thread-safety analysis proves *which* lock a function holds, but
 it cannot see through the dynamically-indexed mutex vectors the sharded
-engine uses (``shard_insert_mu_[shard]``), and ACQUIRED_BEFORE/AFTER
+engine uses (``shard_log_mu_[shard]``), and ACQUIRED_BEFORE/AFTER
 annotations only cover pairs someone remembered to declare.  This lint
 closes that gap textually:
 
@@ -36,19 +36,15 @@ import tempfile
 # means "a may be held while acquiring b".  Cross-file nestings are not
 # lexically visible to the extractor, so they are declared here.
 DECLARED_EDGES = [
-    # Sharded write path: per-shard insert and log mutexes, then the
-    # target engine's writer mutex.
-    ("sharded_engine:shard_insert_mu_", "svr_engine:writer_mu_"),
+    # Sharded write path: the per-shard write mutex, then the target
+    # engine's writer mutex.
     ("sharded_engine:shard_log_mu_", "svr_engine:writer_mu_"),
-    # The per-shard log mutex serialises WAL appends; the WAL writer's
-    # internal mutex nests inside it.
-    ("sharded_engine:shard_insert_mu_", "sharded_engine:shard_log_mu_"),
+    # The per-shard write mutex also serialises WAL appends; the WAL
+    # writer's internal mutex nests inside it.
     ("sharded_engine:shard_log_mu_", "log_writer:mu_"),
-    # The id-map reader/writer lock nests inside the per-shard mutexes.
-    ("sharded_engine:shard_insert_mu_", "sharded_engine:map_mu_"),
+    # The id-map reader/writer lock nests inside the per-shard mutex.
     ("sharded_engine:shard_log_mu_", "sharded_engine:map_mu_"),
     # Checkpoints exclude writers while holding the checkpoint run lock.
-    ("sharded_engine:ckpt_run_mu_", "sharded_engine:shard_insert_mu_"),
     ("sharded_engine:ckpt_run_mu_", "sharded_engine:shard_log_mu_"),
     # Merge scheduler: lifecycle (start/stop) before its queue mutex.
     ("merge_scheduler:lifecycle_mu_", "merge_scheduler:mu_"),
@@ -57,7 +53,6 @@ DECLARED_EDGES = [
 # Per-shard mutex arrays: acquired [0..n) in ascending index, so a
 # "self" nesting (holding one element while taking another) is legal.
 ASCENDING_ARRAYS = {
-    "sharded_engine:shard_insert_mu_",
     "sharded_engine:shard_log_mu_",
 }
 
