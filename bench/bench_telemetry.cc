@@ -118,10 +118,10 @@ int main(int argc, char** argv) {
         // Everything armed: slow-query comparisons on the query path
         // (the default threshold keeps captures rare, which is the
         // production posture) and the background dump thread racing the
-        // workload through the registry. The interval sits well below
+        // workload through the registry. The interval sits below
         // one rep's wall time (about 130 ms at ci.sh's smoke size), so
         // the dump runs inside every rep.
-        telemetry.dump_interval_ms = 25;
+        telemetry.dump_interval_ms = 50;
         telemetry.dump_sink = [&periodic_dumps](const std::string&) {
           periodic_dumps.fetch_add(1);
         };
