@@ -119,7 +119,7 @@ int main(int argc, char** argv) {
         // (the default threshold keeps captures rare, which is the
         // production posture) and the background dump thread racing the
         // workload through the registry. The interval sits below
-        // one rep's wall time (about 130 ms at ci.sh's smoke size), so
+        // one rep's wall time (about 1 s at ci.sh's smoke size), so
         // the dump runs inside every rep.
         telemetry.dump_interval_ms = 50;
         telemetry.dump_sink = [&periodic_dumps](const std::string&) {

@@ -92,9 +92,10 @@ if [ "$SANITIZERS_ONLY" != "1" ]; then
   # threshold, background periodic dump), in five off/on pairs. The
   # JSON check gates the median paired on/off wall ratio <= 1.05, 0
   # oracle mismatches, at least one periodic dump, and a successful
-  # DumpMetrics round-trip in both formats mid-flight.
+  # DumpMetrics round-trip in both formats mid-flight. 36000 writer ops
+  # make each rep last about 1 s (about 10 s for the ten reps).
   "$BUILD_DIR/bench_telemetry" docs=2000 vocab=1500 terms=20 \
-    writer_ops=6000 query_threads=2 validate_every=32 reps=5 \
+    writer_ops=36000 query_threads=2 validate_every=32 reps=5 \
     out="$SMOKE/BENCH_telemetry.json"
 
   # Serving smoke run (docs/serving.md): a real server over real

@@ -709,7 +709,9 @@ Result<std::vector<ScoredRow>> ShardedSvrEngine::SearchAt(
     if (row_it == row_index[loc.shard].end()) {
       return Status::Internal("gather produced a hit no shard returned");
     }
-    ScoredRow r = shard_rows[loc.shard][row_it->second];
+    // Each merged global id maps to exactly one (shard, local) row, so
+    // every row is read once here and can be moved, not copied.
+    ScoredRow r = std::move(shard_rows[loc.shard][row_it->second]);
     r.pk = gid;  // restore the caller's key space
     if (pk_index >= 0 && static_cast<size_t>(pk_index) < r.row.size()) {
       r.row[pk_index] = relational::Value::Int(gid);

@@ -7,10 +7,17 @@
 namespace svr::durability {
 
 /// CRC-32C (Castagnoli, polynomial 0x1EDC6F41 reflected) over `n` bytes,
-/// continuing from `crc` (pass 0 to start). Software table
-/// implementation — no hardware intrinsics, so the checksum is identical
-/// on every build the CI matrix runs.
+/// continuing from `crc` (pass 0 to start). The one checksum of WAL
+/// frames, checkpoints and wire frames. On x86-64 CPUs with SSE4.2 it runs
+/// the `crc32` instruction, 8 bytes per step; elsewhere it runs
+/// Crc32cPortable. Every path computes the same function, so the bytes on
+/// disk and on the wire do not depend on the CPU; Crc32cTest.KnownVectors
+/// pins the values.
 uint32_t Crc32c(uint32_t crc, const char* data, size_t n);
+
+/// The byte-at-a-time table loop: Crc32c's path on CPUs without a CRC32
+/// instruction, and the reference the tests check the fast path against.
+uint32_t Crc32cPortable(uint32_t crc, const char* data, size_t n);
 
 /// One-shot form.
 inline uint32_t Crc32c(const char* data, size_t n) {

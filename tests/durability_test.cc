@@ -58,6 +58,38 @@ TEST(Crc32cTest, IncrementalMatchesOneShot) {
   EXPECT_EQ(split, whole);
 }
 
+TEST(Crc32cTest, MatchesPortableReference) {
+  // Crc32c takes the CPU's CRC32 instruction where it has one; the byte
+  // loop is the reference. On a CPU without SSE4.2, Crc32c is that loop,
+  // and this case compares the loop with itself.
+  std::string buf(65539 + 8, '\0');
+  uint32_t x = 0x9e3779b9u;
+  for (char& c : buf) {
+    x = x * 1664525u + 1013904223u;
+    c = static_cast<char>(x >> 24);
+  }
+  std::vector<size_t> lengths;
+  for (size_t n = 0; n <= 300; ++n) lengths.push_back(n);
+  lengths.push_back(4096);
+  lengths.push_back(65539);
+  for (size_t offset = 0; offset < 8; ++offset) {
+    for (size_t n : lengths) {
+      const char* p = buf.data() + offset;
+      ASSERT_EQ(durability::Crc32c(p, n), durability::Crc32cPortable(0, p, n))
+          << "offset " << offset << ", length " << n;
+    }
+  }
+  // Continuation: Crc32c(Crc32c(a), b) == Crc32c(a + b) at every split.
+  const size_t total = 300;
+  const uint32_t whole = durability::Crc32cPortable(0, buf.data(), total);
+  for (size_t split = 0; split <= total; ++split) {
+    const uint32_t head = durability::Crc32c(buf.data(), split);
+    ASSERT_EQ(durability::Crc32c(head, buf.data() + split, total - split),
+              whole)
+        << "split " << split;
+  }
+}
+
 TEST(Crc32cTest, MaskRoundTrips) {
   for (uint32_t crc : {0u, 1u, 0xE3069283u, 0xFFFFFFFFu, 0xDEADBEEFu}) {
     EXPECT_EQ(durability::UnmaskCrc(durability::MaskCrc(crc)), crc);

@@ -8,15 +8,19 @@ one place and run identically in CI and locally:
     python3 tools/check_bench_json.py BENCH_merge.json \
         BENCH_concurrency.json BENCH_sharding.json
 
-Exit status is non-zero on the first failed assertion; every passing
-file prints a one-line summary.
+Every file is checked and prints one verdict line: OK with a summary,
+or FAIL with the failed assertion (an unknown "bench" kind is a FAIL).
+Exit status is 1 if any file failed.
 """
 
+import contextlib
 import functools
+import io
 import json
 import os
 import statistics
 import sys
+import tempfile
 
 # The committed same-work artifact that check_work compares reruns to.
 WORK_REFERENCE = os.path.join(os.path.dirname(os.path.abspath(__file__)),
@@ -757,10 +761,63 @@ def self_test():
                 continue
             raise SystemExit(
                 "self-test: %s checker accepted a seeded failure" % bench)
+    _self_test_every_file_reported(passing, failing)
     print("check_bench_json.py --self-test: OK (%d checkers, each "
-          "accepts its passing fixture and rejects its seeded failures)"
-          % len(CHECKERS))
+          "accepts its passing fixture and rejects its seeded failures; "
+          "a failing file hides no later verdict)" % len(CHECKERS))
     return 0
+
+
+def _self_test_every_file_reported(passing, failing):
+    """A failing file, then an unknown bench kind, then a passing file:
+    all three verdicts print, in order, and the exit status is 1."""
+    files = [("failing.json", dict(failing["merge_policy"][0],
+                                   bench="merge_policy")),
+             ("unknown.json", {"bench": "no_such_bench"}),
+             ("passing.json", dict(passing["merge_policy"],
+                                   bench="merge_policy"))]
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = []
+        for name, payload in files:
+            paths.append(os.path.join(tmp, name))
+            with open(paths[-1], "w") as f:
+                json.dump(payload, f)
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out), \
+                contextlib.redirect_stderr(out):
+            status = check_files(paths)
+    # "<path>: OK (summary)" or "<path>: FAIL: reason" -> OK / FAIL
+    verdicts = [line.split(": ", 2)[1].split(" ")[0]
+                for line in out.getvalue().splitlines()]
+    if status != 1 or verdicts != ["FAIL", "FAIL", "OK"]:
+        raise SystemExit("self-test: expected FAIL, FAIL, OK and exit 1; "
+                         "got %r and exit %d" % (out.getvalue(), status))
+
+
+def check_file(path):
+    """Checks one artifact; prints and returns its verdict (True = OK)."""
+    with open(path) as f:
+        d = json.load(f)
+    bench = d.get("bench")
+    checker = CHECKERS.get(bench)
+    if checker is None:
+        print("%s: FAIL: unknown bench kind %r" % (path, bench),
+              file=sys.stderr)
+        return False
+    try:
+        summary = checker(d)
+    except AssertionError as e:
+        print("%s: FAIL: %s" % (path, e), file=sys.stderr)
+        return False
+    print("%s: OK (%s)" % (path, summary))
+    return True
+
+
+def check_files(paths):
+    """Checks every file, so one failure hides no later verdict; 1 if
+    any failed."""
+    verdicts = [check_file(path) for path in paths]
+    return 0 if all(verdicts) else 1
 
 
 def main(argv):
@@ -770,22 +827,7 @@ def main(argv):
         print("usage: check_bench_json.py [--self-test] BENCH_*.json...",
               file=sys.stderr)
         return 2
-    for path in argv[1:]:
-        with open(path) as f:
-            d = json.load(f)
-        bench = d.get("bench")
-        checker = CHECKERS.get(bench)
-        if checker is None:
-            print("%s: unknown bench kind %r" % (path, bench),
-                  file=sys.stderr)
-            return 1
-        try:
-            summary = checker(d)
-        except AssertionError as e:
-            print("%s: FAIL: %s" % (path, e), file=sys.stderr)
-            return 1
-        print("%s: OK (%s)" % (path, summary))
-    return 0
+    return check_files(argv[1:])
 
 
 if __name__ == "__main__":
