@@ -12,7 +12,10 @@
 // stay within 5% (BENCH_telemetry.json, checked by
 // tools/check_bench_json.py). Each rep runs off, then on, so drift hits
 // both halves of a pair alike, and the median keeps one rep slowed by
-// the host from deciding the gate. The summary also reports each mode's
+// the host from deciding the gate. Every rep is the same work: the
+// writer's `writer_ops` and exactly `queries` searches per query thread,
+// so a rep's wall time does not float with how many queries fit beside
+// the writer. The summary also reports each mode's
 // min/median/max wall time, so the rep-to-rep spread is on record.
 // Every rep oracle-validates a slice of its queries; mismatches must be
 // 0 — telemetry must never alter results.
@@ -77,6 +80,8 @@ int main(int argc, char** argv) {
   cfg.writer_ops = static_cast<uint32_t>(flags.GetInt("writer_ops", 12000));
   cfg.query_threads =
       static_cast<uint32_t>(flags.GetInt("query_threads", 3));
+  cfg.queries_per_thread =
+      static_cast<uint32_t>(flags.GetInt("queries", 4000));
   cfg.top_k = static_cast<uint32_t>(flags.GetInt("k", 20));
   cfg.validate_every =
       static_cast<uint32_t>(flags.GetInt("validate_every", 64));
@@ -86,8 +91,9 @@ int main(int argc, char** argv) {
       flags.GetString("out", "BENCH_telemetry.json");
 
   std::printf("# telemetry overhead: %u docs, %u writer ops, %u query "
-              "threads, %d off/on pairs\n\n",
-              cfg.initial_docs, cfg.writer_ops, cfg.query_threads, reps);
+              "threads x %u queries, %d off/on pairs\n\n",
+              cfg.initial_docs, cfg.writer_ops, cfg.query_threads,
+              cfg.queries_per_thread, reps);
 
   std::FILE* json = std::fopen(out_path.c_str(), "w");
   if (json == nullptr) {
@@ -98,9 +104,10 @@ int main(int argc, char** argv) {
   WriteContextJson(json);
   std::fprintf(json,
                "  \"docs\": %u,\n  \"writer_ops\": %u,\n"
-               "  \"query_threads\": %u,\n  \"reps\": %d,\n"
-               "  \"series\": [",
-               cfg.initial_docs, cfg.writer_ops, cfg.query_threads, reps);
+               "  \"query_threads\": %u,\n  \"queries_per_thread\": %u,\n"
+               "  \"reps\": %d,\n  \"series\": [",
+               cfg.initial_docs, cfg.writer_ops, cfg.query_threads,
+               cfg.queries_per_thread, reps);
 
   TablePrinter table({"rep", "mode", "wall ms", "qry p50 ms", "qry p95 ms",
                       "validated", "mismatches"});

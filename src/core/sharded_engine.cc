@@ -547,11 +547,21 @@ std::vector<std::vector<index::SearchResult>>
 ShardedSvrEngine::TranslateToGlobal(
     const std::vector<std::vector<index::SearchResult>>& lists,
     const std::vector<uint32_t>& shard_of_list) const {
-  std::vector<std::vector<index::SearchResult>> out(lists.size());
   ReaderMutexLock lock(map_mu_);
+  return TranslateToGlobalLocked(lists, &shard_of_list);
+}
+
+std::vector<std::vector<index::SearchResult>>
+ShardedSvrEngine::TranslateToGlobalLocked(
+    const std::vector<std::vector<index::SearchResult>>& lists,
+    const std::vector<uint32_t>* shard_of_list) const {
+  std::vector<std::vector<index::SearchResult>> out(lists.size());
   for (size_t i = 0; i < lists.size(); ++i) {
-    const size_t s = i < shard_of_list.size() ? shard_of_list[i]
-                                              : local_to_global_.size();
+    size_t s = i;
+    if (shard_of_list != nullptr) {
+      s = i < shard_of_list->size() ? (*shard_of_list)[i]
+                                    : local_to_global_.size();
+    }
     out[i].reserve(lists[i].size());
     for (const index::SearchResult& r : lists[i]) {
       const int64_t gid = s < local_to_global_.size() &&
@@ -574,11 +584,8 @@ std::vector<std::vector<index::SearchResult>>
 ShardedSvrEngine::TranslateToGlobal(
     const std::vector<std::vector<index::SearchResult>>& per_shard)
     const {
-  std::vector<uint32_t> identity(per_shard.size());
-  for (size_t s = 0; s < identity.size(); ++s) {
-    identity[s] = static_cast<uint32_t>(s);
-  }
-  return TranslateToGlobal(per_shard, identity);
+  ReaderMutexLock lock(map_mu_);
+  return TranslateToGlobalLocked(per_shard, nullptr);
 }
 
 std::vector<index::SearchResult> ShardedSvrEngine::MergeTopK(
@@ -636,21 +643,13 @@ Result<std::vector<ScoredRow>> ShardedSvrEngine::SearchAt(
     t->shards.resize(n);
   }
   telemetry::StageTimer timer(t != nullptr);
-  std::vector<std::vector<ScoredRow>> shard_rows(n);
   std::vector<std::vector<index::SearchResult>> shard_hits(n);
   std::vector<Status> shard_status(n);
   auto run_shard = [&](size_t s) {
     telemetry::StageTimer shard_timer(t != nullptr);
-    auto r = shards_[s]->SearchAt(view.shards[s], keywords, k, conjunctive);
-    if (!r.ok()) {
-      shard_status[s] = r.status();
-      return;
-    }
-    shard_rows[s] = std::move(r).value();
-    shard_hits[s].reserve(shard_rows[s].size());
-    for (const ScoredRow& row : shard_rows[s]) {
-      shard_hits[s].push_back({static_cast<DocId>(row.pk), row.score});
-    }
+    shard_status[s] = shards_[s]->SearchHitsAt(view.shards[s], keywords, k,
+                                               conjunctive, &shard_hits[s]);
+    if (!shard_status[s].ok()) return;
     if (t != nullptr) {
       telemetry::ShardSpan& span = t->shards[s];
       span.shard = static_cast<uint32_t>(s);
@@ -664,55 +663,42 @@ Result<std::vector<ScoredRow>> ShardedSvrEngine::SearchAt(
   }
   timer.Lap();  // scatter wall time: covered per shard by the spans
 
-  // Gather: one bounded merge heap over (score desc, global id asc).
-  const std::vector<index::SearchResult> merged = GatherTopK(shard_hits, k);
-  if (t != nullptr) t->gather_us = timer.Lap(tel_.gather_us);
-
+  // Gather: one bounded merge heap over (score desc, global id asc),
+  // then each winner's (shard, local) home — all under one shared map
+  // acquisition.
+  std::vector<index::SearchResult> merged;
+  std::vector<Loc> hit_locs;
   int pk_index = 0;
   {
     ReaderMutexLock lock(map_mu_);
-    auto it = tables_.find(scored_table_);
-    if (it != tables_.end()) pk_index = it->second.pk_index;
-  }
-  // Local pk -> position within each shard's result list, so resolving
-  // the merged hits back to their rows stays O(k) rather than O(k^2).
-  std::vector<std::unordered_map<int64_t, size_t>> row_index(
-      shards_.size());
-  for (size_t s = 0; s < shard_rows.size(); ++s) {
-    row_index[s].reserve(shard_rows[s].size());
-    for (size_t i = 0; i < shard_rows[s].size(); ++i) {
-      row_index[s].emplace(shard_rows[s][i].pk, i);
-    }
-  }
-  // One shared map acquisition resolves every merged hit back to its
-  // (shard, local) — per-hit Route() calls would re-take the lock k
-  // times on the hot query path.
-  std::vector<Loc> hit_locs(merged.size());
-  {
-    ReaderMutexLock lock(map_mu_);
-    for (size_t i = 0; i < merged.size(); ++i) {
-      auto it = id_map_.find(static_cast<int64_t>(merged[i].doc));
+    merged = MergeTopK(TranslateToGlobalLocked(shard_hits, nullptr), k);
+    hit_locs.reserve(merged.size());
+    for (const index::SearchResult& hit : merged) {
+      auto it = id_map_.find(static_cast<int64_t>(hit.doc));
       if (it == id_map_.end()) {
         return Status::Internal("gather produced an unmapped key");
       }
-      hit_locs[i] = it->second;
+      hit_locs.push_back(it->second);
     }
+    auto it = tables_.find(scored_table_);
+    if (it != tables_.end()) pk_index = it->second.pk_index;
   }
+  if (t != nullptr) t->gather_us = timer.Lap(tel_.gather_us);
+
+  // Join: only the global winners, each copied from its shard's row
+  // column at the pinned version, on this thread.
   std::vector<ScoredRow> out;
   out.reserve(merged.size());
   for (size_t i = 0; i < merged.size(); ++i) {
-    const index::SearchResult& hit = merged[i];
-    const int64_t gid = static_cast<int64_t>(hit.doc);
     const Loc loc = hit_locs[i];
-    const auto row_it =
-        row_index[loc.shard].find(static_cast<int64_t>(loc.local));
-    if (row_it == row_index[loc.shard].end()) {
-      return Status::Internal("gather produced a hit no shard returned");
+    const relational::Row* row =
+        view.shards[loc.shard].state->RowOf(loc.local);
+    if (row == nullptr) {
+      return Status::Internal("hit has no row at its version");
     }
-    // Each merged global id maps to exactly one (shard, local) row, so
-    // every row is read once here and can be moved, not copied.
-    ScoredRow r = std::move(shard_rows[loc.shard][row_it->second]);
-    r.pk = gid;  // restore the caller's key space
+    const int64_t gid = static_cast<int64_t>(merged[i].doc);
+    ScoredRow r{gid, merged[i].score, *row};
+    // Restore the caller's key space in the row too.
     if (pk_index >= 0 && static_cast<size_t>(pk_index) < r.row.size()) {
       r.row[pk_index] = relational::Value::Int(gid);
     }

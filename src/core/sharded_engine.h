@@ -165,10 +165,11 @@ class ShardedSvrEngine {
   Status Delete(const std::string& table, int64_t pk);
 
   /// Scatter-gather top-k at one pinned cross-shard read timestamp:
-  /// pins every shard's snapshot, fetches k from each (on the query
-  /// pool when `num_query_threads` > 1), merges on one bounded heap by
-  /// (score desc, global id asc), and returns rows with their global
-  /// primary keys restored — all from the same pinned views. A non-null
+  /// pins every shard's snapshot, fetches k (doc, score) hits from each
+  /// (on the query pool when `num_query_threads` > 1), merges on one
+  /// bounded heap by (score desc, global id asc), then joins only the
+  /// winners' rows, on the calling thread, with their global primary
+  /// keys restored — all from the same pinned views. A non-null
   /// `trace` receives the stage trace with one ShardSpan per shard
   /// (docs/observability.md); results are identical either way.
   Result<std::vector<ScoredRow>> Search(const std::string& keywords,
@@ -291,6 +292,12 @@ class ShardedSvrEngine {
 
   Result<const TableRoute*> RouteOf(const std::string& table) const
       EXCLUDES(map_mu_);
+  /// TranslateToGlobal's body, for callers already holding map_mu_. A
+  /// null `shard_of_list` treats list i as shard i's.
+  std::vector<std::vector<index::SearchResult>> TranslateToGlobalLocked(
+      const std::vector<std::vector<index::SearchResult>>& lists,
+      const std::vector<uint32_t>* shard_of_list) const
+      REQUIRES_SHARED(map_mu_);
   /// Runs fn(s) once per shard and returns when all calls have: fanned
   /// out on the query pool (the caller takes one lane) when the engine
   /// has one, else one shard after another. The search scatter and

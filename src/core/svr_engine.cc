@@ -27,17 +27,13 @@ SvrEngine::SvrEngine(const SvrEngineOptions& options) : options_(options) {
   // progress collect here (under writer_mu_) and are retired as one
   // epoch batch when the next snapshot publishes — never freed while a
   // sealed version could still reach them.
-  table_page_retirer_ = [this](storage::PageId id) {
-    pending_pages_.emplace_back(table_pool_.get(), id);
-  };
   list_page_retirer_ = [this](storage::PageId id) {
     pending_pages_.emplace_back(list_pool_.get(), id);
   };
   blob_retirer_ = [this](const storage::BlobRef& ref) {
     pending_blobs_.push_back(ref);
   };
-  db_ = std::make_unique<relational::Database>(table_pool_.get(),
-                                               table_page_retirer_);
+  db_ = std::make_unique<relational::Database>(table_pool_.get());
 }
 
 SvrEngine::~SvrEngine() { Stop(); }
@@ -92,9 +88,7 @@ uint64_t SvrEngine::PublishCommit() {
   if (idx != nullptr) {
     snap->has_index = true;
     snap->index = idx->SealSnapshot();
-  }
-  if (scored_rows_table_ != nullptr) {
-    snap->scored_rows = scored_rows_table_->Seal();
+    snap->rows = rows_.Seal();
   }
   std::atomic_store_explicit(
       &published_, std::shared_ptr<const EngineSnapshot>(std::move(snap)),
@@ -196,6 +190,7 @@ Status SvrEngine::CreateTextIndex(
           return false;
         }
         corpus_.Add(TokenizeToDocument(row[text_column_].as_string()));
+        rows_.Set(expected, std::make_shared<const relational::Row>(row));
         ++expected;
         return true;
       }));
@@ -223,7 +218,6 @@ Status SvrEngine::CreateTextIndex(
             }
             return index_->OnScoreUpdate(doc, new_score);
           });
-      scored_rows_table_ = t;
       index_ptr_.store(index_.get(), std::memory_order_release);
       return Status::OK();
     }();
@@ -312,19 +306,27 @@ void SvrEngine::Stop() {
   }
 }
 
-Status SvrEngine::HandleScoredTableWrite(const relational::Row* old_row,
-                                         const relational::Row& new_row) {
-  const DocId doc = static_cast<DocId>(new_row[pk_column_].as_int());
+Status SvrEngine::HandleScoredTableWrite(const relational::Row& new_row,
+                                         bool fresh) {
+  const int64_t pk = new_row[pk_column_].as_int();
+  const DocId doc = static_cast<DocId>(pk);
   const std::string& text = new_row[text_column_].as_string();
-  if (old_row == nullptr) {
+  if (fresh) {
     // Fresh document. Doc ids must stay dense.
-    if (doc != corpus_.num_docs()) {
+    if (pk != static_cast<int64_t>(corpus_.num_docs())) {
       return Status::InvalidArgument(
           "scored-table primary keys must be dense 0..N-1");
     }
+    rows_.Set(doc, std::make_shared<const relational::Row>(new_row));
     corpus_.Add(TokenizeToDocument(text));
     return index_->InsertDocument(doc, score_view_->ScoreOf(doc));
   }
+  // The column still holds the row this update replaced; a row the
+  // index never took (a rejected non-dense insert) has no slot.
+  const std::shared_ptr<const relational::Row> old_row =
+      pk >= 0 ? rows_.Get(static_cast<size_t>(pk)) : nullptr;
+  if (old_row == nullptr) return Status::OK();
+  rows_.Set(doc, std::make_shared<const relational::Row>(new_row));
   // Content update (only when the text actually changed).
   const std::string& old_text = (*old_row)[text_column_].as_string();
   if (old_text == text) return Status::OK();
@@ -362,7 +364,7 @@ Status SvrEngine::ApplyInsertLocked(const std::string& table,
                                     const relational::Row& row) {
   SVR_RETURN_NOT_OK(db_->Insert(table, row));
   if (index_ != nullptr && table == scored_table_) {
-    SVR_RETURN_NOT_OK(HandleScoredTableWrite(nullptr, row));
+    SVR_RETURN_NOT_OK(HandleScoredTableWrite(row, /*fresh=*/true));
   }
   if (score_view_ != nullptr) {
     SVR_RETURN_NOT_OK(score_view_->last_error());
@@ -372,14 +374,9 @@ Status SvrEngine::ApplyInsertLocked(const std::string& table,
 
 Status SvrEngine::ApplyUpdateLocked(const std::string& table,
                                     const relational::Row& row) {
-  relational::Row old_row;
-  if (index_ != nullptr && table == scored_table_) {
-    SVR_RETURN_NOT_OK(
-        db_->GetTable(table)->Get(row[pk_column_].as_int(), &old_row));
-  }
   SVR_RETURN_NOT_OK(db_->Update(table, row));
   if (index_ != nullptr && table == scored_table_) {
-    SVR_RETURN_NOT_OK(HandleScoredTableWrite(&old_row, row));
+    SVR_RETURN_NOT_OK(HandleScoredTableWrite(row, /*fresh=*/false));
   }
   if (score_view_ != nullptr) {
     SVR_RETURN_NOT_OK(score_view_->last_error());
@@ -390,6 +387,9 @@ Status SvrEngine::ApplyUpdateLocked(const std::string& table,
 Status SvrEngine::ApplyDeleteLocked(const std::string& table, int64_t pk) {
   SVR_RETURN_NOT_OK(db_->Delete(table, pk));
   if (index_ != nullptr && table == scored_table_) {
+    if (pk >= 0 && static_cast<uint64_t>(pk) < rows_.size()) {
+      rows_.Set(static_cast<size_t>(pk), nullptr);
+    }
     SVR_RETURN_NOT_OK(index_->DeleteDocument(static_cast<DocId>(pk)));
   }
   if (score_view_ != nullptr) {
@@ -451,8 +451,45 @@ Result<std::vector<ScoredRow>> SvrEngine::SearchAt(const ReadView& view,
   // Stage histograms (docs/observability.md); disabled, the timer reads
   // no clock.
   telemetry::StageTimer timer(telemetry_enabled_);
+  std::vector<index::SearchResult> hits;
+  Status st = RankAt(*view.state, keywords, k, conjunctive, &timer, &hits);
+  std::vector<ScoredRow> out;
+  if (st.ok() && !hits.empty()) {
+    out.reserve(hits.size());
+    for (const index::SearchResult& h : hits) {
+      const relational::Row* row = view.state->RowOf(h.doc);
+      if (row == nullptr) {
+        st = Status::Internal("hit has no row at its version");
+        break;
+      }
+      out.push_back({static_cast<int64_t>(h.doc), h.score, *row});
+    }
+    timer.Lap(tel_.query_join_us);
+  }
+  timer.TotalUs(tel_.query_total_us);
+  SVR_RETURN_NOT_OK(st);
+  return out;
+}
 
-  const EngineSnapshot& snap = *view.state;
+Status SvrEngine::SearchHitsAt(const ReadView& view,
+                               const std::string& keywords, size_t k,
+                               bool conjunctive,
+                               std::vector<index::SearchResult>* hits) {
+  hits->clear();
+  if (!view.indexed()) {
+    return Status::InvalidArgument("no text index; CreateTextIndex first");
+  }
+  telemetry::StageTimer timer(telemetry_enabled_);
+  const Status st =
+      RankAt(*view.state, keywords, k, conjunctive, &timer, hits);
+  timer.TotalUs(tel_.query_total_us);
+  return st;
+}
+
+Status SvrEngine::RankAt(const EngineSnapshot& snap,
+                         const std::string& keywords, size_t k,
+                         bool conjunctive, telemetry::StageTimer* timer,
+                         std::vector<index::SearchResult>* hits) {
   index::Query query;
   query.conjunctive = conjunctive;
   bool impossible = false;  // conjunctive query with an unknown term
@@ -472,30 +509,11 @@ Result<std::vector<ScoredRow>> SvrEngine::SearchAt(const ReadView& view,
       query.terms.push_back(term);
     }
   }
-  timer.Lap(tel_.query_term_resolve_us);
-
-  std::vector<ScoredRow> out;
-  Status st;
-  if (!impossible && !query.terms.empty()) {
-    std::vector<index::SearchResult> hits;
-    st = index_->TopKAt(snap.index, query, k, &hits);
-    timer.Lap(tel_.query_index_us);
-    if (st.ok()) {
-      out.reserve(hits.size());
-      for (const auto& h : hits) {
-        ScoredRow r;
-        r.pk = static_cast<int64_t>(h.doc);
-        r.score = h.score;
-        st = scored_rows_table_->GetAt(snap.scored_rows, r.pk, &r.row);
-        if (!st.ok()) break;
-        out.push_back(std::move(r));
-      }
-      timer.Lap(tel_.query_join_us);
-    }
-  }
-  timer.TotalUs(tel_.query_total_us);
-  SVR_RETURN_NOT_OK(st);
-  return out;
+  timer->Lap(tel_.query_term_resolve_us);
+  if (impossible || query.terms.empty()) return Status::OK();
+  const Status st = index_->TopKAt(snap.index, query, k, hits);
+  timer->Lap(tel_.query_index_us);
+  return st;
 }
 
 Status SvrEngine::ReadSnapshot(

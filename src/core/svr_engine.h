@@ -11,6 +11,7 @@
 #include "common/result.h"
 #include "common/status.h"
 #include "common/thread_annotations.h"
+#include "common/versioned_array.h"
 #include "concurrency/commit_clock.h"
 #include "concurrency/epoch.h"
 #include "concurrency/merge_scheduler.h"
@@ -96,6 +97,10 @@ struct ScoredRow {
   relational::Row row;
 };
 
+/// The scored table's rows by dense doc id, shared between versions;
+/// a deleted document's slot is null.
+using RowColumn = VersionedArray<std::shared_ptr<const relational::Row>>;
+
 /// \brief One published engine version: everything the read path needs,
 /// sealed at a single commit timestamp. Immutable once published;
 /// readers hold it through a shared_ptr inside a ReadView.
@@ -103,8 +108,14 @@ struct EngineSnapshot {
   uint64_t commit_ts = 0;
   bool has_index = false;
   index::IndexSnapshot index;
-  /// The scored table's rows (for the Search join).
-  storage::TreeSnapshot scored_rows;
+  /// The scored table's rows at this version (for the Search join).
+  RowColumn::Snapshot rows;
+
+  /// Row of `doc` at this version; null when deleted or never indexed.
+  const relational::Row* RowOf(DocId doc) const {
+    const std::shared_ptr<const relational::Row>* slot = rows.Find(doc);
+    return slot != nullptr ? slot->get() : nullptr;
+  }
 };
 
 /// Engine-level counter snapshot. Gathered from internally synchronized
@@ -262,11 +273,17 @@ class SvrEngine {
   /// `query.*` histograms (docs/observability.md).
   Result<std::vector<ScoredRow>> Search(const std::string& keywords,
                                         size_t k, bool conjunctive = true);
-  /// Search against an already-pinned view (the sharded gather pins one
-  /// view per shard up front so the whole scatter reads one watermark).
+  /// Search against an already-pinned view.
   Result<std::vector<ScoredRow>> SearchAt(const ReadView& view,
                                           const std::string& keywords,
                                           size_t k, bool conjunctive = true);
+  /// One leg of a sharded search: term resolution and the index top-k
+  /// at `view`, without the row join. `hits` hold local doc ids, best
+  /// first; the sharded gather joins only the global winners, from
+  /// `view.state->RowOf`.
+  Status SearchHitsAt(const ReadView& view, const std::string& keywords,
+                      size_t k, bool conjunctive,
+                      std::vector<index::SearchResult>* hits);
 
   /// Pins a view and runs `fn` against it — multi-statement snapshot
   /// reads (a query plus an oracle check over the same version, as the
@@ -331,9 +348,16 @@ class SvrEngine {
   void InitTelemetry();
 
   text::Document TokenizeToDocument(const std::string& text);
-  Status HandleScoredTableWrite(const relational::Row* old_row,
-                                const relational::Row& new_row)
+  /// Index maintenance after a scored-table write: stores the row in
+  /// the row column, then adds the document (`fresh`) or re-indexes a
+  /// changed text (Appendix A).
+  Status HandleScoredTableWrite(const relational::Row& new_row, bool fresh)
       REQUIRES(writer_mu_);
+  /// Term resolution and index top-k: the shared body of SearchAt and
+  /// SearchHitsAt. Laps the resolve and index stages into `timer`.
+  Status RankAt(const EngineSnapshot& snap, const std::string& keywords,
+                size_t k, bool conjunctive, telemetry::StageTimer* timer,
+                std::vector<index::SearchResult>* hits);
   /// The statement bodies of Insert/Update/Delete — the table write,
   /// index maintenance, view-error surfacing, and the merge-policy tick.
   /// Split out of the public DML entry points so the writer-mutex
@@ -405,8 +429,7 @@ class SvrEngine {
   /// epoch batch at PublishCommit. Guarded by writer_mu_.
   std::vector<std::pair<storage::BufferPool*, storage::PageId>> pending_pages_;
   std::vector<storage::BlobRef> pending_blobs_;
-  /// The buffering disposers wired into trees / the index context.
-  storage::PageRetirer table_page_retirer_;
+  /// The buffering disposers wired into the index context.
   storage::PageRetirer list_page_retirer_;
   index::BlobRetirer blob_retirer_;
 
@@ -414,7 +437,11 @@ class SvrEngine {
   std::atomic<double> write_merge_ms_{0.0};
 
   std::string scored_table_;
-  relational::Table* scored_rows_table_ = nullptr;
+  /// Working version of the scored table's rows, indexed by doc id; set
+  /// with each scored-table write and sealed into every EngineSnapshot.
+  /// Writer-side only (under writer_mu_), like corpus_; not annotated
+  /// because CreateTextIndex fills it from lambdas run under the lock.
+  RowColumn rows_;
   int text_column_ = -1;
   int pk_column_ = -1;
   index::MergeCheckCounter merge_ticks_;

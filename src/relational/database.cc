@@ -8,7 +8,7 @@ Result<Table*> Database::CreateTable(const std::string& name,
     return Status::AlreadyExists("table exists: " + name);
   }
   SVR_ASSIGN_OR_RETURN(
-      auto table, Table::Create(name, std::move(schema), pool_, retire_));
+      auto table, Table::Create(name, std::move(schema), pool_));
   Table* raw = table.get();
   tables_.emplace(name, std::move(table));
   return raw;

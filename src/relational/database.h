@@ -33,11 +33,7 @@ class TableObserver {
 /// incremental materialized-view maintenance.
 class Database {
  public:
-  /// `retire` non-null makes every table's tree copy-on-write (MVCC
-  /// read path; see relational/table.h).
-  explicit Database(storage::BufferPool* pool,
-                    storage::PageRetirer retire = nullptr)
-      : pool_(pool), retire_(std::move(retire)) {}
+  explicit Database(storage::BufferPool* pool) : pool_(pool) {}
 
   Database(const Database&) = delete;
   Database& operator=(const Database&) = delete;
@@ -63,7 +59,6 @@ class Database {
               const Row* new_row);
 
   storage::BufferPool* pool_;
-  storage::PageRetirer retire_;
   std::map<std::string, std::unique_ptr<Table>> tables_;
   std::vector<TableObserver*> observers_;
 };

@@ -5,8 +5,7 @@
 namespace svr::relational {
 
 Result<std::unique_ptr<Table>> Table::Create(std::string name, Schema schema,
-                                             storage::BufferPool* pool,
-                                             storage::PageRetirer retire) {
+                                             storage::BufferPool* pool) {
   if (schema.num_columns() == 0) {
     return Status::InvalidArgument("table needs at least one column");
   }
@@ -15,9 +14,7 @@ Result<std::unique_ptr<Table>> Table::Create(std::string name, Schema schema,
       schema.column(pk).type != ValueType::kInt64) {
     return Status::InvalidArgument("primary key must be an INT64 column");
   }
-  auto tree = retire != nullptr
-                  ? storage::BPlusTree::CreateCow(pool, std::move(retire))
-                  : storage::BPlusTree::Create(pool);
+  auto tree = storage::BPlusTree::Create(pool);
   SVR_RETURN_NOT_OK(tree.status());
   return std::unique_ptr<Table>(new Table(std::move(name), std::move(schema),
                                           std::move(tree).value()));
@@ -64,13 +61,8 @@ Status Table::Update(const Row& row) {
 }
 
 Status Table::Get(int64_t pk, Row* row) const {
-  return GetAt(tree_->LiveSnapshot(), pk, row);
-}
-
-Status Table::GetAt(const storage::TreeSnapshot& snap, int64_t pk,
-                    Row* row) const {
   std::string payload;
-  SVR_RETURN_NOT_OK(tree_->GetAt(snap, EncodePk(pk), &payload));
+  SVR_RETURN_NOT_OK(tree_->Get(EncodePk(pk), &payload));
   Slice in(payload);
   return DecodeRow(&in, schema_.num_columns(), row);
 }

@@ -13,15 +13,15 @@
 namespace svr::relational {
 
 /// \brief A relational table clustered on its INT64 primary key,
-/// physically a B+-tree (pk -> serialized row) in the shared buffer pool.
-/// Created with a PageRetirer the tree is copy-on-write: Seal()
-/// publishes a row snapshot the MVCC read path joins against with no
-/// lock (docs/concurrency.md).
+/// physically an in-place B+-tree (pk -> serialized row) in the shared
+/// buffer pool. Only the engine's writer reads or writes it: searches
+/// join against the engine's sealed row column instead
+/// (docs/concurrency.md).
 class Table {
  public:
-  static Result<std::unique_ptr<Table>> Create(
-      std::string name, Schema schema, storage::BufferPool* pool,
-      storage::PageRetirer retire = nullptr);
+  static Result<std::unique_ptr<Table>> Create(std::string name,
+                                               Schema schema,
+                                               storage::BufferPool* pool);
 
   const std::string& name() const { return name_; }
   const Schema& schema() const { return schema_; }
@@ -33,13 +33,7 @@ class Table {
   Status Update(const Row& row);
   /// Fetches the row with primary key `pk`.
   Status Get(int64_t pk, Row* row) const;
-  /// Same fetch against a sealed version (lock-free snapshot joins).
-  Status GetAt(const storage::TreeSnapshot& snap, int64_t pk,
-               Row* row) const;
   Status Delete(int64_t pk);
-
-  /// Freezes the current version; see storage::BPlusTree::Seal.
-  storage::TreeSnapshot Seal() { return tree_->Seal(); }
 
   /// Full scan in pk order; stops early if `fn` returns false.
   Status Scan(const std::function<bool(const Row&)>& fn) const;

@@ -32,8 +32,8 @@ struct QueryTrace {
   uint64_t commit_ts = 0;
 
   // --- stage wall times, microseconds ---------------------------------
-  uint64_t gather_us = 0;  // top-k merge across shard result lists
-  uint64_t join_us = 0;    // global id resolution + row join
+  uint64_t gather_us = 0;  // global ids, top-k merge, winners' homes
+  uint64_t join_us = 0;    // the winners' rows, copied at the view
   uint64_t total_us = 0;   // whole SearchAt call
 
   // --- scatter: one span per shard ------------------------------------

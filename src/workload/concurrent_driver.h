@@ -35,8 +35,11 @@ struct ConcurrentChurnConfig {
   double content_pct = 5.0;
 
   // Query workload: `query_threads` threads issue top-k searches over
-  // frequent terms until the writer finishes.
+  // frequent terms until the writer finishes, or, when
+  // `queries_per_thread` > 0, exactly that many each (fixed work per
+  // run, whatever the writer's pace).
   uint32_t query_threads = 2;
+  uint32_t queries_per_thread = 0;
   uint32_t query_terms = 2;
   uint32_t top_k = 20;
   /// Every Nth query per thread additionally runs under ReadSnapshotAll

@@ -265,6 +265,58 @@ TEST_F(CodecV2Test, ScoreListRoundTripAndSeek) {
   }
 }
 
+// Two Score lists whose (score, doc) ranges are disjoint block by block,
+// interleaved in scan order a0 a1 | b0 | a2 a3 | b1. A conjunctive
+// leapfrog seeks A past a1 and past a3 on their block headers alone,
+// decoding only the blocks a target lands in.
+TEST_F(CodecV2Test, ScoreSeekSkipsWholeBlocksOfDisjointLists) {
+  auto blocks = [](std::initializer_list<double> tops) {
+    std::vector<ScorePosting> ps;
+    for (const double top : tops) {
+      for (size_t i = 0; i < kPostingBlockSize; ++i) {
+        ps.push_back({top - static_cast<double>(i), static_cast<DocId>(i)});
+      }
+    }
+    return ps;
+  };
+  const std::vector<ScorePosting> a = blocks({10000, 9000, 7000, 6000});
+  const std::vector<ScorePosting> b = blocks({8000, 5000});
+  std::string abuf, bbuf;
+  EncodeScoreList(a, &abuf);
+  EncodeScoreList(b, &bbuf);
+  const auto aref = Put(abuf);
+  const auto bref = Put(bbuf);
+  ScoreCursorScratch ascratch, bscratch;
+  QueryStats aq, bq;
+  ScorePostingCursor ca(blobs_.NewReader(aref), &ascratch, &aq);
+  ScorePostingCursor cb(blobs_.NewReader(bref), &bscratch, &bq);
+  ASSERT_TRUE(ca.Init().ok());
+  ASSERT_TRUE(cb.Init().ok());
+
+  size_t matches = 0;
+  while (ca.Valid() && cb.Valid()) {
+    if (ca.score() == cb.score() && ca.doc() == cb.doc()) {
+      ++matches;
+      ASSERT_TRUE(ca.Next().ok());
+      ASSERT_TRUE(cb.Next().ok());
+    } else if (ca.score() > cb.score() ||
+               (ca.score() == cb.score() && ca.doc() < cb.doc())) {
+      ASSERT_TRUE(ca.SeekTo(cb.score(), cb.doc()).ok());
+    } else {
+      ASSERT_TRUE(cb.SeekTo(ca.score(), ca.doc()).ok());
+    }
+  }
+  EXPECT_EQ(matches, 0u);
+  EXPECT_FALSE(ca.Valid());
+  // A: a0 (Init) and a2 decoded; a1 and a3 skipped by their headers.
+  EXPECT_EQ(aq.blocks_decoded, 2u);
+  EXPECT_EQ(aq.groups_galloped, 2u);
+  EXPECT_EQ(aq.cursor_seeks, 2u);
+  // B: each seek target lies inside the next block, so both decode.
+  EXPECT_EQ(bq.blocks_decoded, 2u);
+  EXPECT_EQ(bq.groups_galloped, 0u);
+}
+
 std::vector<ChunkGroup> MakeChunkGroups(size_t n_groups, size_t per_group,
                                         uint64_t seed) {
   std::vector<ChunkGroup> groups;

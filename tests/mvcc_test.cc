@@ -17,9 +17,13 @@
 //  - The judge columns (Score table, ListChunk) at a pinned view agree
 //    with a fresh ScoreView recomputation from the relational rows, and
 //    a sealed column version ignores later writes.
+//  - The row column: a pinned view joins the rows of its version, and
+//    every searched row equals its table row, after sharded churn and
+//    after a reopen from the WAL.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <map>
 #include <memory>
@@ -41,6 +45,7 @@
 #include "storage/buffer_pool.h"
 #include "storage/page_store.h"
 #include "workload/concurrent_driver.h"
+#include "workload/crash_driver.h"
 
 #if defined(__has_feature)
 #if __has_feature(thread_sanitizer)
@@ -779,6 +784,196 @@ TEST(JudgeColumnTest, PinnedColumnsMatchRelationalRowsAfterChurn) {
     }
   }
   EXPECT_GT(deleted_docs, 0u);
+}
+
+// --- row column ---------------------------------------------------------
+
+// A search copies each hit's row from the row column sealed with the
+// version it read. The benches compare only (pk, score), so these tests
+// are what checks the rows themselves.
+
+// A view pinned before content updates, non-text updates and deletes
+// still joins the rows of its version; a fresh view joins the new rows.
+TEST(RowColumnTest, PinnedViewJoinsRowsOfItsVersion) {
+  auto engine_r = core::SvrEngine::Open(core::SvrEngineOptions());
+  ASSERT_TRUE(engine_r.ok());
+  auto engine = std::move(engine_r).value();
+  ASSERT_TRUE(engine
+                  ->CreateTable(
+                      "docs",
+                      relational::Schema(
+                          {{"id", relational::ValueType::kInt64},
+                           {"text", relational::ValueType::kString},
+                           {"note", relational::ValueType::kString}},
+                          0))
+                  .ok());
+  ASSERT_TRUE(
+      engine
+          ->CreateTable("scores",
+                        relational::Schema(
+                            {{"id", relational::ValueType::kInt64},
+                             {"val", relational::ValueType::kDouble}},
+                            0))
+          .ok());
+  constexpr int64_t kDocs = 600;  // spans three column chunks
+  std::map<int64_t, relational::Row> old_rows;
+  for (int64_t id = 0; id < kDocs; ++id) {
+    relational::Row row = {Value::Int(id),
+                           Value::String("common w" + std::to_string(id % 10)),
+                           Value::String("v0")};
+    ASSERT_TRUE(engine->Insert("docs", row).ok());
+    ASSERT_TRUE(
+        engine->Insert("scores", {Value::Int(id), Value::Double(1.0 * id)})
+            .ok());
+    old_rows[id] = row;
+  }
+  ASSERT_TRUE(engine
+                  ->CreateTextIndex(
+                      "docs", "text",
+                      {{"S1", "scores", "id", "val",
+                        relational::AggregateKind::kValue}},
+                      relational::AggFunction::WeightedSum({1.0}))
+                  .ok());
+  // One document inserted after the index exists joins like the rest.
+  {
+    relational::Row row = {Value::Int(kDocs), Value::String("common late"),
+                           Value::String("v0")};
+    ASSERT_TRUE(engine->Insert("docs", row).ok());
+    ASSERT_TRUE(engine
+                    ->Insert("scores",
+                             {Value::Int(kDocs), Value::Double(1.0 * kDocs)})
+                    .ok());
+    old_rows[kDocs] = row;
+  }
+
+  const core::SvrEngine::ReadView before = engine->PinReadView();
+  std::map<int64_t, relational::Row> new_rows = old_rows;
+  for (int64_t id = 0; id <= kDocs; ++id) {
+    if (id % 5 == 2) {
+      ASSERT_TRUE(engine->Delete("docs", id).ok());
+      new_rows.erase(id);
+    } else if (id % 3 == 0) {  // content update
+      relational::Row row = {Value::Int(id),
+                             Value::String("common fresh" +
+                                           std::to_string(id)),
+                             Value::String("v1")};
+      ASSERT_TRUE(engine->Update("docs", row).ok());
+      new_rows[id] = row;
+    } else if (id % 3 == 1) {  // same text, other column changed
+      relational::Row row = old_rows[id];
+      row[2] = Value::String("v1");
+      ASSERT_TRUE(engine->Update("docs", row).ok());
+      new_rows[id] = row;
+    }
+  }
+
+  auto check = [&](const std::vector<core::ScoredRow>& hits,
+                   const std::map<int64_t, relational::Row>& expected,
+                   const std::string& where) {
+    EXPECT_EQ(hits.size(), expected.size()) << where;
+    for (const core::ScoredRow& hit : hits) {
+      const auto it = expected.find(hit.pk);
+      ASSERT_NE(it, expected.end()) << where << " pk " << hit.pk;
+      EXPECT_TRUE(hit.row == it->second) << where << " pk " << hit.pk;
+    }
+  };
+  const size_t all = static_cast<size_t>(kDocs) + 1;
+  auto old_hits = engine->SearchAt(before, "common", all);
+  ASSERT_TRUE(old_hits.ok()) << old_hits.status().ToString();
+  check(old_hits.value(), old_rows, "pinned view");
+  auto new_hits = engine->Search("common", all);
+  ASSERT_TRUE(new_hits.ok()) << new_hits.status().ToString();
+  check(new_hits.value(), new_rows, "fresh view");
+
+  // A term only the new content holds: absent at the pinned version.
+  auto fresh = engine->SearchAt(before, "fresh3", 10);
+  ASSERT_TRUE(fresh.ok());
+  EXPECT_TRUE(fresh.value().empty());
+  fresh = engine->Search("fresh3", 10);
+  ASSERT_TRUE(fresh.ok());
+  ASSERT_EQ(fresh.value().size(), 1u);
+  EXPECT_TRUE(fresh.value()[0].row == new_rows[3]);
+}
+
+// Every row Search returns equals Table::Get of its (shard, local) row
+// with the pk column rewritten to the global key.
+void ExpectSearchRowsMatchTables(core::ShardedSvrEngine* engine,
+                                 const workload::ConcurrentChurnConfig& cfg,
+                                 const std::string& where) {
+  const uint32_t frequent = std::max<uint32_t>(10, cfg.vocab / 20);
+  size_t checked = 0;
+  for (uint32_t q = 0; q < 40; ++q) {
+    std::string keywords = "t" + std::to_string(q % frequent);
+    if (q % 2 == 1) keywords += " t" + std::to_string((7 * q) % frequent);
+    for (const bool conjunctive : {true, false}) {
+      auto r = engine->Search(keywords, cfg.top_k, conjunctive);
+      ASSERT_TRUE(r.ok()) << where << ": " << r.status().ToString();
+      for (const core::ScoredRow& hit : r.value()) {
+        auto loc = engine->Route(hit.pk);
+        ASSERT_TRUE(loc.ok()) << where << " gid " << hit.pk;
+        relational::Table* docs =
+            engine->shard(loc.value().first)->database()->GetTable("docs");
+        ASSERT_NE(docs, nullptr);
+        relational::Row row;
+        ASSERT_TRUE(docs->Get(loc.value().second, &row).ok())
+            << where << " gid " << hit.pk;
+        row[0] = Value::Int(hit.pk);
+        EXPECT_TRUE(hit.row == row) << where << " gid " << hit.pk;
+        ++checked;
+      }
+    }
+  }
+  EXPECT_GT(checked, 200u) << where;
+}
+
+// Sharded churn (content updates, deletes, inserts, racing searches) on
+// 1 and 3 shards, then the same check after a reopen from the WAL.
+TEST(RowColumnTest, SearchRowsMatchTablesAfterChurnAndReopen) {
+  workload::ConcurrentChurnConfig cfg;
+  cfg.initial_docs = kTsanBuild ? 300 : 900;
+  cfg.vocab = kTsanBuild ? 200 : 400;
+  cfg.terms_per_doc = 12;
+  cfg.writer_ops = kTsanBuild ? 400 : 2000;
+  cfg.insert_pct = 10.0;
+  cfg.delete_pct = 5.0;
+  cfg.content_pct = 30.0;
+  cfg.query_threads = 1;
+  cfg.top_k = 30;
+
+  for (const uint32_t shards : {1u, 3u}) {
+    const std::string where = std::to_string(shards) + " shard(s)";
+    const std::string dir = "mvcc_test_row_column_" + std::to_string(shards);
+    ASSERT_TRUE(workload::WipeDirectory(dir).ok());
+    core::ShardedSvrEngineOptions opt;
+    opt.num_shards = shards;
+    opt.num_query_threads = shards;
+    opt.shard.method = index::Method::kChunk;
+    opt.shard.index_options.chunk.chunking.min_chunk_size = 1;
+    opt.shard.merge_policy.enabled = true;
+    opt.shard.merge_policy.min_short_postings = 8;
+    opt.shard.merge_policy.check_interval = 64;
+    opt.shard.background_merge = true;
+    opt.durability.enabled = true;
+    opt.durability.dir = dir;
+    {
+      auto engine_r = workload::SetupShardedChurnEngine(opt, cfg);
+      ASSERT_TRUE(engine_r.ok()) << engine_r.status().ToString();
+      auto engine = std::move(engine_r).value();
+      auto churn = workload::RunShardedChurn(engine.get(), cfg,
+                                             /*writer_threads=*/2,
+                                             /*run_ms=*/0);
+      ASSERT_TRUE(churn.ok()) << churn.status().ToString();
+      engine->Stop();  // quiescent tables for Table::Get
+      ExpectSearchRowsMatchTables(engine.get(), cfg, where);
+    }
+    auto reopened_r = core::ShardedSvrEngine::Open(opt);
+    ASSERT_TRUE(reopened_r.ok()) << reopened_r.status().ToString();
+    auto reopened = std::move(reopened_r).value();
+    ASSERT_TRUE(reopened->recovery_stats().ran);
+    EXPECT_EQ(reopened->recovery_stats().replay_errors, 0u);
+    reopened->Stop();
+    ExpectSearchRowsMatchTables(reopened.get(), cfg, where + ", reopened");
+  }
 }
 
 }  // namespace
