@@ -14,8 +14,8 @@
 // the reported metric is completed DML ops per second across all writer
 // threads. A fraction of queries re-runs under ReadSnapshotAll and
 // checks every shard's top-k against the brute-force oracle plus the
-// GatherTopK merge of both sides, so the scaling curve is oracle-
-// validated, not asserted. Emits BENCH_sharding.json (validated by
+// gather merge of the index side against the oracle's, so the scaling
+// curve is oracle-validated, not asserted. Emits BENCH_sharding.json (validated by
 // tools/check_bench_json.py in ci.sh: throughput must be monotone
 // non-decreasing from 1 to 4 shards, mismatches must be 0).
 

@@ -8,15 +8,16 @@
 //
 // The record path is a handful of relaxed atomic fetch_adds per
 // operation plus two steady_clock reads per stage, so the gate is
-// tight: the median over reps of the paired on/off wall-time ratio must
-// stay within 5% (BENCH_telemetry.json, checked by
-// tools/check_bench_json.py). Each rep runs off, then on, so drift hits
-// both halves of a pair alike, and the median keeps one rep slowed by
-// the host from deciding the gate. Every rep is the same work: the
-// writer's `writer_ops` and exactly `queries` searches per query thread,
-// so a rep's wall time does not float with how many queries fit beside
-// the writer. The summary also reports each mode's
-// min/median/max wall time, so the rep-to-rep spread is on record.
+// tight: the median over reps of the paired on/off ratio of wall time
+// per completed operation must stay within 5% (BENCH_telemetry.json,
+// checked by tools/check_bench_json.py). The query threads run in a
+// closed loop beside the writer's fixed `writer_ops`, so a rep's query
+// count floats; dividing its wall time by the operations it completed
+// (writer ops plus queries) compares reps of unequal work. Each rep
+// runs off, then on, so drift hits both halves of a pair alike, and the
+// median keeps one rep slowed by the host from deciding the gate. The
+// summary also reports each mode's min/median/max wall time, so the
+// rep-to-rep spread is on record.
 // Every rep oracle-validates a slice of its queries; mismatches must be
 // 0 — telemetry must never alter results.
 
@@ -38,6 +39,8 @@ namespace {
 
 struct RepOutcome {
   double wall_ms = 0.0;
+  uint64_t ops = 0;  // writer ops plus queries completed
+  double us_per_op = 0.0;
   double qry_p50_ms = 0.0;
   double qry_p95_ms = 0.0;
   uint64_t queries = 0;
@@ -80,8 +83,6 @@ int main(int argc, char** argv) {
   cfg.writer_ops = static_cast<uint32_t>(flags.GetInt("writer_ops", 12000));
   cfg.query_threads =
       static_cast<uint32_t>(flags.GetInt("query_threads", 3));
-  cfg.queries_per_thread =
-      static_cast<uint32_t>(flags.GetInt("queries", 4000));
   cfg.top_k = static_cast<uint32_t>(flags.GetInt("k", 20));
   cfg.validate_every =
       static_cast<uint32_t>(flags.GetInt("validate_every", 64));
@@ -91,9 +92,8 @@ int main(int argc, char** argv) {
       flags.GetString("out", "BENCH_telemetry.json");
 
   std::printf("# telemetry overhead: %u docs, %u writer ops, %u query "
-              "threads x %u queries, %d off/on pairs\n\n",
-              cfg.initial_docs, cfg.writer_ops, cfg.query_threads,
-              cfg.queries_per_thread, reps);
+              "threads, %d off/on pairs\n\n",
+              cfg.initial_docs, cfg.writer_ops, cfg.query_threads, reps);
 
   std::FILE* json = std::fopen(out_path.c_str(), "w");
   if (json == nullptr) {
@@ -104,13 +104,13 @@ int main(int argc, char** argv) {
   WriteContextJson(json);
   std::fprintf(json,
                "  \"docs\": %u,\n  \"writer_ops\": %u,\n"
-               "  \"query_threads\": %u,\n  \"queries_per_thread\": %u,\n"
-               "  \"reps\": %d,\n  \"series\": [",
-               cfg.initial_docs, cfg.writer_ops, cfg.query_threads,
-               cfg.queries_per_thread, reps);
+               "  \"query_threads\": %u,\n  \"reps\": %d,\n"
+               "  \"series\": [",
+               cfg.initial_docs, cfg.writer_ops, cfg.query_threads, reps);
 
-  TablePrinter table({"rep", "mode", "wall ms", "qry p50 ms", "qry p95 ms",
-                      "validated", "mismatches"});
+  TablePrinter table({"rep", "mode", "wall ms", "ops", "us/op",
+                      "qry p50 ms", "qry p95 ms", "validated",
+                      "mismatches"});
   std::vector<RepOutcome> off_reps, on_reps;
   std::atomic<uint64_t> periodic_dumps{0};
   bool dump_ok = true;
@@ -155,6 +155,8 @@ int main(int argc, char** argv) {
 
       RepOutcome o;
       o.wall_ms = result.wall_ms;
+      o.ops = result.writer_ops_done + result.queries_run;
+      o.us_per_op = o.ops > 0 ? 1000.0 * o.wall_ms / o.ops : 0.0;
       o.qry_p50_ms = result.query.p50_ms;
       o.qry_p95_ms = result.query.p95_ms;
       o.queries = result.queries_run;
@@ -165,16 +167,21 @@ int main(int argc, char** argv) {
       const char* mode = telemetry_on ? "on" : "off";
       char wall[32];
       std::snprintf(wall, sizeof(wall), "%.1f", o.wall_ms);
-      table.Row({std::to_string(rep), mode, wall, Ms(o.qry_p50_ms),
-                 Ms(o.qry_p95_ms), std::to_string(o.validated),
+      char per_op[32];
+      std::snprintf(per_op, sizeof(per_op), "%.3f", o.us_per_op);
+      table.Row({std::to_string(rep), mode, wall, std::to_string(o.ops),
+                 per_op, Ms(o.qry_p50_ms), Ms(o.qry_p95_ms),
+                 std::to_string(o.validated),
                  std::to_string(o.mismatches)});
       std::fprintf(
           json,
           "%s\n    {\"rep\": %d, \"mode\": \"%s\", \"wall_ms\": %.3f,\n"
+          "     \"ops\": %llu, \"us_per_op\": %.5f,\n"
           "     \"queries\": %llu, \"qry_p50_ms\": %.5f, "
           "\"qry_p95_ms\": %.5f,\n"
           "     \"validated\": %llu, \"mismatches\": %llu}",
           first_series ? "" : ",", rep, mode, o.wall_ms,
+          static_cast<unsigned long long>(o.ops), o.us_per_op,
           static_cast<unsigned long long>(o.queries), o.qry_p50_ms,
           o.qry_p95_ms, static_cast<unsigned long long>(o.validated),
           static_cast<unsigned long long>(o.mismatches));
@@ -186,7 +193,7 @@ int main(int argc, char** argv) {
   const WallSpread on = WallSpreadOf(on_reps);
   std::vector<double> pair_ratios;
   for (size_t i = 0; i < on_reps.size(); ++i) {
-    pair_ratios.push_back(on_reps[i].wall_ms / off_reps[i].wall_ms);
+    pair_ratios.push_back(on_reps[i].us_per_op / off_reps[i].us_per_op);
   }
   const WallSpread pairs = SpreadOf(pair_ratios);
   const double ratio = pairs.median;

@@ -382,7 +382,7 @@ Status ShardedSvrEngine::Insert(const std::string& table,
   }
   const int64_t gid = row[route->route_column].as_int();
   if (gid < 0 || gid >= static_cast<int64_t>(kInvalidDocId)) {
-    // Global keys double as document ids end to end (GatherTopK carries
+    // Global keys double as document ids end to end (the gather carries
     // them through index::SearchResult), so they must fit DocId.
     return Status::InvalidArgument("document keys must be in [0, 2^32-1)");
   }
@@ -543,39 +543,37 @@ Status ShardedSvrEngine::Delete(const std::string& table, int64_t pk) {
   return st;
 }
 
+std::vector<index::SearchResult> ShardedSvrEngine::TranslateListLocked(
+    size_t shard, const std::vector<index::SearchResult>& list) const {
+  std::vector<index::SearchResult> out;
+  out.reserve(list.size());
+  for (const index::SearchResult& r : list) {
+    const int64_t gid = shard < local_to_global_.size() &&
+                                r.doc < local_to_global_[shard].size()
+                            ? local_to_global_[shard][r.doc]
+                            : kInvalidGlobalId;
+    // Unmapped locals — documents fed to a shard behind the engine's
+    // back, or an insert whose mapping is not yet published — have no
+    // global identity and must not occupy top-k slots.
+    if (gid == kInvalidGlobalId) continue;
+    // Global keys double as document ids and stay within DocId range
+    // (validated at Insert; docs/sharding.md).
+    out.push_back({static_cast<DocId>(gid), r.score});
+  }
+  return out;
+}
+
 std::vector<std::vector<index::SearchResult>>
 ShardedSvrEngine::TranslateToGlobal(
     const std::vector<std::vector<index::SearchResult>>& lists,
     const std::vector<uint32_t>& shard_of_list) const {
-  ReaderMutexLock lock(map_mu_);
-  return TranslateToGlobalLocked(lists, &shard_of_list);
-}
-
-std::vector<std::vector<index::SearchResult>>
-ShardedSvrEngine::TranslateToGlobalLocked(
-    const std::vector<std::vector<index::SearchResult>>& lists,
-    const std::vector<uint32_t>* shard_of_list) const {
   std::vector<std::vector<index::SearchResult>> out(lists.size());
+  ReaderMutexLock lock(map_mu_);
   for (size_t i = 0; i < lists.size(); ++i) {
-    size_t s = i;
-    if (shard_of_list != nullptr) {
-      s = i < shard_of_list->size() ? (*shard_of_list)[i]
-                                    : local_to_global_.size();
-    }
-    out[i].reserve(lists[i].size());
-    for (const index::SearchResult& r : lists[i]) {
-      const int64_t gid = s < local_to_global_.size() &&
-                                  r.doc < local_to_global_[s].size()
-                              ? local_to_global_[s][r.doc]
-                              : kInvalidGlobalId;
-      // Unmapped locals — documents fed to a shard behind the engine's
-      // back, or an insert whose mapping is not yet published — have no
-      // global identity and must not occupy top-k slots.
-      if (gid == kInvalidGlobalId) continue;
-      // Global keys double as document ids and stay within DocId range
-      // (validated at Insert; docs/sharding.md).
-      out[i].push_back({static_cast<DocId>(gid), r.score});
-    }
+    // A list without a named shard translates to nothing.
+    const size_t s = i < shard_of_list.size() ? shard_of_list[i]
+                                              : local_to_global_.size();
+    out[i] = TranslateListLocked(s, lists[i]);
   }
   return out;
 }
@@ -584,8 +582,12 @@ std::vector<std::vector<index::SearchResult>>
 ShardedSvrEngine::TranslateToGlobal(
     const std::vector<std::vector<index::SearchResult>>& per_shard)
     const {
+  std::vector<std::vector<index::SearchResult>> out(per_shard.size());
   ReaderMutexLock lock(map_mu_);
-  return TranslateToGlobalLocked(per_shard, nullptr);
+  for (size_t s = 0; s < per_shard.size(); ++s) {
+    out[s] = TranslateListLocked(s, per_shard[s]);
+  }
+  return out;
 }
 
 std::vector<index::SearchResult> ShardedSvrEngine::MergeTopK(
@@ -596,12 +598,6 @@ std::vector<index::SearchResult> ShardedSvrEngine::MergeTopK(
     for (const index::SearchResult& r : list) heap.Offer(r.doc, r.score);
   }
   return heap.TakeSorted();
-}
-
-std::vector<index::SearchResult> ShardedSvrEngine::GatherTopK(
-    const std::vector<std::vector<index::SearchResult>>& per_shard,
-    size_t k) const {
-  return MergeTopK(TranslateToGlobal(per_shard), k);
 }
 
 ShardedReadView ShardedSvrEngine::PinReadViewAll() const {
@@ -671,7 +667,11 @@ Result<std::vector<ScoredRow>> ShardedSvrEngine::SearchAt(
   int pk_index = 0;
   {
     ReaderMutexLock lock(map_mu_);
-    merged = MergeTopK(TranslateToGlobalLocked(shard_hits, nullptr), k);
+    std::vector<std::vector<index::SearchResult>> translated(n);
+    for (size_t s = 0; s < n; ++s) {
+      translated[s] = TranslateListLocked(s, shard_hits[s]);
+    }
+    merged = MergeTopK(translated, k);
     hit_locs.reserve(merged.size());
     for (const index::SearchResult& hit : merged) {
       auto it = id_map_.find(static_cast<int64_t>(hit.doc));

@@ -192,15 +192,6 @@ class ShardedSvrEngine {
   Status ReadSnapshotAll(
       const std::function<Status(const ShardedReadView&)>& fn);
 
-  /// Merges per-shard top-k lists (local document ids, as returned by a
-  /// shard's TopK) into the global top-k with global ids — the gather
-  /// step of Search, exposed so validation code compares index results
-  /// and oracle results through the identical merge. Equivalent to
-  /// MergeTopK(TranslateToGlobal(per_shard), k).
-  std::vector<index::SearchResult> GatherTopK(
-      const std::vector<std::vector<index::SearchResult>>& per_shard,
-      size_t k) const;
-
   /// Rewrites result lists from local to global document ids under ONE
   /// map acquisition; `shard_of_list[i]` names the shard whose locals
   /// list i uses (several lists may reference one shard). Locals with
@@ -292,11 +283,12 @@ class ShardedSvrEngine {
 
   Result<const TableRoute*> RouteOf(const std::string& table) const
       EXCLUDES(map_mu_);
-  /// TranslateToGlobal's body, for callers already holding map_mu_. A
-  /// null `shard_of_list` treats list i as shard i's.
-  std::vector<std::vector<index::SearchResult>> TranslateToGlobalLocked(
-      const std::vector<std::vector<index::SearchResult>>& lists,
-      const std::vector<uint32_t>* shard_of_list) const
+  /// Rewrites one list of `shard`'s local document ids to global ids,
+  /// dropping locals with no published mapping (and every entry when
+  /// `shard` is out of range). TranslateToGlobal and the search gather
+  /// call it under their one map acquisition.
+  std::vector<index::SearchResult> TranslateListLocked(
+      size_t shard, const std::vector<index::SearchResult>& list) const
       REQUIRES_SHARED(map_mu_);
   /// Runs fn(s) once per shard and returns when all calls have: fanned
   /// out on the query pool (the caller takes one lane) when the engine

@@ -231,9 +231,7 @@ Result<ShardedChurnResult> RunShardedChurn(
     searchers.emplace_back([&, qt] {
       Random rng(config.seed ^ (0xC0FFEEull * (qt + 1)));
       uint64_t n = 0;
-      while (config.queries_per_thread > 0
-                 ? n < config.queries_per_thread
-                 : !writers_done.load(std::memory_order_acquire)) {
+      while (!writers_done.load(std::memory_order_acquire)) {
         std::string keywords;
         for (uint32_t i = 0; i < config.query_terms; ++i) {
           if (!keywords.empty()) keywords.push_back(' ');

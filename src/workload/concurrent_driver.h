@@ -35,11 +35,8 @@ struct ConcurrentChurnConfig {
   double content_pct = 5.0;
 
   // Query workload: `query_threads` threads issue top-k searches over
-  // frequent terms until the writer finishes, or, when
-  // `queries_per_thread` > 0, exactly that many each (fixed work per
-  // run, whatever the writer's pace).
+  // frequent terms until the writer finishes.
   uint32_t query_threads = 2;
-  uint32_t queries_per_thread = 0;
   uint32_t query_terms = 2;
   uint32_t top_k = 20;
   /// Every Nth query per thread additionally runs under ReadSnapshotAll
@@ -107,9 +104,10 @@ Result<std::unique_ptr<core::ShardedSvrEngine>> SetupShardedChurnEngine(
 /// budget (throughput mode, `config.writer_ops` ignored); otherwise they
 /// split `config.writer_ops` evenly. Every `validate_every`-th query per
 /// thread re-runs under ReadSnapshotAll: each shard's top-k must equal
-/// its brute-force oracle at that cross-shard snapshot, and the
-/// GatherTopK merge of both sides must agree. The single-engine run is
-/// one shard, one writer thread and `run_ms` = 0.
+/// its brute-force oracle at that cross-shard snapshot, and the engine's
+/// gather merge of the index side must equal a plain sort of the oracle
+/// side. The single-engine run is one shard, one writer thread and
+/// `run_ms` = 0.
 Result<ShardedChurnResult> RunShardedChurn(
     core::ShardedSvrEngine* engine, const ConcurrentChurnConfig& config,
     uint32_t writer_threads, uint32_t run_ms);
@@ -117,9 +115,10 @@ Result<ShardedChurnResult> RunShardedChurn(
 /// One cross-shard oracle validation at one pinned ShardedReadView (the
 /// cross-shard read timestamp): every shard's index top-k of the
 /// conjunctive query `tokens` at its pinned version must equal its
-/// brute-force oracle at the same version, and the GatherTopK merge of
-/// the two sides must agree. Returns OK with *mismatch set on
-/// divergence. `with_ts` selects the oracle's term-score model.
+/// brute-force oracle at the same version, and the engine's gather merge
+/// (MergeTopK) of the index side must equal a plain sort of the oracle
+/// side. Returns OK with *mismatch set on divergence. `with_ts` selects
+/// the oracle's term-score model.
 Status ValidateShardedQuery(core::ShardedSvrEngine* engine,
                             const core::ShardedReadView& view,
                             const std::vector<std::string>& tokens,

@@ -384,17 +384,28 @@ TEST_P(PinnedViewRaceTest, HeldViewStaysConsistentWhileWritersRace) {
   const bool with_ts =
       engine->text_index()->name().find("TermScore") != std::string::npos;
 
+  // The writer keeps going past its ops until the reader has finished
+  // kMinRounds rounds (or given up), so that many rounds run while it
+  // writes even when the host runs all its ops before the reader is
+  // scheduled. A failed update ends the writer, never the reader's
+  // loop condition.
+  constexpr int kMinRounds = 3;
   std::atomic<bool> done{false};
+  std::atomic<int> rounds{0};
+  std::atomic<bool> reader_quit{false};
   std::thread writer([&] {
     Random rng(1234);
     const int ops = kTsanBuild ? 300 : 1500;
-    for (int i = 0; i < ops; ++i) {
+    for (int i = 0; i < ops || (rounds.load() < kMinRounds &&
+                                !reader_quit.load());
+         ++i) {
       const int64_t id =
           static_cast<int64_t>(rng.Uniform(cfg.initial_docs));
       Status st = engine->Update(
           "scores",
           {Value::Int(id), Value::Double(1.0 + rng.Uniform(100000))});
-      ASSERT_TRUE(st.ok()) << st.ToString();
+      EXPECT_TRUE(st.ok()) << st.ToString();
+      if (!st.ok()) break;
     }
     done.store(true, std::memory_order_release);
   });
@@ -404,7 +415,6 @@ TEST_P(PinnedViewRaceTest, HeldViewStaysConsistentWhileWritersRace) {
   q.terms.push_back(engine->vocabulary()->Lookup("t0"));
   q.terms.push_back(engine->vocabulary()->Lookup("t3"));
   Status reader_status;
-  int rounds = 0;
   while (!done.load(std::memory_order_acquire)) {
     core::SvrEngine::ReadView view = engine->PinReadView();
     std::vector<index::SearchResult> first;
@@ -437,11 +447,12 @@ TEST_P(PinnedViewRaceTest, HeldViewStaysConsistentWhileWritersRace) {
                   : st;
       break;
     }
-    ++rounds;
+    rounds.fetch_add(1);
   }
+  reader_quit.store(true);
   writer.join();
   EXPECT_TRUE(reader_status.ok()) << reader_status.ToString();
-  EXPECT_GT(rounds, 0);
+  EXPECT_GE(rounds.load(), kMinRounds);
   engine->Stop();
 }
 

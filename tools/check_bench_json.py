@@ -212,15 +212,19 @@ def check_telemetry(d):
         pair = pairs.setdefault(s["rep"], {})
         assert s["mode"] not in pair, \
             "rep %d repeats mode %s" % (s["rep"], s["mode"])
-        pair[s["mode"]] = s["wall_ms"]
+        assert s["ops"] > 0 and s["us_per_op"] > 0, \
+            "no completed operations in rep %d mode %s" % (s["rep"], s["mode"])
+        pair[s["mode"]] = s["us_per_op"]
     for rep, pair in pairs.items():
         assert set(pair) == {"off", "on"}, \
             "rep %d lacks a mode: %s" % (rep, sorted(pair))
     summary = d["summary"]
     # The headline gate: with every instrument armed, the median over
-    # reps of the paired on/off wall-time ratio stays within 5%. Each rep
-    # runs both modes back to back, so one rep slowed by the host cannot
-    # decide it.
+    # reps of the paired on/off ratio of wall time per completed
+    # operation stays within 5%. A rep's query count floats beside the
+    # writer's fixed ops, so wall time alone compares unequal work. Each
+    # rep runs both modes back to back, so one rep slowed by the host
+    # cannot decide it.
     ratios = sorted(p["on"] / p["off"] for p in pairs.values())
     ratio = statistics.median(ratios)
     assert ratio <= 1.05, \
@@ -549,7 +553,8 @@ def _self_test_fixtures():
     def telemetry_run(ratios):
         return {"context": context, "series": [
             {"rep": r, "mode": m, "mismatches": 0, "validated": 5,
-             "wall_ms": 1000.0 * (ratio if m == "on" else 1.0)}
+             "wall_ms": 1000.0, "ops": 4000,
+             "us_per_op": 250.0 * (ratio if m == "on" else 1.0)}
             for r, ratio in enumerate(ratios) for m in ("off", "on")
         ], "summary": {"overhead_ratio": statistics.median(ratios),
                        "dump_ok": True, "periodic_dumps": 12,
@@ -655,6 +660,8 @@ def _self_test_fixtures():
     telemetry_no_dumps["summary"]["periodic_dumps"] = 0
     telemetry_half_pair = json.loads(json.dumps(telemetry_ok))
     del telemetry_half_pair["series"][3]  # rep 1 without its on run
+    telemetry_no_ops = json.loads(json.dumps(telemetry_ok))
+    telemetry_no_ops["series"][2]["ops"] = 0  # a rep that completed nothing
     server_bad = json.loads(json.dumps(server_ok))
     server_bad["series"][4]["rejected"] = 0  # admission never shed
     paper_slow_chunk = json.loads(json.dumps(paper_ok))
@@ -715,7 +722,7 @@ def _self_test_fixtures():
         "mvcc_churn": [mvcc_bad],
         "durability": [dur_bad, dur_half_pair, without_context(dur_ok)],
         "telemetry": [telemetry_slow, telemetry_no_dumps, telemetry_half_pair,
-                      without_context(telemetry_ok)],
+                      telemetry_no_ops, without_context(telemetry_ok)],
         "server": [server_bad],
         "paper": [paper_slow_chunk, paper_id_climbs, paper_unvalidated,
                   without_context(paper_ok), dict(paper_ok, figure="fig9"),
